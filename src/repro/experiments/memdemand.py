@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.experiments.scale import ExperimentScale, default_scale
-from repro.mem.pageout import single_size_paging, two_size_paging
+from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
 from repro.report.table import TextTable
 from repro.types import MB, PAGE_4KB, PAGE_32KB, PAIR_4KB_32KB, format_size
 
@@ -85,17 +85,18 @@ def run_memdemand(
 
     def measure(name: str) -> Dict[Tuple[str, str, int], float]:
         trace = scale.trace(name)
-        ratios: Dict[Tuple[str, str, int], float] = {}
-        for memory in memory_sizes:
-            small = single_size_paging(trace, PAGE_4KB, memory)
-            ratios[(name, "4KB", memory)] = small.fault_ratio
-            large = single_size_paging(trace, PAGE_32KB, memory)
-            ratios[(name, "32KB", memory)] = large.fault_ratio
-            two = two_size_paging(
-                trace, PAIR_4KB_32KB, scale.window, memory
-            )
-            ratios[(name, "4KB/32KB", memory)] = two.fault_ratio
-        return ratios
+        curves = {
+            "4KB": fault_rate_curve(trace, PAGE_4KB, memory_sizes),
+            "32KB": fault_rate_curve(trace, PAGE_32KB, memory_sizes),
+            "4KB/32KB": two_size_fault_rate_curve(
+                trace, PAIR_4KB_32KB, scale.window, memory_sizes
+            ),
+        }
+        return {
+            (name, scheme, memory): curve[int(memory)].fault_ratio
+            for memory in memory_sizes
+            for scheme, curve in curves.items()
+        }
 
     fault_ratio: Dict[Tuple[str, str, int], float] = {}
     for ratios in map_workloads(measure, list(workloads), jobs=scale.jobs):

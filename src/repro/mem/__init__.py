@@ -32,6 +32,7 @@ from repro.mem.pageout import (
     PagingResult,
     fault_rate_curve,
     single_size_paging,
+    two_size_fault_rate_curve,
     two_size_paging,
 )
 from repro.mem.physalloc import BuddyAllocator
@@ -63,6 +64,7 @@ __all__ = [
     "single_size_paging",
     "single_size_penalty",
     "translate",
+    "two_size_fault_rate_curve",
     "two_size_paging",
     "two_size_penalty",
 ]

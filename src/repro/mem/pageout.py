@@ -13,18 +13,29 @@ resident set is capped in bytes, and a fault evicts least-recently-used
 pages until the new page fits.  For a single page size this degenerates
 to classic LRU paging and is validated against the Mattson stack
 simulation.
+
+Evict-until-fit LRU is a stack algorithm in *bytes*: once the budget
+holds the largest page, the resident set is always the longest prefix
+of the recency stack that fits.  A reference therefore faults at
+budget M iff it is cold or its own size plus the bytes of the distinct
+pages touched since its last use exceed M, and one weighted Mattson
+pass (:func:`repro.perf.kernels._count_greater_preceding` with page
+sizes as weights) serves every budget.  ``_simulate_weighted_lru``
+stays as the scalar oracle the tests pin the pass to.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.perf.kernels import _count_greater_preceding, previous_occurrences
 from repro.policy.promotion import DynamicPromotionPolicy
+from repro.policy.vector import policy_decisions
 from repro.trace.record import Trace
 from repro.types import PageSizePair, validate_page_size
 
@@ -84,21 +95,135 @@ def _simulate_weighted_lru(
     return references, faults, paged_in
 
 
+def _paging_curve(
+    keys: np.ndarray,
+    units: np.ndarray,
+    unit_bytes: int,
+    budgets: Sequence[int],
+) -> Dict[int, PagingResult]:
+    """Weighted-LRU results at every budget from one byte-stack pass.
+
+    ``keys`` are size-tagged page keys and ``units`` their sizes in
+    multiples of ``unit_bytes``.  Every budget must hold the largest
+    page: then the resident set is always the longest MRU prefix of the
+    recency stack that fits, so a reference hits iff its own size plus
+    the bytes of the distinct pages touched since its last use fit.
+    """
+    references = keys.size
+    if references == 0:
+        return {memory: PagingResult(memory, 0, 0, 0) for memory in budgets}
+
+    # A repeat of the previous key hits at any legal budget and leaves
+    # the stack unchanged, so the pass runs on the collapsed stream.
+    keep = np.empty(references, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    units = units[keep]
+
+    # need[i] = own size + bytes referenced in (prev[i], i) - bytes of
+    # the repeats nested inside that interval (the weighted Mattson
+    # dominance count), all in small-page units.
+    prev = previous_occurrences(keys)
+    warm = np.nonzero(prev >= 0)[0]
+    nested = _count_greater_preceding(prev, units)
+    before = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(units, dtype=np.int64, out=before[1:])
+    warm_units = units[warm].astype(np.int64)
+    need = warm_units + before[warm] - before[prev[warm] + 1] - nested[warm]
+
+    cold_faults = keys.size - warm.size
+    cold_units = int(before[-1]) - int(warm_units.sum())
+    order = np.argsort(need)
+    need = need[order]
+    paged_above = np.zeros(need.size + 1, dtype=np.int64)
+    np.cumsum(warm_units[order][::-1], out=paged_above[1:])
+    # A warm reference faults at M bytes iff need * unit_bytes > M.
+    hits = np.searchsorted(
+        need, np.asarray(budgets, dtype=np.int64) // unit_bytes, side="right"
+    )
+    misses = need.size - hits
+    return {
+        memory: PagingResult(
+            memory,
+            references,
+            cold_faults + int(warm_misses),
+            (cold_units + int(paged_above[warm_misses])) * unit_bytes,
+        )
+        for memory, warm_misses in zip(budgets, misses)
+    }
+
+
+def _checked_budgets(
+    memory_sizes: Sequence[int], smallest: int, message: str
+) -> List[int]:
+    """Budgets as ints; every one must hold a page of ``smallest`` bytes."""
+    budgets = [int(memory) for memory in memory_sizes]
+    if min(budgets) < smallest:
+        raise ConfigurationError(message)
+    return budgets
+
+
+def fault_rate_curve(
+    trace: Trace,
+    page_size: int,
+    memory_sizes: Sequence[int],
+) -> Dict[int, PagingResult]:
+    """Single-size global-LRU paging at every budget, in one stack pass."""
+    if not memory_sizes:
+        raise ConfigurationError("memory_sizes must not be empty")
+    validate_page_size(page_size)
+    budgets = _checked_budgets(
+        memory_sizes,
+        page_size,
+        "physical memory smaller than one page cannot run anything",
+    )
+    shift = page_size.bit_length() - 1
+    pages = (trace.addresses >> np.uint32(shift)).astype(np.int64)
+    units = np.ones(pages.size, dtype=np.uint8)
+    return _paging_curve(pages, units, page_size, budgets)
+
+
+def two_size_fault_rate_curve(
+    trace: Trace,
+    pair: PageSizePair,
+    window: int,
+    memory_sizes: Sequence[int],
+    *,
+    promote_fraction: float = 0.5,
+) -> Dict[int, PagingResult]:
+    """Global-LRU paging under the dynamic two-page-size policy.
+
+    Each reference is charged at the size its chunk is currently mapped
+    with; a promotion makes the next touch fault in the whole large
+    chunk (page keys are size-tagged, so the old small residents stop
+    matching — modelling the copy/zero cost of Section 3.4 as paging
+    traffic).  The decision stream comes from the vector policy replay,
+    and every budget from one byte-stack pass.
+    """
+    if not memory_sizes:
+        raise ConfigurationError("memory_sizes must not be empty")
+    budgets = _checked_budgets(
+        memory_sizes, pair.large, "physical memory smaller than one large page"
+    )
+    policy = DynamicPromotionPolicy(
+        pair, window, promote_fraction=promote_fraction
+    )
+    blocks = (trace.addresses >> np.uint32(pair.small_shift)).astype(np.int64)
+    large = policy_decisions(policy, blocks).large
+    chunk_keys = ((blocks // pair.blocks_per_chunk) << 1) | 1
+    keys = np.where(large, chunk_keys, blocks << 1)
+    ratio = pair.blocks_per_chunk
+    units = np.where(large, ratio, 1).astype(np.min_scalar_type(ratio))
+    return _paging_curve(keys, units, pair.small, budgets)
+
+
 def single_size_paging(
     trace: Trace, page_size: int, memory_bytes: int
 ) -> PagingResult:
-    """Global-LRU paging with one page size."""
-    validate_page_size(page_size)
-    if memory_bytes < page_size:
-        raise ConfigurationError(
-            "physical memory smaller than one page cannot run anything"
-        )
-    shift = page_size.bit_length() - 1
-    pages = (trace.addresses >> np.uint32(shift)).tolist()
-    references, faults, paged_in = _simulate_weighted_lru(
-        ((page, page_size) for page in pages), memory_bytes
-    )
-    return PagingResult(memory_bytes, references, faults, paged_in)
+    """Global-LRU paging with one page size, at one budget."""
+    curve = fault_rate_curve(trace, page_size, [memory_bytes])
+    return curve[int(memory_bytes)]
 
 
 def two_size_paging(
@@ -109,48 +234,15 @@ def two_size_paging(
     *,
     promote_fraction: float = 0.5,
 ) -> PagingResult:
-    """Global-LRU paging under the dynamic two-page-size policy.
+    """Dynamic two-page-size paging at one budget.
 
-    Each reference is charged at the size its chunk is currently mapped
-    with; a promotion makes the next touch fault in the whole 32KB
-    chunk (page keys are size-tagged, so the old 4KB residents stop
-    matching — modelling the copy/zero cost of Section 3.4 as paging
-    traffic).
+    See :func:`two_size_fault_rate_curve`.
     """
-    if memory_bytes < pair.large:
-        raise ConfigurationError(
-            "physical memory smaller than one large page"
-        )
-    policy = DynamicPromotionPolicy(
-        pair, window, promote_fraction=promote_fraction
+    curve = two_size_fault_rate_curve(
+        trace,
+        pair,
+        window,
+        [memory_bytes],
+        promote_fraction=promote_fraction,
     )
-    blocks = (trace.addresses >> np.uint32(pair.small_shift)).tolist()
-
-    def stream():
-        small, large = pair.small, pair.large
-        decide = policy.access_block
-        for block in blocks:
-            decision = decide(block)
-            if decision.large:
-                yield (decision.page << 1) | 1, large
-            else:
-                yield decision.page << 1, small
-
-    references, faults, paged_in = _simulate_weighted_lru(
-        stream(), memory_bytes
-    )
-    return PagingResult(memory_bytes, references, faults, paged_in)
-
-
-def fault_rate_curve(
-    trace: Trace,
-    page_size: int,
-    memory_sizes: Sequence[int],
-) -> Dict[int, PagingResult]:
-    """Single-size fault rates across a sweep of memory budgets."""
-    if not memory_sizes:
-        raise ConfigurationError("memory_sizes must not be empty")
-    return {
-        int(memory): single_size_paging(trace, page_size, memory)
-        for memory in memory_sizes
-    }
+    return curve[int(memory_bytes)]

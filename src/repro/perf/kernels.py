@@ -156,8 +156,16 @@ def previous_occurrences(keys: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _count_greater_preceding(values: np.ndarray) -> np.ndarray:
+def _count_greater_preceding(
+    values: np.ndarray, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Return ``L`` with ``L[i] = #{j < i : values[j] > values[i]}``.
+
+    With ``weights`` given, ``L[i]`` is instead the weight sum
+    ``sum(weights[j] for j < i if values[j] > values[i])`` — unit
+    weights reproduce the counts.  Weights should use the narrowest
+    integer dtype that holds them (page sizes in small-page units), as
+    the base case broadcasts them ``_BASE_BLOCK``-fold.
 
     Precondition: values are pairwise distinct except for a shared
     *minimum* sentinel (here -1); counts returned for sentinel
@@ -182,26 +190,42 @@ def _count_greater_preceding(values: np.ndarray) -> np.ndarray:
     vals = np.full(padded, -1, dtype=np.int64)
     vals[:count] = values
     counts = np.zeros(padded, dtype=np.int64)
+    if weights is not None:
+        # Padding weighs nothing, so it never adds to a sum either.
+        wts = np.zeros(padded, dtype=weights.dtype)
+        wts[:count] = weights
 
     # Base case: all pairs within blocks of _BASE_BLOCK, by broadcasting.
     # Element [b, j, i] of the comparison is vals[b, j] > vals[b, i]; the
     # mask keeps j < i (strictly preceding) before summing over j.
     base = vals.reshape(-1, _BASE_BLOCK)
     before = np.triu(np.ones((_BASE_BLOCK, _BASE_BLOCK), dtype=bool), 1)
-    counts += (
-        ((base[:, :, None] > base[:, None, :]) & before[None, :, :])
-        .sum(axis=1, dtype=np.int64)
-        .ravel()
-    )
+    pairs = (base[:, :, None] > base[:, None, :]) & before[None, :, :]
+    if weights is not None:
+        pairs = pairs * wts.reshape(-1, _BASE_BLOCK)[:, :, None]
+    counts += pairs.sum(axis=1, dtype=np.int64).ravel()
+    del pairs  # _BASE_BLOCK-fold larger than the input; free it now
 
     half = _BASE_BLOCK
     while half < padded:
         block = 2 * half
         tiles = vals.reshape(padded // block, block)
         order = np.argsort(tiles, axis=1)
-        below = np.cumsum(order < half, axis=1, dtype=np.int64)
+        if weights is None:
+            below = np.cumsum(order < half, axis=1, dtype=np.int64)
+            left = half
+        else:
+            # Weight of the left-half values at or below each sorted
+            # rank, subtracted from the whole left half's weight.
+            weight_tiles = wts.reshape(padded // block, block)
+            below = np.cumsum(
+                np.take_along_axis(weight_tiles, order, axis=1) * (order < half),
+                axis=1,
+                dtype=np.int64,
+            )
+            left = weight_tiles[:, :half].sum(axis=1, dtype=np.int64)[:, None]
         greater = np.empty_like(tiles)
-        np.put_along_axis(greater, order, half - below, axis=1)
+        np.put_along_axis(greater, order, left - below, axis=1)
         counts.reshape(padded // block, block)[:, half:] += greater[:, half:]
         half = block
     return counts[:count]

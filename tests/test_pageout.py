@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem import (
+    PagingResult,
     fault_rate_curve,
     single_size_paging,
+    two_size_fault_rate_curve,
     two_size_paging,
 )
+from repro.mem import pageout
+from repro.mem.pageout import _paging_curve, _simulate_weighted_lru
+from repro.policy.promotion import DynamicPromotionPolicy
 from repro.stacksim import lru_miss_curve
 from repro.trace import Trace
 from repro.types import KB, MB, PAGE_4KB, PAGE_32KB, PAIR_4KB_32KB
@@ -17,6 +24,60 @@ from repro.workloads import generate_trace
 
 def page_trace(pages, name="t"):
     return Trace(np.array(pages, dtype=np.uint32) * PAGE_4KB, name=name)
+
+
+def single_size_stream(trace, page_size):
+    """The ``(key, size)`` stream the scalar oracle pages for one size."""
+    shift = page_size.bit_length() - 1
+    pages = (trace.addresses >> np.uint32(shift)).tolist()
+    return [(page, page_size) for page in pages]
+
+
+def two_size_stream(trace, pair, window, promote_fraction=0.5):
+    """The size-tagged stream of the scalar dynamic promotion policy."""
+    policy = DynamicPromotionPolicy(
+        pair, window, promote_fraction=promote_fraction
+    )
+    stream = []
+    for block in (trace.addresses >> np.uint32(pair.small_shift)).tolist():
+        decision = policy.access_block(block)
+        if decision.large:
+            stream.append(((decision.page << 1) | 1, pair.large))
+        else:
+            stream.append((decision.page << 1, pair.small))
+    return stream
+
+
+def boundary_budgets(stream, smallest):
+    """Budgets at and one small page below every reference's need.
+
+    A reference's need is its own size plus the bytes of the distinct
+    pages touched since its last use (found here with a brute-force
+    recency list); it hits at a budget equal to its need and faults one
+    small page below, so these budgets pin the ``>`` vs ``>=`` edge.
+    """
+    stack = []  # (key, size), most recent first
+    needs = set()
+    for key, size in stream:
+        above = 0
+        for other, other_size in stack:
+            if other == key:
+                needs.add(above + size)
+                break
+            above += other_size
+        stack = [(key, size)] + [item for item in stack if item[0] != key]
+    budgets = {smallest}
+    for need in needs:
+        budgets.update({need, need - PAGE_4KB})
+    return sorted(budget for budget in budgets if budget >= smallest)
+
+
+def assert_matches_oracle(curve, stream):
+    for memory, result in curve.items():
+        assert result.memory_bytes == memory
+        expected = _simulate_weighted_lru(stream, memory)
+        got = (result.references, result.faults, result.bytes_paged_in)
+        assert got == expected, memory
 
 
 class TestSingleSizePaging:
@@ -62,6 +123,8 @@ class TestSingleSizePaging:
     def test_empty_memory_list_rejected(self):
         with pytest.raises(ConfigurationError):
             fault_rate_curve(page_trace([1]), PAGE_4KB, [])
+        with pytest.raises(ConfigurationError):
+            two_size_fault_rate_curve(page_trace([1]), PAIR_4KB_32KB, 10, [])
 
 
 class TestTwoSizePaging:
@@ -156,3 +219,126 @@ class TestPagingProperties:
         distinct_chunks = len({b // 8 for b in blocks})
         assert result.faults >= distinct_chunks
         assert result.faults <= len(blocks)
+
+
+#: Both curve functions at one fixed configuration, for the edge cases.
+CURVES = {
+    "single": (
+        lambda trace, sizes: fault_rate_curve(trace, PAGE_4KB, sizes),
+        lambda trace: single_size_stream(trace, PAGE_4KB),
+        PAGE_4KB,
+    ),
+    "two-size": (
+        lambda trace, sizes: two_size_fault_rate_curve(
+            trace, PAIR_4KB_32KB, 50, sizes
+        ),
+        lambda trace: two_size_stream(trace, PAIR_4KB_32KB, 50),
+        PAGE_32KB,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+class TestCurveEdges:
+    def test_empty_trace_is_all_zero(self, name):
+        curve_fn, _, smallest = CURVES[name]
+        empty = Trace(np.empty(0, dtype=np.uint32), name="empty")
+        curve = curve_fn(empty, [smallest, MB])
+        assert curve == {
+            smallest: PagingResult(smallest, 0, 0, 0),
+            MB: PagingResult(MB, 0, 0, 0),
+        }
+
+    def test_unsorted_duplicate_budgets(self, name):
+        curve_fn, stream_fn, smallest = CURVES[name]
+        trace = generate_trace("li", 3_000, seed=0)
+        sizes = [MB, 4 * smallest, 256 * KB, 4 * smallest, MB]
+        stream = stream_fn(trace)
+        expected = {
+            memory: PagingResult(memory, *_simulate_weighted_lru(stream, memory))
+            for memory in sizes
+        }
+        curve = curve_fn(trace, sizes)
+        assert curve == expected
+        assert list(curve) == list(expected)
+
+    def test_budget_below_one_page_rejected_before_work(
+        self, name, monkeypatch
+    ):
+        curve_fn, _, smallest = CURVES[name]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("paging work began before validation")
+
+        monkeypatch.setattr(pageout, "previous_occurrences", no_work)
+        monkeypatch.setattr(pageout, "policy_decisions", no_work)
+        with pytest.raises(ConfigurationError):
+            curve_fn(page_trace([1, 2, 3]), [MB, smallest - PAGE_4KB // 2])
+
+
+@pytest.mark.kernelcov
+class TestCurveOracle:
+    """One byte-stack pass pinned to the scalar weighted LRU, per budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=200))
+    def test_mixed_size_stream(self, keys):
+        # Odd keys are 32KB pages, even keys 4KB: a key keeps its size,
+        # as the size-tagged two-size stream guarantees.
+        stream = [
+            (key, PAGE_32KB if key & 1 else PAGE_4KB) for key in keys
+        ]
+        units = np.array(
+            [size // PAGE_4KB for _, size in stream], dtype=np.uint8
+        )
+        budgets = boundary_budgets(stream, PAGE_32KB)
+        curve = _paging_curve(
+            np.array(keys, dtype=np.int64), units, PAGE_4KB, budgets
+        )
+        assert list(curve) == budgets
+        assert_matches_oracle(curve, stream)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=200),
+        st.sampled_from([PAGE_4KB, PAGE_32KB]),
+    )
+    def test_single_size_curve(self, pages, page_size):
+        trace = page_trace(pages)
+        stream = single_size_stream(trace, page_size)
+        curve = fault_rate_curve(
+            trace, page_size, boundary_budgets(stream, page_size)
+        )
+        assert_matches_oracle(curve, stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=63), max_size=250),
+        st.integers(min_value=1, max_value=80),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_two_size_curve(self, blocks, window, promote_fraction):
+        trace = page_trace(blocks)
+        stream = two_size_stream(
+            trace, PAIR_4KB_32KB, window, promote_fraction
+        )
+        curve = two_size_fault_rate_curve(
+            trace,
+            PAIR_4KB_32KB,
+            window,
+            boundary_budgets(stream, PAGE_32KB),
+            promote_fraction=promote_fraction,
+        )
+        assert_matches_oracle(curve, stream)
+
+    def test_workload_scale(self):
+        trace = generate_trace("worm", 20_000, seed=1)
+        budgets = [PAGE_32KB, 256 * KB, 512 * KB, MB, 2 * MB]
+        assert_matches_oracle(
+            fault_rate_curve(trace, PAGE_4KB, budgets),
+            single_size_stream(trace, PAGE_4KB),
+        )
+        assert_matches_oracle(
+            two_size_fault_rate_curve(trace, PAIR_4KB_32KB, 2_500, budgets),
+            two_size_stream(trace, PAIR_4KB_32KB, 2_500),
+        )

@@ -104,6 +104,36 @@ class TestPrimitives:
             live = values != -1
             assert np.array_equal(got[live], want[live])
 
+    def test_weighted_dominance_matches_brute_force(self):
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            values = rng.permutation(n).astype(np.int64)
+            values[rng.random(n) < 0.3] = -1
+            weights = rng.choice([1, 8, 255], size=n).astype(np.uint8)
+            got = _count_greater_preceding(values, weights)
+            want = np.array(
+                [
+                    int(weights[:i][values[:i] > values[i]].sum())
+                    for i in range(n)
+                ]
+            )
+            live = values != -1
+            assert np.array_equal(got[live], want[live])
+
+    def test_unit_weights_reproduce_counts(self):
+        # Every position, sentinels included: the weighted path with
+        # unit weights must agree with the unweighted one exactly.
+        rng = np.random.default_rng(2)
+        for n in (0, 1, 2, 15, 16, 17, 100, 1_000):
+            values = rng.permutation(n).astype(np.int64)
+            values[rng.random(n) < 0.3] = -1
+            ones = np.ones(n, dtype=np.uint8)
+            assert np.array_equal(
+                _count_greater_preceding(values, ones),
+                _count_greater_preceding(values),
+            )
+
     def test_window_events_mirror_sliding_window(self):
         rng = np.random.default_rng(4)
         blocks = rng.integers(0, 40, size=3_000).astype(np.int64)
