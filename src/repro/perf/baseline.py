@@ -54,7 +54,10 @@ from repro.errors import BenchmarkError
 #: ``suite/sampled-replacement`` (sampled-set FIFO/random vs the scalar
 #: replacement walk) and ``suite/multiprog-twosize`` (the composed
 #: multiprogrammed two-page-size kernel vs per-program policy walks).
-REPORT_SCHEMA = "repro-bench/7"
+#: ``/8`` added ``suite/tombstone-heavy`` (the shootdown correction on a
+#: dense stream) and ``suite/paging-curve`` (one byte-weighted paging
+#: pass vs per-budget weighted-LRU walks).
+REPORT_SCHEMA = "repro-bench/8"
 
 
 def load_report(path: Union[str, Path]) -> Dict[str, Any]:

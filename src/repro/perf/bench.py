@@ -18,6 +18,10 @@ reconstructed L1-miss stream vs composite ``TwoLevelTLB`` walks),
 its "vector" arm maps to the sampled kernel — vs the scalar
 replacement walk) and ``suite/multiprog-twosize`` (the composed
 multiprogrammed two-page-size kernel vs per-program policy walks).
+``suite/tombstone-heavy`` times the shootdown correction where it
+dominates (a dense random stream under a tiny promotion window), and
+``suite/paging-curve`` one byte-weighted paging pass over every memory
+budget vs a scalar policy walk plus one weighted-LRU run per budget.
 Two *suite-level* units ride along:
 
 * ``suite/parallel-sweep`` — one configuration sweep timed serially,
@@ -80,6 +84,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import BenchmarkError, ReproError
+from repro.mem.pageout import _simulate_weighted_lru, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
 from repro.parallel.pool import shared_pool_stats
 from repro.perf.baseline import (
@@ -90,6 +95,7 @@ from repro.perf.baseline import (
 )
 from repro.perf.kernels import KERNEL_SAMPLED, KERNEL_SCALAR, KERNEL_VECTOR
 from repro.policy.dynamic_ws import dynamic_average_working_set
+from repro.policy.promotion import DynamicPromotionPolicy
 from repro.sim.config import (
     SingleSizeScheme,
     TLBConfig,
@@ -287,6 +293,44 @@ def _unit_multiprog_twosize(trace: Trace, kernel: str) -> Any:
     )
 
 
+#: Pinned shape for ``suite/tombstone-heavy``: uniform random 4KB pages
+#: over eight chunks under a 16-reference window keep promotions and
+#: demotions constant (one about every five references), so the
+#: tombstone correction dominates the vector pass.  The stream is seeded
+#: by the workload trace's length; the FA TLBs share one family and the
+#: two-way exact TLB adds a set-associative one.
+_DENSE_BLOCKS = 64
+_DENSE_SCHEME = TwoSizeScheme(pair=PAIR_4KB_32KB, window=16)
+_DENSE_CONFIGS = tuple(TLBConfig(entries) for entries in (8, 16, 32, 64)) + (
+    TLBConfig(entries=32, associativity=2, scheme=IndexingScheme.EXACT_INDEX),
+)
+
+
+def _unit_tombstone_heavy(trace: Trace, kernel: str) -> Any:
+    rng = np.random.default_rng(len(trace))
+    blocks = rng.integers(0, _DENSE_BLOCKS, size=len(trace)).astype(np.uint32)
+    dense = Trace(blocks << np.uint32(12), name=f"{trace.name}-dense")
+    return run_two_sizes(dense, _DENSE_SCHEME, list(_DENSE_CONFIGS), kernel=kernel)
+
+
+#: Pinned budgets for ``suite/paging-curve``: memdemand's question (how
+#: often the dynamic two-size policy faults at each memory size).
+_PAGING_BUDGETS = tuple(64 << (10 + step) for step in range(8))
+
+
+def _unit_paging_curve(trace: Trace, kernel: str) -> Any:
+    pair, window = _TWO_SIZE.pair, _TWO_SIZE.window
+    if kernel == KERNEL_VECTOR:
+        return two_size_fault_rate_curve(trace, pair, window, _PAGING_BUDGETS)
+    policy = DynamicPromotionPolicy(pair, window)
+    stream = []
+    for block in (trace.addresses >> np.uint32(pair.small_shift)).tolist():
+        decision = policy.access_block(block)
+        size = pair.large if decision.large else pair.small
+        stream.append(((decision.page << 1) | decision.large, size))
+    return [_simulate_weighted_lru(stream, budget) for budget in _PAGING_BUDGETS]
+
+
 #: The pinned suite, in reporting order.  The first unit is the headline
 #: single-size simulation the acceptance gate refers to.
 SUITE = (
@@ -300,6 +344,8 @@ SUITE = (
     BenchUnit("suite/twolevel-kernel", "espresso", _unit_twolevel_sweep),
     BenchUnit("suite/sampled-replacement", "matrix300", _unit_sampled_replacement),
     BenchUnit("suite/multiprog-twosize", "espresso", _unit_multiprog_twosize),
+    BenchUnit("suite/tombstone-heavy", "espresso", _unit_tombstone_heavy),
+    BenchUnit("suite/paging-curve", "matrix300", _unit_paging_curve),
 )
 
 #: Suite-level unit names, in reporting order (after the kernel units).

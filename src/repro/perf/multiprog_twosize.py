@@ -43,10 +43,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.perf.multiprog import count_switches, switch_boundaries
 from repro.perf.twosize import (
-    _dedupe_last,
     _event_plan,
-    _EventPlan,
-    _FA_FAMILY,
+    _event_tombstones,
     _family_of,
     _require_lru,
     _SetFamilyAnalysis,
@@ -91,72 +89,6 @@ def fold_event_chunks(
     """
     fold = np.int64(context << (ASID_SHIFT - blocks_shift))
     return np.where(chunks >= 0, chunks | fold, chunks)
-
-
-def _flush_tombstones(
-    plan: _EventPlan,
-    blocks: np.ndarray,
-    flush_epoch: np.ndarray,
-    combined: np.ndarray,
-    chunk_mask: np.int64,
-    kind: str,
-    num_sets: int,
-    span2: np.int64,
-    key_stride: np.int64,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event deletions under FLUSH, restricted to the event's segment.
-
-    Mirrors :func:`repro.perf.twosize._unified_tombstones`, with three
-    composition twists: ended-epoch references from *earlier* flush
-    segments are dropped (the flush already removed those entries),
-    key tags are the combined ``event_epoch * F + flush_epoch`` values,
-    and the event's folded chunk is unfolded (``& chunk_mask``) back to
-    the raw large-page number the TLB actually stores.
-    """
-    mask = np.int64(num_sets - 1)
-    sets_out: List[np.ndarray] = []
-    keys_out: List[np.ndarray] = []
-    lref_out: List[np.ndarray] = []
-    eref_out: List[np.ndarray] = []
-    for j in range(plan.num_events):
-        refs = plan.ended_refs(j)
-        if refs.size:
-            refs = refs[flush_epoch[refs] == flush_epoch[plan.ev_ref[j]]]
-        if refs.size == 0:
-            continue
-        chunk = int(plan.ev_chunk[j] & chunk_mask)
-        tags = combined[refs]
-        if plan.ev_promote[j]:
-            raw = blocks[refs] << np.int64(1)
-            if kind == _FA_FAMILY:
-                sets_arr = np.zeros(refs.size, dtype=np.int64)
-            elif kind == IndexingScheme.LARGE_INDEX.value:
-                sets_arr = np.full(refs.size, chunk & int(mask), dtype=np.int64)
-            else:  # SMALL_INDEX and EXACT_INDEX index small pages by block
-                sets_arr = blocks[refs] & mask
-        else:
-            raw = np.full(refs.size, (chunk << 1) | 1, dtype=np.int64)
-            if kind == _FA_FAMILY:
-                sets_arr = np.zeros(refs.size, dtype=np.int64)
-            elif kind == IndexingScheme.SMALL_INDEX.value:
-                sets_arr = blocks[refs] & mask
-            else:  # LARGE_INDEX and EXACT_INDEX index large pages by chunk
-                sets_arr = np.full(refs.size, chunk & int(mask), dtype=np.int64)
-        keys_arr = raw * span2 + tags
-        u_sets, u_keys, u_lref = _dedupe_last(sets_arr, keys_arr, refs, key_stride)
-        sets_out.append(u_sets)
-        keys_out.append(u_keys)
-        lref_out.append(u_lref)
-        eref_out.append(np.full(u_sets.size, plan.ev_ref[j], dtype=np.int64))
-    if not sets_out:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    return (
-        np.concatenate(sets_out),
-        np.concatenate(keys_out),
-        np.concatenate(lref_out),
-        np.concatenate(eref_out),
-    )
 
 
 def multiprog_two_size_counts(
@@ -231,10 +163,13 @@ def multiprog_two_size_counts(
     combined = plan.epoch * factor + flush_epoch
     page = np.where(large, chunks, blocks)
     keys = ((page << np.int64(1)) | large.astype(np.int64)) * span2 + combined
-    key_stride = np.int64((int(keys.max()) if n else 0) + 2)
-    chunk_mask = np.int64((1 << (ASID_SHIFT - blocks_shift)) - 1)
     large_total = int(np.count_nonzero(large))
     refs = np.arange(n, dtype=np.int64)
+    # Shootdowns reach only entries inserted since the last flush.
+    same_flush = plan.ended >= 0
+    same_flush[same_flush] = (
+        flush_epoch[same_flush] == flush_epoch[plan.ev_ref[plan.ended[same_flush]]]
+    )
 
     family_caps: Dict[Tuple[str, int], Set[int]] = {}
     for config in configs:
@@ -247,17 +182,7 @@ def multiprog_two_size_counts(
         sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
         family = _SetFamilyAnalysis(keys, sets_arr, refs, large, caps)
         family.attach_tombstones(
-            *_flush_tombstones(
-                plan,
-                blocks,
-                flush_epoch,
-                combined,
-                chunk_mask,
-                kind,
-                num_sets,
-                span2,
-                key_stride,
-            )
+            *_event_tombstones(plan, sets_arr, keys, same_flush)
         )
         families[fam_key] = family
 

@@ -37,11 +37,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.perf.twosize import (
     _event_plan,
+    _event_tombstones,
     _family_of,
     _require_lru,
     _SetFamilyAnalysis,
     _unified_set_stream,
-    _unified_tombstones,
 )
 
 if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
@@ -98,30 +98,18 @@ def two_level_counts(
     span = np.int64(plan.num_events + 1)
     page = np.where(large, chunks, blocks)
     keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
-    key_stride = np.int64((int(keys.max()) if n else 0) + 2)
     refs = np.arange(n, dtype=np.int64)
 
     # Level 1: one family, one capacity, plus the per-reference miss
     # stream that becomes the L2 trace.
     (l1_kind, l1_sets), l1_capacity = _family_of(l1_config)
-    l1_family = _SetFamilyAnalysis(
-        keys,
-        _unified_set_stream(l1_kind, l1_sets, blocks, chunks, page),
-        refs,
-        large,
-        [l1_capacity],
-    )
-    l1_family.attach_tombstones(
-        *_unified_tombstones(plan, blocks, l1_kind, l1_sets, span, key_stride)
-    )
+    l1_set_stream = _unified_set_stream(l1_kind, l1_sets, blocks, chunks, page)
+    l1_family = _SetFamilyAnalysis(keys, l1_set_stream, refs, large, [l1_capacity])
+    l1_family.attach_tombstones(*_event_tombstones(plan, l1_set_stream, keys))
     _, _, l1_invalidations = l1_family.counts(l1_capacity)
     sub = l1_family.miss_ref_indices(l1_capacity)
-
-    sub_blocks = blocks[sub]
-    sub_chunks = chunks[sub]
-    sub_page = page[sub]
-    sub_keys = keys[sub]
-    sub_large = large[sub]
+    member = np.zeros(n, dtype=bool)
+    member[sub] = True
     substream = int(sub.size)
 
     family_caps: Dict[Tuple[str, int], Set[int]] = {}
@@ -132,15 +120,9 @@ def two_level_counts(
     families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
     for fam_key, caps in family_caps.items():
         kind, num_sets = fam_key
-        sets_arr = _unified_set_stream(
-            kind, num_sets, sub_blocks, sub_chunks, sub_page
-        )
-        family = _SetFamilyAnalysis(sub_keys, sets_arr, sub, sub_large, caps)
-        family.attach_tombstones(
-            *_unified_tombstones(
-                plan, blocks, kind, num_sets, span, key_stride, member_of=sub
-            )
-        )
+        sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
+        family = _SetFamilyAnalysis(keys[sub], sets_arr[sub], sub, large[sub], caps)
+        family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys, member))
         families[fam_key] = family
 
     results: List[TwoLevelCounts] = []

@@ -36,7 +36,7 @@ split organisation.  The kernel therefore
    a histogram lookup on the shared depth arrays;
 3. models the *capacity* side effect of invalidations — a removed
    entry frees its slot, which can turn a later would-be eviction into
-   a hit — with a sparse per-event correction pass (below).
+   a hit — with an array correction pass over the tombstones (below).
 
 Step 1 alone makes the naive depth pass an over-count of misses; step 3
 makes it exact, bit-identical to the scalar TLB objects.
@@ -56,24 +56,41 @@ were (a) touched after ``p`` and (b) still resident when deleted.
 entries *below* ``k`` never matter — they only remove entries that
 would have been evicted before ``k`` anyway.
 
-The ingredients are all sparse (events are rare policy transitions):
+Every ingredient is a handful of array passes per family:
 
 * **tombstones** — per event, the distinct (set, key) pairs of the
-  epoch it ends, each carrying the key's last touch ``L`` and the
-  event's position ``E``.  Whether the deleted entry was still
-  *resident* at ``E`` (per capacity, by the same rule applied
-  recursively in event order) decides both the invalidation count and
-  whether the deletion frees a slot for later queries;
-* ``n_at(P, p)`` — distinct keys touched in positions ``(p, P)``, a
-  prefix count of ``cprev <= p``;
-* per capacity, a short chronological scan over each affected query's
-  applicable tombstones (its *stages*): at stage ``j`` the query is
-  evicted if ``n_j - r_{j-1} >= C``, else ``r`` grows by the stage's
-  residency verdict; finally the query hits iff ``depth - r < C``.
+  epoch it ends, each carrying the key's last touch and the event's
+  reference; one search on the packed ``(set, ref)`` key places them
+  all at ``l_pos`` (last touch) and ``e_pos`` (first position at/after
+  the event) in the collapsed stream;
+* **jobs** — an entry last touched at ``p`` and queried at ``P``.  A
+  tombstone is a job (was its entry still *resident* when deleted?),
+  so is every warm query whose reuse window crosses a deletion, and,
+  for the split occupancies, every key's last touch queried at its
+  segment's end.  A job's *stages* are the tombstones last touched in
+  ``(p, P)`` — a ragged range over the ``l_pos``-sorted tombstones —
+  whose event precedes the query (strictly, for a tombstone's own job:
+  simultaneous deletions cannot unseat each other).  Lifetimes nest,
+  so a stage is always a deletion above the entry;
+* **windowed counts** — ``n(P', p) = #{x in (p, P') : cprev[x] <= p}``,
+  the distinct keys touched since ``p``, for every stage and final
+  point, from one running cumsum streamed over each job's window
+  ``(p, last stage)``;
+* **affected queries** — a prefix max of ``l_pos`` over the tombstones
+  ordered by (segment, ``e_pos``) gives, for every position at once,
+  the latest last touch deleted before it; a warm query is affected iff
+  its previous touch is earlier;
+* per capacity, the eviction rule over each job's stages in event
+  order: at a stage the entry is evicted if ``n - r >= C``, else ``r``
+  grows by the stage's residency verdict; the entry survives iff
+  ``n_final - r < C``.  Residency is a short scan in event order (each
+  verdict feeds later jobs); query corrections are one array pass.
 
-Corrections only ever flip a naive miss into an exact hit, and only
-for queries whose reuse window crosses an event, so the scan stays
-sparse while every bulk quantity remains one numpy pass.
+Ragged ranges and windows are streamed in chunks of at most
+``_ELEMENT_BUDGET`` elements, so memory stays flat, and the cost is the
+sum of the window lengths rather than a per-segment quadratic.
+Corrections only ever flip a naive miss into an exact hit, and only for
+queries whose reuse window crosses an event.
 """
 
 from __future__ import annotations
@@ -83,6 +100,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Sequence,
@@ -139,30 +157,22 @@ class SplitCounts:
 class _EventPlan:
     """Transition events in time order, plus per-reference epoch tags.
 
-    ``ev_ref``/``ev_chunk``/``ev_promote`` list the events with a
-    demotion ordered before a promotion landing on the same reference
-    (the scalar driver's shootdown order).  ``epoch[i]`` is the global
+    ``ev_ref`` lists the event references in time order, a demotion
+    ordered before a promotion landing on the same reference (the
+    scalar driver's shootdown order).  ``epoch[i]`` is the global
     event count at reference ``i`` — events at reference ``i`` apply
     *before* the access, so reference ``i`` belongs to the new epoch.
-    ``ended_refs(j)`` yields event ``j``'s ended epoch: the references
-    of its chunk since that chunk's previous event.
+    ``ended[i]`` is the event that ends reference ``i``'s epoch (the
+    next event on its chunk), or -1 if no event does.
     """
 
     ev_ref: np.ndarray
-    ev_chunk: np.ndarray
-    ev_promote: np.ndarray
     epoch: np.ndarray
-    _ref_order: np.ndarray
-    _lo: np.ndarray
-    _hi: np.ndarray
+    ended: np.ndarray
 
     @property
     def num_events(self) -> int:
         return int(self.ev_ref.size)
-
-    def ended_refs(self, event: int) -> np.ndarray:
-        """Ascending reference indices of the epoch event ``event`` ends."""
-        return self._ref_order[self._lo[event] : self._hi[event]]
 
 
 def _event_plan(chunks: np.ndarray, decisions: PolicyDecisions) -> _EventPlan:
@@ -182,7 +192,6 @@ def _event_plan(chunks: np.ndarray, decisions: PolicyDecisions) -> _EventPlan:
     order = np.lexsort((ev_promote, ev_ref))
     ev_ref = ev_ref[order]
     ev_chunk = ev_chunk[order]
-    ev_promote = ev_promote[order]
     m = int(ev_ref.size)
 
     span = np.int64(n + 1)
@@ -204,50 +213,145 @@ def _event_plan(chunks: np.ndarray, decisions: PolicyDecisions) -> _EventPlan:
     prev_ref[grp] = prev_sorted
 
     # References grouped chunk-major (ascending reference within chunk)
-    # let each ended epoch come out as one slice.
+    # make each ended epoch one slice; one ragged pass labels them all.
     ref_order = np.argsort(chunks, kind="stable").astype(np.int64)
     sorted_ref_keys = ref_keys[ref_order]
     lo = np.searchsorted(sorted_ref_keys, ev_chunk * span + prev_ref, side="left")
     hi = np.searchsorted(sorted_ref_keys, ev_chunk * span + ev_ref, side="left")
-    return _EventPlan(
-        ev_ref=ev_ref,
-        ev_chunk=ev_chunk,
-        ev_promote=ev_promote,
-        epoch=epoch,
-        _ref_order=ref_order,
-        _lo=lo,
-        _hi=hi,
+    lengths = hi - lo
+    owner = np.repeat(np.arange(m, dtype=np.int64), lengths)
+    shift = lo - (np.cumsum(lengths) - lengths)
+    ended = np.full(n, -1, dtype=np.int64)
+    ended[ref_order[np.arange(owner.size) + shift[owner]]] = owner
+    return _EventPlan(ev_ref=ev_ref, epoch=epoch, ended=ended)
+
+
+def _event_tombstones(
+    plan: _EventPlan,
+    sets: np.ndarray,
+    keys: np.ndarray,
+    mask: "np.ndarray | None" = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Event deletions ``(set, key, last ref, event ref)`` of one family.
+
+    Every event deletes the distinct (set, key) pairs of the epoch it
+    ends.  A reference's tombstone is its *own* lookup: promotions end
+    small-page epochs and demotions large-page ones, and the epoch tag
+    is constant within a chunk's epoch, so ``sets``/``keys`` are the
+    family's per-reference streams (indexed by reference).  A zero-length
+    ended epoch deletes nothing — nothing of it was ever inserted, and
+    earlier same-parity entries were already shot down by the previous
+    event of the other kind.
+
+    ``mask`` (per reference) drops deletions of entries the structure
+    never held: references outside a split component or an L2's L1-miss
+    substream, or inserted before the last flush.  Output is in
+    (event, last reference) order, each pair keeping its last reference.
+    """
+    keep = plan.ended >= 0
+    if mask is not None:
+        keep &= mask
+    refs = np.flatnonzero(keep)
+    event = plan.ended[refs]
+    order = np.lexsort((refs, keys[refs], sets[refs], event))
+    refs, event = refs[order], event[order]
+    set_arr, key_arr = sets[refs], keys[refs]
+    last = np.ones(refs.size, dtype=bool)
+    last[:-1] = (
+        (event[1:] != event[:-1])
+        | (set_arr[1:] != set_arr[:-1])
+        | (key_arr[1:] != key_arr[:-1])
     )
+    out = np.flatnonzero(last)
+    out = out[np.lexsort((refs[out], event[out]))]
+    return set_arr[out], key_arr[out], refs[out], plan.ev_ref[event[out]]
 
 
-class _Tombstone(NamedTuple):
-    """One event deletion, positioned in the collapsed stream."""
-
-    idx: int  # family-wide tombstone index (event order)
-    l_pos: int  # collapsed position of the deleted key's last touch
-    e_pos: int  # first collapsed position at/after the event
-    e_ref: int  # the event's reference index
+#: Most elements any ragged temporary of the correction pass holds at
+#: once.  Stage candidates and windowed counts are streamed through
+#: chunks of this size, so peak memory stays flat however many
+#: tombstones a family carries.
+_ELEMENT_BUDGET = 1 << 14
 
 
-def _dedupe_last(
-    sets_arr: np.ndarray,
-    keys_arr: np.ndarray,
-    refs_arr: np.ndarray,
-    key_stride: np.int64,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique (set, key) pairs keeping each pair's *last* reference."""
-    packed = sets_arr * key_stride + keys_arr
-    _, rev_index = np.unique(packed[::-1], return_index=True)
-    last = np.sort(refs_arr.size - 1 - rev_index)
-    return sets_arr[last], keys_arr[last], refs_arr[last]
+def _ragged(lengths: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Walk the ranges ``range(lengths[j])`` back to back, in chunks.
+
+    Yields ``(start, owner, offset)`` per chunk of at most
+    :data:`_ELEMENT_BUDGET` elements: the chunk's first flat index and,
+    per element, its range ``j`` and the offset within it.  A range may
+    straddle chunks.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _ELEMENT_BUDGET):
+        stop = min(start + _ELEMENT_BUDGET, total)
+        first = int(np.searchsorted(ends, start, side="right"))
+        last = int(np.searchsorted(ends, stop, side="left")) + 1
+        spans = np.minimum(ends[first:last], stop) - np.maximum(
+            starts[first:last], start
+        )
+        owner = np.repeat(np.arange(first, last), spans)
+        yield start, owner, np.arange(start, stop) - starts[owner]
+
+
+def _window_counts(
+    cprev: np.ndarray,
+    anchor: np.ndarray,
+    lengths: np.ndarray,
+    stage_job: np.ndarray,
+    stage_len: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``n(P, p) = #{x in (p, P) : cprev[x] <= p}`` at stages and window ends.
+
+    Job ``j`` has anchor ``p = anchor[j]`` and window ``(p, p + 1 +
+    lengths[j])``; stage ``s`` asks for ``P = p + 1 + stage_len[s]`` of
+    job ``stage_job[s]``.  One running count streams every window back
+    to back, so each answer is the count at its point minus the count at
+    its window's start.  Stages grouped by job with non-decreasing
+    ``stage_len`` keep every query point sorted.  Returns the stage
+    values and each job's count over its whole window.
+    """
+    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    at_stage = bounds[stage_job] + stage_len
+    count_bounds = np.zeros(bounds.size, dtype=np.int64)
+    count_stage = np.zeros(at_stage.size, dtype=np.int64)
+    carry = 0
+    for start, owner, offset in _ragged(lengths):
+        p = anchor[owner]
+        counted = np.cumsum(cprev[p + 1 + offset] <= p) + carry
+        for points, out in ((bounds, count_bounds), (at_stage, count_stage)):
+            lo, hi = np.searchsorted(points, [start, start + owner.size], "right")
+            out[lo:hi] = counted[points[lo:hi] - start - 1]
+        carry = int(counted[-1])
+    base = count_bounds[:-1]
+    return count_stage - base[stage_job], count_bounds[1:] - base
+
+
+class _Jobs(NamedTuple):
+    """Correction jobs: does an entry survive to its query point?
+
+    Job ``j``'s entry was last touched at an anchor position, and
+    ``final[j]`` distinct keys are touched between it and the query.
+    Its stages — the tombstones that can free a slot above it first —
+    are grouped by job in event order: ``stage_t`` the tombstone,
+    ``stage_n`` the distinct keys touched since the anchor by its event.
+    """
+
+    final: np.ndarray
+    stage_job: np.ndarray
+    stage_n: np.ndarray
+    stage_t: np.ndarray
 
 
 class _SetFamilyAnalysis:
     """All-associativity analysis of one (set stream, key stream) family.
 
     One instance serves every capacity requested for the family: the
-    collapsed stream, depth arrays and tombstone geometry are shared,
-    and only the final sparse scans are per capacity (memoized).
+    collapsed stream, depth arrays and tombstone stages are shared, and
+    only the final scans are per capacity (memoized).
     """
 
     def __init__(
@@ -268,9 +372,10 @@ class _SetFamilyAnalysis:
         n = int(keys.size)
         self.total = n
         self.num_ts = 0
-        self._seg_ts: Dict[int, List[_Tombstone]] = {}
-        self._delta_jobs: List[Tuple[int, List[Tuple[int, int]], int]] = []
-        self._query_jobs: List[Tuple[List[Tuple[int, int]], int, bool]] = []
+        empty = np.empty(0, dtype=np.int64)
+        self._ts_l = self._ts_e = self._ts_eref = empty
+        self._by_l = self._l_sorted = self._query_pos = empty
+        self._resident_jobs = self._query_jobs = _Jobs(empty, empty, empty, empty)
         self._counts_memo: Dict[int, Tuple[int, int, int]] = {}
         self._residency_memo: Dict[int, np.ndarray] = {}
         if n == 0:
@@ -327,17 +432,54 @@ class _SetFamilyAnalysis:
         self.seg_start = starts[seg_ids]
         self.seg_end = np.append(starts[1:], cn)[seg_ids]
 
-    # -- capacity-independent precomputation ---------------------------
+    # -- capacity-independent staging ----------------------------------
 
-    def _since_counts(self, seg_lo: int, p: int, upto: int) -> np.ndarray:
-        """Prefix counts of ``cprev <= p`` over ``[seg_lo, upto)``.
+    def _jobs(
+        self,
+        anchor: np.ndarray,
+        end: np.ndarray,
+        bound: np.ndarray,
+        final: "np.ndarray | None" = None,
+    ) -> _Jobs:
+        """Stage the jobs anchored at ``anchor`` and queried at ``end``.
 
-        ``n_at(P, p)`` — distinct keys touched in positions ``(p, P)``
-        — is then ``counts[P - seg_lo - 1] - (p - seg_lo + 1)``: every
-        first-touch-since-``p`` has ``cprev <= p``, and the positions
-        up to ``p`` itself all trivially qualify.
+        A job's stages are the tombstones last touched inside ``(anchor,
+        end)`` whose event reference is below ``bound`` — a ragged range
+        over the ``l_pos``-sorted tombstones, then a filter.  Stage
+        values (and ``final``, when not given, as the count at ``end``)
+        come from one windowed count per job.
         """
-        return np.cumsum(self.cprev[seg_lo:upto] <= p)
+        lo = np.searchsorted(self._l_sorted, anchor, side="right")
+        hi = np.searchsorted(self._l_sorted, end, side="left")
+        found_job = [np.empty(0, dtype=np.int64)]
+        found_t = [np.empty(0, dtype=np.int64)]
+        for _, owner, offset in _ragged(hi - lo):
+            t = self._by_l[lo[owner] + offset]
+            keep = self._ts_eref[t] < bound[owner]
+            found_job.append(owner[keep])
+            found_t.append(t[keep])
+        stage_job = np.concatenate(found_job)
+        stage_t = np.concatenate(found_t)
+        del found_job, found_t
+        order = np.argsort(stage_job * max(self.num_ts, 1) + stage_t, kind="stable")
+        stage_job, stage_t = stage_job[order], stage_t[order]
+        del order
+        stage_len = self._ts_e[stage_t] - anchor[stage_job] - 1
+        if final is None:
+            lengths = end - anchor - 1
+        else:
+            # A job's stages share its set, so its last stage (in event
+            # order) is its farthest: the window ends there.
+            lengths = np.zeros(anchor.size, dtype=np.int64)
+            last = np.ones(stage_job.size, dtype=bool)
+            last[:-1] = stage_job[1:] != stage_job[:-1]
+            lengths[stage_job[last]] = stage_len[last]
+        stage_n, whole = _window_counts(
+            self.cprev, anchor, lengths, stage_job, stage_len
+        )
+        if final is None:
+            final = whole
+        return _Jobs(final, stage_job, stage_n, stage_t)
 
     def attach_tombstones(
         self,
@@ -346,8 +488,8 @@ class _SetFamilyAnalysis:
         ts_lref: np.ndarray,
         ts_eref: np.ndarray,
     ) -> None:
-        """Register the event deletions (in event order) and precompute
-        every capacity-independent ingredient of the correction pass."""
+        """Register the event deletions (in event order) and stage every
+        capacity-independent ingredient of the correction pass."""
         count = int(ts_set.size)
         self.num_ts = count
         if count == 0:
@@ -356,110 +498,119 @@ class _SetFamilyAnalysis:
             raise SimulationError(
                 "two-size kernel internal error: tombstones without references"
             )
-        combined = ts_set.astype(np.int64) * self.stride + ts_key
-        lo = np.searchsorted(self.csets, ts_set, side="left")
-        hi = np.searchsorted(self.csets, ts_set, side="right")
-        l_pos = np.empty(count, dtype=np.int64)
-        e_pos = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            s, e = int(lo[i]), int(hi[i])
-            cref_seg = self.cref[s:e]
-            l_pos[i] = s + np.searchsorted(cref_seg, ts_lref[i], side="right") - 1
-            e_pos[i] = s + np.searchsorted(cref_seg, ts_eref[i], side="left")
-        if not np.array_equal(self.ckeys[l_pos], combined):
+        # One search on the (set, ref) key places every tombstone: its
+        # key's last touch, and the first position at/after its event.
+        ts_set = ts_set.astype(np.int64)
+        span = np.int64(max(int(self.cref.max()), int(ts_eref.max())) + 1)
+        placed = self.csets * span + self.cref
+        l_pos = np.searchsorted(placed, ts_set * span + ts_lref, side="right") - 1
+        e_pos = np.searchsorted(placed, ts_set * span + ts_eref, side="left")
+        if not np.array_equal(self.ckeys[l_pos], ts_set * self.stride + ts_key):
             raise SimulationError(
                 "two-size kernel internal error: tombstone key mismatch"
             )
-        for i in range(count):
-            ts = _Tombstone(i, int(l_pos[i]), int(e_pos[i]), int(ts_eref[i]))
-            self._seg_ts.setdefault(int(self.seg_start[ts.l_pos]), []).append(ts)
-        for seg_lo, seg in self._seg_ts.items():
-            self._attach_segment(seg_lo, seg)
+        self._ts_l, self._ts_e = l_pos, e_pos
+        self._ts_eref = np.asarray(ts_eref, dtype=np.int64)
+        self._by_l = np.argsort(l_pos, kind="stable")
+        self._l_sorted = l_pos[self._by_l]
 
-    def _attach_segment(self, seg_lo: int, seg: List[_Tombstone]) -> None:
-        seg_hi = int(self.seg_end[seg_lo])
-
-        # Residency (delta) jobs: one per tombstone, in event order.
-        # Stages are strictly-earlier events whose deleted key was
-        # touched after this key's last touch; simultaneous deletions
-        # cannot unseat each other, so equal e_ref is excluded.
-        for i, ts in enumerate(seg):
-            counts = self._since_counts(seg_lo, ts.l_pos, ts.e_pos)
-            offset = ts.l_pos - seg_lo + 1
-            stages = [
-                (int(counts[prior.e_pos - seg_lo - 1]) - offset, prior.idx)
-                for prior in seg[:i]
-                if prior.e_ref < ts.e_ref and prior.l_pos > ts.l_pos
-            ]
-            n_final = int(counts[ts.e_pos - seg_lo - 1]) - offset
-            self._delta_jobs.append((ts.idx, stages, n_final))
+        # Residency: stages are strictly earlier events whose deleted
+        # key was touched within this key's lifetime; simultaneous
+        # deletions cannot unseat each other.
+        self._resident_jobs = self._jobs(l_pos, e_pos, self._ts_eref)
 
         # Affected warm queries: previous touch before a deleted key's
-        # last touch, query at/after the deletion.  Cold queries need
+        # last touch, query at/after the deletion — a prefix max of
+        # l_pos by (segment, e_pos) marks them all.  Cold queries need
         # no correction (forced misses either way).
-        affected: set = set()
-        for ts in seg:
-            window = self.cprev[ts.e_pos : seg_hi]
-            hits = np.flatnonzero((window >= 0) & (window < ts.l_pos))
-            affected.update((hits + ts.e_pos).tolist())
-        if not affected:
-            return
-        q_arr = np.fromiter(sorted(affected), dtype=np.int64, count=len(affected))
+        scale = np.int64(self.cn + 1)
+        event_key = self.seg_start[l_pos] * scale + e_pos
+        by_event = np.argsort(event_key, kind="stable")
+        reach = np.maximum.accumulate(l_pos[by_event])
+        at = np.searchsorted(
+            event_key[by_event],
+            self.seg_start * scale + np.arange(self.cn),
+            side="right",
+        )
+        reached = np.where(at > 0, reach[at - 1], -1)
+        q = np.flatnonzero((self.cprev >= 0) & (self.cprev < reached))
         # A correction can only flip a naive miss (depth >= C) into a
         # hit freed by at most r deletions, and r is bounded by the
-        # tombstones whose key was touched after the query's previous
-        # touch — so some capacity must fall in (depth - r_up, depth].
-        ts_l_sorted = np.sort(
-            np.fromiter((t.l_pos for t in seg), dtype=np.int64, count=len(seg))
+        # tombstones last touched between the query's two touches — so
+        # some capacity must fall in (depth - r_up, depth].
+        p = self.cprev[q]
+        r_up = np.searchsorted(self._l_sorted, q) - np.searchsorted(
+            self._l_sorted, p, side="right"
         )
-        r_up = ts_l_sorted.size - np.searchsorted(
-            ts_l_sorted, self.cprev[q_arr], side="right"
+        caps = np.asarray(self._caps)
+        depth = self.depth[q]
+        flippable = np.searchsorted(caps, depth, side="right") > np.searchsorted(
+            caps, depth - r_up, side="right"
         )
-        depths = self.depth[q_arr]
-        keep = np.zeros(q_arr.size, dtype=bool)
-        for cap in self._caps:
-            keep |= (depths >= cap) & (depths - r_up < cap)
-        for q in q_arr[keep].tolist():
-            p = int(self.cprev[q])
-            stage_ts = [t for t in seg if t.l_pos > p and t.e_pos <= q]
-            if not stage_ts:
-                continue
-            counts = self._since_counts(seg_lo, p, stage_ts[-1].e_pos)
-            offset = p - seg_lo + 1
-            stages = [
-                (int(counts[t.e_pos - seg_lo - 1]) - offset, t.idx)
-                for t in stage_ts
-            ]
-            self._query_jobs.append(
-                (int(q), stages, int(self.depth[q]), bool(self.clarge[q]))
-            )
+        q = q[flippable]
+        self._query_pos = q
+        self._query_jobs = self._jobs(
+            self.cprev[q], q, self.cref[q] + 1, final=self.depth[q]
+        )
 
     # -- per-capacity scans --------------------------------------------
 
     @staticmethod
-    def _survives(
-        stages: List[Tuple[int, int]],
-        n_final: int,
-        capacity: int,
-        resident: np.ndarray,
-    ) -> bool:
-        """Apply the eviction rule: alive after every stage and the query."""
-        r = 0
-        for n_t, idx in stages:
-            if n_t - r >= capacity:
-                return False
-            if resident[idx]:
-                r += 1
-        return n_final - r < capacity
+    def _alive(jobs: _Jobs, capacity: int, resident: np.ndarray) -> np.ndarray:
+        """Apply the eviction rule to every job whose stages are known.
+
+        At each stage the entry is evicted if ``n - r >= C``, where
+        ``r`` counts the job's earlier stages whose deleted entry was
+        resident; it survives the query iff ``final - r < C``.
+        """
+        count = jobs.final.size
+        freed = resident[jobs.stage_t].astype(np.int64)
+        running = np.cumsum(freed) - freed
+        first = np.ones(freed.size, dtype=bool)
+        first[1:] = jobs.stage_job[1:] != jobs.stage_job[:-1]
+        before = running - running[first][np.cumsum(first) - 1]
+        evicted = np.bincount(
+            jobs.stage_job[jobs.stage_n - before >= capacity], minlength=count
+        )
+        total = np.bincount(jobs.stage_job, weights=freed, minlength=count)
+        return (evicted == 0) & (jobs.final - total < capacity)
 
     def _residency(self, capacity: int) -> np.ndarray:
+        """Per tombstone: was the deleted entry still resident?
+
+        The same rule, scanned in event order: every stage is an earlier
+        event's tombstone, so its verdict is already known.
+        """
         cached = self._residency_memo.get(capacity)
         if cached is None:
-            cached = np.zeros(self.num_ts, dtype=bool)
-            for idx, stages, n_final in self._delta_jobs:
-                cached[idx] = self._survives(stages, n_final, capacity, cached)
+            jobs = self._resident_jobs
+            ptr = np.searchsorted(jobs.stage_job, np.arange(self.num_ts + 1))
+            ptr, final = ptr.tolist(), jobs.final.tolist()
+            n_at, stage_t = jobs.stage_n.tolist(), jobs.stage_t.tolist()
+            resident = [False] * self.num_ts
+            for t in range(self.num_ts):
+                r = 0
+                for s in range(ptr[t], ptr[t + 1]):
+                    if n_at[s] - r >= capacity:
+                        break
+                    r += resident[stage_t[s]]
+                else:
+                    resident[t] = final[t] - r < capacity
+            cached = np.array(resident, dtype=bool)
             self._residency_memo[capacity] = cached
         return cached
+
+    def _flipped(self, capacity: int) -> np.ndarray:
+        """Positions the correction flips from naive miss to exact hit."""
+        jobs = self._query_jobs
+        alive = self._alive(jobs, capacity, self._residency(capacity))
+        return self._query_pos[alive & (jobs.final >= capacity)]
+
+    def _check_capacity(self, capacity: int) -> None:
+        if capacity not in self._caps:
+            raise ConfigurationError(
+                f"capacity {capacity} was not requested for this family"
+            )
 
     def counts(self, capacity: int) -> Tuple[int, int, int]:
         """(misses, large_misses, invalidations) at ``capacity`` ways."""
@@ -467,30 +618,19 @@ class _SetFamilyAnalysis:
         memo = self._counts_memo.get(capacity)
         if memo is not None:
             return memo
-        if capacity not in self._caps:
-            raise ConfigurationError(
-                f"capacity {capacity} was not requested for this family"
-            )
+        self._check_capacity(capacity)
         if self.cn == 0:
             result = (0, 0, 0)
         else:
-            resident = self._residency(capacity)
-            corrections = 0
-            corrections_large = 0
-            for _q, stages, depth, is_large in self._query_jobs:
-                if depth < capacity:
-                    continue
-                if self._survives(stages, depth, capacity, resident):
-                    corrections += 1
-                    if is_large:
-                        corrections_large += 1
+            flipped = self._flipped(capacity)
             hits_below = int(self._cum[capacity - 1])
-            misses = self.total - self.run_hits - hits_below - corrections
+            misses = self.total - self.run_hits - hits_below - flipped.size
             large_misses = (
                 self._large_cold
                 + (self._large_live - int(self._cum_large[capacity - 1]))
-                - corrections_large
+                - int(np.count_nonzero(self.clarge[flipped]))
             )
+            resident = self._residency(capacity)
             result = (misses, large_misses, int(resident.sum()))
         self._counts_memo[capacity] = result
         return result
@@ -508,63 +648,42 @@ class _SetFamilyAnalysis:
         hierarchy: the victim/miss subsequence *is* the L2 access trace.
         """
         capacity = int(capacity)
-        if capacity not in self._caps:
-            raise ConfigurationError(
-                f"capacity {capacity} was not requested for this family"
-            )
+        self._check_capacity(capacity)
         if self.cn == 0:
             return np.empty(0, dtype=np.int64)
         miss = (self.depth < 0) | (self.depth >= capacity)
-        resident = self._residency(capacity)
-        for q, stages, depth, _is_large in self._query_jobs:
-            if depth < capacity:
-                continue
-            if self._survives(stages, depth, capacity, resident):
-                miss[q] = False
+        miss[self._flipped(capacity)] = False
         return np.sort(self.cref[miss])
 
     def occupancy(self, capacity: int) -> int:
-        """Entries resident at the end of the trace, at ``capacity`` ways."""
+        """Entries resident at the end of the trace, at ``capacity`` ways.
+
+        Each key's last touch is a job queried at its segment's end,
+        unless an event deleted it; ``n_end`` counts the keys touched
+        after it, one search over per-segment sorted ``cprev``.
+        """
         capacity = int(capacity)
         if self.cn == 0:
             return 0
-        resident = self._residency(capacity)
-        has_next = np.zeros(self.cn, dtype=bool)
-        has_next[self.cprev[self.cprev >= 0]] = True
-        dead = np.zeros(self.cn, dtype=bool)
-        for seg in self._seg_ts.values():
-            for ts in seg:
-                dead[ts.l_pos] = True
-        cand = np.flatnonzero(~has_next & ~dead)
-        cand_seg = self.seg_start[cand]
-        total = 0
-        for seg_lo in np.unique(cand_seg).tolist():
-            positions = cand[cand_seg == seg_lo]
-            seg_hi = int(self.seg_end[seg_lo])
-            sorted_cprev = np.sort(self.cprev[seg_lo:seg_hi])
-            n_end = np.searchsorted(sorted_cprev, positions, side="right") - (
-                positions - seg_lo + 1
-            )
-            seg = self._seg_ts.get(int(seg_lo), [])
-            if not seg:
-                total += int(np.count_nonzero(n_end < capacity))
-                continue
-            max_l = max(ts.l_pos for ts in seg)
-            easy = positions >= max_l
-            total += int(np.count_nonzero(n_end[easy] < capacity))
-            for p, n_final in zip(
-                positions[~easy].tolist(), n_end[~easy].tolist()
-            ):
-                stage_ts = [t for t in seg if t.l_pos > p]
-                counts = self._since_counts(seg_lo, p, stage_ts[-1].e_pos)
-                offset = p - seg_lo + 1
-                stages = [
-                    (int(counts[t.e_pos - seg_lo - 1]) - offset, t.idx)
-                    for t in stage_ts
-                ]
-                if self._survives(stages, int(n_final), capacity, resident):
-                    total += 1
-        return total
+        gone = np.zeros(self.cn, dtype=bool)
+        gone[self.cprev[self.cprev >= 0]] = True
+        gone[self._ts_l] = True
+        last = np.flatnonzero(~gone)
+        scale = np.int64(self.cn + 1)
+        ranked = np.sort(self.seg_start * scale + self.cprev + 1)
+        n_end = np.searchsorted(
+            ranked, self.seg_start[last] * scale + last + 1, side="right"
+        ) - (last + 1)
+        end = self.seg_end[last]
+        r_up = np.searchsorted(self._l_sorted, end) - np.searchsorted(
+            self._l_sorted, last, side="right"
+        )
+        keep = n_end - r_up < capacity
+        last, end = last[keep], end[keep]
+        never = np.full(last.size, np.iinfo(np.int64).max, dtype=np.int64)
+        jobs = self._jobs(last, end, never, final=n_end[keep])
+        alive = self._alive(jobs, capacity, self._residency(capacity))
+        return int(np.count_nonzero(alive))
 
 
 # -- unified (single-structure) organisations --------------------------
@@ -595,80 +714,6 @@ def _unified_set_stream(
     if kind == IndexingScheme.LARGE_INDEX.value:
         return chunks & mask
     return page & mask
-
-
-def _unified_tombstones(
-    plan: _EventPlan,
-    blocks: np.ndarray,
-    kind: str,
-    num_sets: int,
-    span: np.int64,
-    key_stride: np.int64,
-    member_of: "np.ndarray | None" = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event deletions for one unified family, in event order.
-
-    A promotion deletes the ended small epoch's distinct (set, block)
-    pairs; a demotion deletes the large page's copy from every set it
-    was touched in during the ended large epoch (more than one only
-    under SMALL_INDEX).  A zero-length ended epoch deletes nothing —
-    nothing of it was ever inserted, and earlier same-parity entries
-    were already shot down by the previous event of the other kind.
-
-    ``member_of`` (a sorted reference-index array) restricts deletions
-    to references that actually reached the structure — the two-level
-    kernel's L2 only holds pages that missed in L1, so a shootdown can
-    only delete what the L1 miss stream inserted.
-    """
-    mask = np.int64(num_sets - 1)
-    sets_out: List[np.ndarray] = []
-    keys_out: List[np.ndarray] = []
-    lref_out: List[np.ndarray] = []
-    eref_out: List[np.ndarray] = []
-    for j in range(plan.num_events):
-        refs = plan.ended_refs(j)
-        if member_of is not None and refs.size:
-            pos = np.searchsorted(member_of, refs)
-            keep = pos < member_of.size
-            keep[keep] = member_of[pos[keep]] == refs[keep]
-            refs = refs[keep]
-        if refs.size == 0:
-            continue
-        chunk = int(plan.ev_chunk[j])
-        tags = plan.epoch[refs]
-        if plan.ev_promote[j]:
-            raw = blocks[refs] << np.int64(1)
-            if kind == _FA_FAMILY:
-                sets_arr = np.zeros(refs.size, dtype=np.int64)
-            elif kind == IndexingScheme.LARGE_INDEX.value:
-                sets_arr = np.full(refs.size, chunk & int(mask), dtype=np.int64)
-            else:  # SMALL_INDEX and EXACT_INDEX index small pages by block
-                sets_arr = blocks[refs] & mask
-        else:
-            raw = np.full(
-                refs.size, (chunk << 1) | 1, dtype=np.int64
-            )
-            if kind == _FA_FAMILY:
-                sets_arr = np.zeros(refs.size, dtype=np.int64)
-            elif kind == IndexingScheme.SMALL_INDEX.value:
-                sets_arr = blocks[refs] & mask
-            else:  # LARGE_INDEX and EXACT_INDEX index large pages by chunk
-                sets_arr = np.full(refs.size, chunk & int(mask), dtype=np.int64)
-        keys_arr = raw * span + tags
-        u_sets, u_keys, u_lref = _dedupe_last(sets_arr, keys_arr, refs, key_stride)
-        sets_out.append(u_sets)
-        keys_out.append(u_keys)
-        lref_out.append(u_lref)
-        eref_out.append(np.full(u_sets.size, plan.ev_ref[j], dtype=np.int64))
-    if not sets_out:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    return (
-        np.concatenate(sets_out),
-        np.concatenate(keys_out),
-        np.concatenate(lref_out),
-        np.concatenate(eref_out),
-    )
 
 
 def _require_lru(configs: Iterable[TLBConfig]) -> None:
@@ -712,7 +757,6 @@ def two_size_counts(
     span = np.int64(plan.num_events + 1)
     page = np.where(large, chunks, blocks)
     keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
-    key_stride = np.int64((int(keys.max()) if n else 0) + 2)
     large_total = int(np.count_nonzero(large))
     refs = np.arange(n, dtype=np.int64)
 
@@ -726,9 +770,7 @@ def two_size_counts(
         kind, num_sets = fam_key
         sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
         family = _SetFamilyAnalysis(keys, sets_arr, refs, large, caps)
-        family.attach_tombstones(
-            *_unified_tombstones(plan, blocks, kind, num_sets, span, key_stride)
-        )
+        family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys))
         families[fam_key] = family
 
     results: List[TwoSizeCounts] = []
@@ -763,72 +805,34 @@ def two_size_counts(
 
 def _component_counts(
     pages: np.ndarray,
-    refs: np.ndarray,
+    member: np.ndarray,
     config: TLBConfig,
     plan: _EventPlan,
-    blocks: np.ndarray,
     span: np.int64,
-    want_promote: bool,
 ) -> Tuple[int, int, int]:
     """(misses, invalidations, end occupancy) of one split component.
 
     A component only ever sees one page size, so it behaves as a plain
     single-size TLB over its sub-stream regardless of its configured
     indexing scheme: block and chunk coincide, both candidate sets are
-    the same set.  Promotions shoot small pages out of the small
-    component, demotions shoot the large page out of the large one.
+    the same set.  ``pages`` is the per-reference page stream at the
+    component's size and ``member`` its references; promotions shoot
+    small pages out of the small component, demotions the large page
+    out of the large one.
     """
-    keys = pages * span + plan.epoch[refs]
+    keys = pages * span + plan.epoch
     if config.fully_associative:
         capacity = config.entries
-        num_sets = 1
         sets_arr = np.zeros(pages.size, dtype=np.int64)
     else:
         capacity = config.associativity
         num_sets = config.entries // config.associativity
         sets_arr = pages & np.int64(num_sets - 1)
-    key_stride = np.int64((int(keys.max()) if keys.size else 0) + 2)
+    refs = np.flatnonzero(member)
     family = _SetFamilyAnalysis(
-        keys, sets_arr, refs, np.zeros(pages.size, dtype=bool), [capacity]
+        keys[refs], sets_arr[refs], refs, np.zeros(refs.size, dtype=bool), [capacity]
     )
-
-    mask = np.int64(num_sets - 1)
-    sets_out: List[np.ndarray] = []
-    keys_out: List[np.ndarray] = []
-    lref_out: List[np.ndarray] = []
-    eref_out: List[np.ndarray] = []
-    for j in range(plan.num_events):
-        if bool(plan.ev_promote[j]) != want_promote:
-            continue
-        ended = plan.ended_refs(j)
-        if ended.size == 0:
-            continue
-        if want_promote:
-            ended_pages = blocks[ended]
-        else:
-            ended_pages = np.full(
-                ended.size, int(plan.ev_chunk[j]), dtype=np.int64
-            )
-        keys_arr = ended_pages * span + plan.epoch[ended]
-        sets_arr_ts = (
-            np.zeros(ended.size, dtype=np.int64)
-            if config.fully_associative
-            else ended_pages & mask
-        )
-        u_sets, u_keys, u_lref = _dedupe_last(
-            sets_arr_ts, keys_arr, ended, key_stride
-        )
-        sets_out.append(u_sets)
-        keys_out.append(u_keys)
-        lref_out.append(u_lref)
-        eref_out.append(np.full(u_sets.size, plan.ev_ref[j], dtype=np.int64))
-    if sets_out:
-        family.attach_tombstones(
-            np.concatenate(sets_out),
-            np.concatenate(keys_out),
-            np.concatenate(lref_out),
-            np.concatenate(eref_out),
-        )
+    family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys, member))
     misses, _, invalidations = family.counts(capacity)
     return misses, invalidations, family.occupancy(capacity)
 
@@ -862,25 +866,11 @@ def split_two_size_counts(
     plan = _event_plan(chunks, decisions)
     span = np.int64(plan.num_events + 1)
 
-    small_refs = np.flatnonzero(~large)
     small_misses, small_inv, small_occ = _component_counts(
-        blocks[small_refs],
-        small_refs,
-        small_config,
-        plan,
-        blocks,
-        span,
-        want_promote=True,
+        blocks, ~large, small_config, plan, span
     )
-    large_refs = np.flatnonzero(large)
     large_misses, large_inv, large_occ = _component_counts(
-        chunks[large_refs],
-        large_refs,
-        large_config,
-        plan,
-        blocks,
-        span,
-        want_promote=False,
+        chunks, large, large_config, plan, span
     )
     return SplitCounts(
         misses=small_misses + large_misses,

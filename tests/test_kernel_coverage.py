@@ -21,6 +21,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.perf.kernels import (
@@ -42,8 +44,10 @@ from repro.sim import (
     sweep_multiprogrammed_two_sizes,
     sweep_two_level,
 )
+from repro.sim.driver import run_split_two_sizes
 from repro.tlb import ContextSwitchPolicy
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
+from repro.trace.record import Trace
 from repro.workloads import generate_trace
 
 pytestmark = pytest.mark.kernelcov
@@ -244,6 +248,73 @@ class TestMultiprogTwoSizeOracle:
         for key in vector:
             assert vector[key] == scalar[key], key
             assert vector[key].switches > 0
+
+
+class TestTombstoneProperty:
+    """Dense random traces x windows x capacity sets: vector == scalar.
+
+    Small windows over a few chunks keep promotions and demotions
+    constant, so every kernel that runs the tombstone correction — flat,
+    split (occupancies included), two-level and multiprogrammed — is
+    checked against its scalar oracle on shootdown-heavy streams.
+    """
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.sampled_from([16, 32, 64]),
+        window=st.sampled_from([4, 8, 16, 32]),
+        capacities=st.sets(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3),
+    )
+    def test_vector_matches_scalar(self, seed, blocks, window, capacities):
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, blocks, size=480).astype(np.uint32)
+        trace = Trace(raw << np.uint32(12), name=f"dense{seed}")
+        scheme = TwoSizeScheme(window=window)
+        caps = sorted(capacities)
+        configs = [TLBConfig(c) for c in caps] + [
+            TLBConfig(2 * c, associativity=2, scheme=scheme_)
+            for c in caps
+            for scheme_ in IndexingScheme
+        ]
+
+        def both(run, *args, **kwargs):
+            vector = run(*args, kernel="vector", **kwargs)
+            assert vector == run(*args, kernel="scalar", **kwargs)
+            return vector
+
+        both(run_two_sizes, trace, scheme, configs)
+        both(
+            run_split_two_sizes, trace, scheme, TLBConfig(caps[-1]), TLBConfig(caps[0])
+        )
+        both(
+            run_split_two_sizes,
+            trace,
+            scheme,
+            TLBConfig(2 * caps[-1], associativity=2),
+            TLBConfig(caps[0]),
+        )
+        l1 = TLBConfig(caps[0])
+        both(
+            sweep_two_level,
+            trace,
+            scheme,
+            [TwoLevelConfig(l1, TLBConfig(4 * c)) for c in caps]
+            + [TwoLevelConfig(l1, TLBConfig(8 * c, associativity=2)) for c in caps],
+        )
+        third = len(trace) // 3
+        programs = [trace[k * third : (k + 1) * third] for k in range(3)]
+        both(
+            sweep_multiprogrammed_two_sizes,
+            programs,
+            [TLBConfig(c) for c in caps],
+            scheme=scheme,
+            quanta=(25, 90),
+        )
 
 
 SAMPLED_GEOMETRIES = (

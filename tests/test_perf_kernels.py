@@ -29,7 +29,8 @@ from repro.policy.promotion import (
 )
 from repro.policy.vector import policy_decisions, supports_vector_decisions
 from repro.policy.window import SlidingBlockWindow
-from repro.perf.twosize import _event_plan
+from repro.perf import twosize
+from repro.perf.twosize import _event_plan, _SetFamilyAnalysis
 from repro.sim.config import SingleSizeScheme, TLBConfig, TwoSizeScheme
 from repro.sim.driver import (
     run_single_size,
@@ -358,6 +359,19 @@ def _dense_random_trace(seed, n=1_500, blocks=32):
     return Trace(raw << np.uint32(12), name=f"dense{seed}")
 
 
+def _record_families(monkeypatch):
+    """Collect every family analysis that gets tombstones attached."""
+    families = []
+    attach = _SetFamilyAnalysis.attach_tombstones
+
+    def recording(self, *args):
+        attach(self, *args)
+        families.append(self)
+
+    monkeypatch.setattr(_SetFamilyAnalysis, "attach_tombstones", recording)
+    return families
+
+
 class TestTwoSizeEpochCorners:
     """ISSUE 4's epoch-boundary corners, asserted present *and* exact.
 
@@ -416,22 +430,61 @@ class TestTwoSizeEpochCorners:
             t = _dense_random_trace(seed)
             decisions, blocks = self._decisions(t)
             plan = _event_plan(blocks >> 3, decisions)
-            empty = [
-                j
-                for j in range(plan.num_events)
-                if plan.ended_refs(j).size == 0
-            ]
-            if empty:
+            empty = np.setdiff1d(np.arange(plan.num_events), plan.ended)
+            if empty.size:
                 found = t
                 break
         assert found is not None
         self._assert_exact(found)
 
-    def test_fuzzed_streams_all_geometries(self):
+    def test_fuzzed_streams_all_geometries(self, monkeypatch):
+        families = _record_families(monkeypatch)
         for seed in range(3):
             self._assert_exact(_random_trace(seed, n=4_000))
         for seed in (50, 51):
             self._assert_exact(_dense_random_trace(seed, n=2_000))
+        # The correction pass must actually fire, not hold vacuously.
+        flips = sum(
+            family.total
+            - family.run_hits
+            - int(family._cum[capacity - 1])
+            - family.counts(capacity)[0]
+            for family in families
+            for capacity in family._caps
+        )
+        assert flips > 0
+        assert max(
+            np.bincount(family.seg_start[family._ts_l]).max()
+            for family in families
+            if family.num_ts
+        ) >= 500
+        assert any(
+            np.bincount(family._resident_jobs.stage_job).max() >= 2
+            for family in families
+            if family._resident_jobs.stage_job.size
+        )
+        assert any(len(family._caps) >= 2 for family in families)
+
+    def test_chunk_seams_change_nothing(self, monkeypatch):
+        # A tiny element budget makes stage ranges and count windows
+        # straddle chunk seams; every count must stay identical.
+        t = _dense_random_trace(52, n=2_000)
+        scheme = TwoSizeScheme(window=self.WINDOW)
+        configs = list(ALL_GEOMETRIES)
+        split = (TLBConfig(12), TLBConfig(4))
+        wide = run_two_sizes(t, scheme, configs, kernel="vector")
+        wide_split = run_split_two_sizes(t, scheme, *split, kernel="vector")
+        monkeypatch.setattr(twosize, "_ELEMENT_BUDGET", 3)
+        families = _record_families(monkeypatch)
+        assert run_two_sizes(t, scheme, configs, kernel="vector") == wide
+        assert run_split_two_sizes(t, scheme, *split, kernel="vector") == wide_split
+        assert wide == run_two_sizes(t, scheme, configs, kernel="scalar")
+        longest = max(
+            int((family._ts_e - family._ts_l).max())
+            for family in families
+            if family.num_ts
+        )
+        assert longest > 2 * 3
 
 
 class TestSplitDriver:
