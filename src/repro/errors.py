@@ -88,41 +88,15 @@ class DeadlineExceededError(ExperimentError):
 
 
 class ParallelError(ReproError):
-    """The parallel experiment engine was driven incorrectly.
-
-    Examples: a dependency cycle among unit specs, a unit naming an
-    unknown dependency, or a worker pool used after it was closed.
-    """
+    """Process fan-out was driven incorrectly (e.g. a negative ``jobs``)."""
 
 
 class WorkerCrashError(ParallelError):
     """A worker process died without reporting a result.
 
-    Raised (or recorded as a unit failure) when a forked worker
-    disappears mid-unit — segfault, OOM kill, ``os._exit`` — rather
-    than failing with a Python exception it could report over the
-    result queue.
-    """
-
-
-class WorkerHangError(ParallelError):
-    """A worker was detected hung and killed by the pool supervisor.
-
-    Synthesized when a worker blows its per-unit deadline, stops
-    heartbeating, or trips the RSS watchdog; the supervision layer kills
-    the process (SIGKILL after a grace period) and requeues or fails the
-    unit it was running.
-    """
-
-
-class PoisonUnitError(WorkerCrashError):
-    """A unit was quarantined after killing too many workers.
-
-    A unit that repeatedly crashes or hangs its worker (a segfaulting
-    input, an unbounded allocation, an infinite loop) must not respawn
-    workers forever; after ``max_worker_kills`` kill events the unit is
-    marked FAILED with this error and a structured ``detail`` record in
-    the journal, and the rest of the suite proceeds.
+    Recorded as a unit failure when a forked worker disappears mid-unit
+    — segfault, OOM kill, ``os._exit`` — rather than failing with a
+    Python exception it could report back.
     """
 
 

@@ -46,7 +46,6 @@ from repro.experiments.pairs import run_pairs
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.experiments.table31 import run_table31
 from repro.experiments.table51 import run_table51
-from repro.parallel.supervisor import SupervisorConfig
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
@@ -176,45 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
             "variable); results and output order are identical to a "
             "serial run"
         ),
-    )
-    parser.add_argument(
-        "--unit-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "parallel supervision: kill a worker still running one "
-            "experiment after this many seconds and requeue the "
-            "experiment (default: no per-unit deadline)"
-        ),
-    )
-    parser.add_argument(
-        "--max-respawns",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "parallel supervision: total worker respawns allowed before "
-            "the pool is declared unhealthy (default: scales with the "
-            "suite size)"
-        ),
-    )
-    degraded = parser.add_mutually_exclusive_group()
-    degraded.add_argument(
-        "--degraded-ok",
-        dest="degraded_ok",
-        action="store_true",
-        default=True,
-        help=(
-            "fall back to serial in-process execution when the worker "
-            "pool cannot be kept healthy (default)"
-        ),
-    )
-    degraded.add_argument(
-        "--no-degraded",
-        dest="degraded_ok",
-        action="store_false",
-        help="fail the run instead of degrading to serial execution",
     )
     return parser
 
@@ -357,19 +317,8 @@ def _run_suite(args: argparse.Namespace) -> int:
         on_retry=announce_retry,
         on_failure=announce_failure,
         jobs=scale.jobs,
-        supervision=SupervisorConfig(
-            unit_deadline=args.unit_deadline,
-            max_respawns=args.max_respawns,
-            degraded_ok=args.degraded_ok,
-        ),
     )
 
-    if report.supervision and report.supervision.get("degraded"):
-        print(
-            "repro-experiments: worker pool could not be kept healthy; "
-            "finished in degraded serial mode",
-            file=sys.stderr,
-        )
     if not report.ok or report.skipped:
         print(report.render())
     return report.exit_code

@@ -46,7 +46,7 @@ class CacheIntegrityWarning(UserWarning):
 
 
 #: Process-wide count of corrupt entries discarded, across all cache
-#: instances (workers report theirs to the parent via pool events).
+#: instances (a pool worker returns its share with each unit's outcome).
 _CORRUPT_DISCARDED = 0
 
 
@@ -63,14 +63,7 @@ def _note_corrupt_entry(path: Path) -> None:
         CacheIntegrityWarning,
         stacklevel=3,
     )
-    # In a pool worker the counter above is invisible to the parent:
-    # forward the discard as an out-of-band event.  Lazy import — the
-    # pool imports nothing from this module, but keep the edge one-way
-    # at module load anyway.
-    from repro.parallel.pool import emit_event, in_worker
 
-    if in_worker():
-        emit_event(("cache_corrupt", str(path)))
 
 #: Entry-file schema; bump on layout changes.
 CACHE_SCHEMA = "repro-cache/1"

@@ -1,120 +1,54 @@
-"""Fork-based worker pool with an explicit message protocol.
+"""Fan independent tasks out over forked worker processes.
 
-The pool exists to run *experiment units* — closures over traces,
-configs and policies that are expensive or impossible to pickle — so it
-forks workers **after** the task registry is built and ships only small
-integers (task ids) to workers.  Dynamic tasks (a module-level function
-plus picklable arguments, e.g. a shared-memory trace handle) can also be
-submitted after the fork, which is what the sweep family pool uses.
+Everything here sits on :class:`concurrent.futures.ProcessPoolExecutor`
+with the ``fork`` start method.  Tasks are closures over traces, configs
+and policies, which are expensive or impossible to pickle, so
+:class:`ForkPool` files the task in a module-level registry *before*
+the first submit forks the workers: the workers inherit the closure and
+only ``(registry key, index)`` pairs cross the pipe.  Results travel
+back pickled.
 
-Design decisions, each load-bearing:
-
-* **Batched dispatch, per-unit accounting.**  The parent ships a *batch*
-  (a list of tasks) in one queue round-trip, but the worker reports
-  ``start``/``done``/``error`` per task, so journal records, cache
-  entries and supervision stay per-unit.  A worker that dies mid-batch
-  takes down exactly the task it was running — the untouched siblings
-  come back as ``"requeue"`` messages, not failures.  Scheduling
-  (readiness, affinity, batch packing) lives in the parent, which is
-  what makes deterministic journal ordering possible.
-* **One result pipe per worker, written synchronously.**  A pool-wide
-  ``multiprocessing.Queue`` shares one feeder lock and one byte stream
-  between every worker, so a worker SIGKILLed mid-write can wedge the
-  channel for all survivors — perfectly healthy workers then go silent
-  and get killed as heartbeat hangs.  A private ``Pipe`` per worker
-  fails alone: the dead worker's write end closes, the parent reads
-  EOF, and everyone else keeps talking.  Synchronous sends also mean a
-  message that finished sending is never lost with a feeder thread —
-  the parent reads a dead worker's last reports before judging what
-  the death orphaned.
-* **Results are pickled inside the worker's try block.**  An
-  unpicklable result would otherwise blow up the transport send after
-  the reporting path; encoding eagerly turns it into an ordinary
-  reported error.  Large numpy payloads are diverted into a
-  shared-memory segment by :mod:`repro.parallel.shm_results`, so the
-  pipe carries only a small descriptor.
-* **Crashes are messages, not exceptions.**  ``poll`` watches worker
-  liveness and synthesizes a ``"crash"`` message for the running task
-  of a dead worker (plus ``"requeue"`` for its pending batch siblings),
-  so callers handle a segfault with the same code path as a Python
-  exception.
-* **Hangs are messages too.**  A supervised pool (one built with
-  ``heartbeat_interval`` and/or ``unit_deadline``) runs a daemon
-  heartbeat thread in every worker and tracks dispatch times in the
-  parent; ``poll`` synthesizes a ``"hang"`` message — after killing the
-  worker, SIGTERM then SIGKILL past the grace period — when a worker
-  blows its per-unit deadline, stops heartbeating (a GIL-holding C
-  hang, a SIGSTOP, a wedged transport), or trips the optional RSS
-  watchdog.  Workers only beat while running a task, so an idle
-  persistent pool costs nothing and fills no queues.
-* **The pool outlives its callers.**  ``shared_task_pool`` keeps one
-  process-wide pool alive so fork cost is paid once per process;
-  :func:`lease_task_pool` hands it out under a lease that restores the
-  supervision knobs and quiesces in-flight state on release, so an
-  engine can supervise — kill, respawn, degrade — a pool it does not
-  own without wrecking it for the next caller.
+Two callers use it: :func:`parallel_map` below, and
+``repro.robustness.executor.run_units(jobs=N)``, which keeps the
+journal, publishing and failure isolation in the parent.
 """
 
 from __future__ import annotations
 
-import atexit
+import itertools
 import multiprocessing
 import os
-import pickle
-import threading
-import time
-import traceback as traceback_module
-from dataclasses import dataclass, field
-from multiprocessing import connection as connection_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import signal
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ParallelError, WorkerCrashError
-from repro.parallel import shm_results
 
-#: Worker-side globals, set once per forked process.
-_CURRENT_WORKER: Optional[int] = None
-_CURRENT_TASK: Optional[int] = None
-_RESULT_QUEUE: Any = None
-
-#: Sentinel distinguishing "not passed" from an explicit None in
-#: :meth:`WorkerPool.configure_supervision`.
-_UNSET: Any = object()
+#: True in a worker process; set by the pool initializer.
+_IN_WORKER = False
+#: Registry key -> task(index); forked workers inherit the entries.
+_TASKS: Dict[int, Callable[[int], Any]] = {}
+_KEYS = itertools.count()
 
 
 class RemoteTaskError(RuntimeError):
-    """Base of dynamically rebuilt worker exceptions.
+    """Base of rebuilt worker exceptions.
 
-    A worker reports failures as ``(type_name, message, traceback)``
-    strings; :func:`reconstruct_error` rebuilds an exception whose
-    *class name* matches the original, so parent-side formatting
-    (``f"{type(error).__name__}: {error}"``) is identical to a serial
-    run.  The worker's formatted traceback rides along as
-    ``remote_traceback``.
+    A worker reports a failure as its type name and message;
+    :func:`reconstruct_error` rebuilds an exception whose *class name*
+    matches the original, so parent-side formatting
+    (``f"{type(error).__name__}: {error}"``) reads as in a serial run.
     """
 
 
-def reconstruct_error(
-    type_name: str, message: str, traceback_text: Optional[str] = None
-) -> BaseException:
+def reconstruct_error(type_name: str, message: str) -> BaseException:
     """Rebuild a worker-reported exception for parent-side handling."""
-    error = type(type_name, (RemoteTaskError,), {})(message)
-    error.remote_traceback = traceback_text
-    return error
+    return type(type_name, (RemoteTaskError,), {})(message)
 
 
 def in_worker() -> bool:
     """True inside a pool worker process (used to forbid nesting)."""
-    return _CURRENT_WORKER is not None
-
-
-def emit_event(payload: Any) -> None:
-    """Send an out-of-band event (e.g. a retry notice) to the parent.
-
-    No-op outside a worker, so code instrumented with events runs
-    unchanged in serial mode.
-    """
-    if _RESULT_QUEUE is not None:
-        _RESULT_QUEUE.put(("event", _CURRENT_WORKER, _CURRENT_TASK, payload))
+    return _IN_WORKER
 
 
 def fork_available() -> bool:
@@ -142,996 +76,99 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: A pool message: kind is "start" | "done" | "error" | "event" |
-#: "bye" | "crash" | "hang" | "requeue".  ``payload`` is kind-specific
-#: (see ``_worker_main``; for "hang" it is a dict with ``reason`` —
-#: ``"deadline"``/``"heartbeat"``/``"rss"`` — and ``elapsed`` seconds;
-#: for "done" it is ``(blob, elapsed, meta)`` where ``meta`` carries
-#: worker-side timestamps and the optional shared-memory result
-#: descriptor).  A "requeue" message names a task that was pending in a
-#: dead/killed worker's batch and was never started — the caller should
-#: simply dispatch it again.  "heartbeat" messages exist on the wire
-#: but are consumed inside ``poll`` and never returned to callers.
-@dataclass(frozen=True)
-class Message:
-    kind: str
-    worker_id: int
-    task_id: Optional[int]
-    payload: Any = None
+def _become_worker() -> None:
+    """Mark this process a worker; Ctrl-C is the parent's to handle."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-class _WorkerChannel:
-    """Worker-side writer for the per-worker result pipe.
-
-    The worker's main thread and its heartbeat thread both report
-    through this; a raw ``Connection`` is not thread-safe, so sends are
-    serialized under a lock.  Exposes the same ``put`` surface as the
-    queue it replaced, keeping :func:`emit_event` and the heartbeat
-    loop transport-agnostic.
-    """
-
-    def __init__(self, connection: Any) -> None:
-        self._connection = connection
-        self._lock = threading.Lock()
-
-    def put(self, item: Any) -> None:
-        with self._lock:
-            self._connection.send(item)
+def _call(key: int, index: int) -> Any:
+    return _TASKS[key](index)
 
 
-def _heartbeat_loop(worker_id, result_queue, interval) -> None:
-    """Worker-side daemon thread: prove liveness every ``interval`` seconds.
-
-    The thread keeps beating through a pure-Python busy loop in the main
-    thread (the GIL is released every switch interval), so a lost
-    heartbeat means something harder — a C extension holding the GIL, a
-    stopped process, a wedged pipe — which is exactly what the
-    parent's hang detector should treat as dead.  Beats are only sent
-    while a task is running: the parent's detector only judges busy
-    workers, and an idle persistent pool must not fill the result pipe
-    while nobody is polling it.
-    """
-    while True:
-        time.sleep(interval)
-        if _CURRENT_TASK is None:
-            continue
-        try:
-            result_queue.put(
-                ("heartbeat", worker_id, _CURRENT_TASK, time.monotonic())
-            )
-        except Exception:  # noqa: BLE001 - interpreter teardown
-            return
-
-
-def _worker_main(
-    worker_id,
-    tasks,
-    task_queue,
-    result_connection,
-    heartbeat_interval=None,
-    progress_started=None,
-    progress_done=None,
-) -> None:
-    """Worker loop: take a batch of (task_id, spec) off the queue.
-
-    ``spec`` is either an int (index into the fork-inherited ``tasks``
-    registry) or pickled ``(function, args)`` bytes for dynamic tasks.
-    Each task in the batch is reported individually; the batch is only
-    a transport envelope.  Reports travel over this worker's private
-    ``result_connection`` (see the module docstring for why it is not
-    a shared queue).
-
-    ``progress_started``/``progress_done`` are fork-shared ints updated
-    around every task.  Pipe sends are synchronous, so a report that
-    finished sending always survives the worker — but a worker killed
-    *mid-send* leaves a truncated frame the parent must discard, and
-    with it the ``"done"`` or ``"start"`` it never got to read.  The
-    shared slots survive the death and give the parent ground truth:
-    ``started != done`` names the task that was running.
-    """
-    global _CURRENT_WORKER, _CURRENT_TASK, _RESULT_QUEUE
-    _CURRENT_WORKER = worker_id
-    result_queue = _WorkerChannel(result_connection)
-    _RESULT_QUEUE = result_queue
-    if heartbeat_interval is not None:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(worker_id, result_queue, heartbeat_interval),
-            daemon=True,
-        ).start()
-    while True:
-        batch = task_queue.get()
-        if batch is None:
-            result_queue.put(("bye", worker_id, None, None))
-            return
-        for task_id, spec in batch:
-            _CURRENT_TASK = task_id
-            if progress_started is not None:
-                progress_started.value = task_id
-            started = time.monotonic()
-            result_queue.put(("start", worker_id, task_id, started))
-            try:
-                if isinstance(spec, bytes):
-                    function, arguments = pickle.loads(spec)
-                    result = function(*arguments)
-                else:
-                    result = tasks[spec]()
-                run_seconds = time.monotonic() - started
-                encode_started = time.monotonic()
-                blob, descriptor = shm_results.encode_result(result)
-                encode_seconds = time.monotonic() - encode_started
-            except BaseException as error:  # noqa: BLE001 - reported
-                detail = (
-                    type(error).__name__,
-                    str(error),
-                    "".join(
-                        traceback_module.format_exception(
-                            type(error), error, error.__traceback__
-                        )
-                    ),
-                    time.monotonic() - started,
-                )
-                result_queue.put(("error", worker_id, task_id, detail))
-                if progress_done is not None:
-                    progress_done.value = task_id
-                _CURRENT_TASK = None
-                if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                    return
-            else:
-                meta = {
-                    "started_at": started,
-                    "sent_at": time.monotonic(),
-                    "run_s": run_seconds,
-                    "encode_s": encode_seconds,
-                    "shm": descriptor,
-                }
-                result_queue.put(
-                    ("done", worker_id, task_id, (blob, run_seconds, meta))
-                )
-                if progress_done is not None:
-                    progress_done.value = task_id
-                _CURRENT_TASK = None
-
-
-@dataclass
-class _WorkerHandle:
-    worker_id: int
-    process: Any
-    task_queue: Any
-    #: The task the worker has reported "start" for (or the whole batch
-    #: until the first start arrives — see ``in_flight``), plus the
-    #: batch tail it has not started yet.
-    current: Optional[int] = None
-    pending: List[int] = field(default_factory=list)
-    dispatched: int = 0
-    sentinel_sent: bool = False
-    said_bye: bool = False
-    reported_dead: bool = False
-    #: Supervision bookkeeping: when the current batch was dispatched,
-    #: when the running unit started (parent clock), and when the
-    #: worker last proved liveness.
-    dispatched_at: Optional[float] = None
-    unit_started_at: Optional[float] = None
-    last_beat: Optional[float] = None
-    #: Fork-shared ints the worker writes around each task; survive the
-    #: worker's death and outlive any report SIGKILL truncated mid-send.
-    progress_started: Any = None
-    progress_done: Any = None
-    #: Parent-side read end of this worker's private result pipe.  EOF
-    #: (the worker died and its write end closed) or a truncated frame
-    #: marks the channel closed; other workers' channels are unaffected.
-    receiver: Any = None
-    receiver_closed: bool = False
-
-    def victim_and_siblings(self) -> Tuple[Optional[int], List[int]]:
-        """Which unacknowledged task this worker died on, and the rest.
-
-        Message-based accounting (``current``/``pending``) can be stale
-        when the worker was SIGKILLed mid-send: the parent discards the
-        truncated frame, and with it the ``done`` for the previous task
-        or the ``start`` for the running one.  The shared progress
-        slots are authoritative: ``started != done`` names the exact
-        task that was running at death.  Fall back to the
-        message-based ``in_flight`` when the slots say the worker was
-        between tasks (or for pools predating them).
-        """
-        unacked: List[int] = []
-        if self.current is not None:
-            unacked.append(self.current)
-        unacked.extend(tid for tid in self.pending if tid != self.current)
-        victim = self.in_flight
-        started = (
-            self.progress_started.value
-            if self.progress_started is not None
-            else -1
-        )
-        done = (
-            self.progress_done.value
-            if self.progress_done is not None
-            else -1
-        )
-        if started >= 0 and started != done and started in unacked:
-            victim = started
-        siblings = [tid for tid in unacked if tid != victim]
-        return victim, siblings
-
-    @property
-    def usable(self) -> bool:
-        return (
-            not self.sentinel_sent
-            and not self.reported_dead
-            and self.process.is_alive()
-        )
-
-    @property
-    def busy(self) -> bool:
-        return self.current is not None or bool(self.pending)
-
-    @property
-    def in_flight(self) -> Optional[int]:
-        """The task this worker would orphan if it died right now."""
-        if self.current is not None:
-            return self.current
-        return self.pending[0] if self.pending else None
-
-
-def _discard_stale_item(item: Any) -> None:
-    """Release resources riding on a drained-but-unconsumed report.
-
-    Only ``"done"`` payloads carry anything owned outside the pickle: a
-    shared-memory result segment that nobody will decode must be
-    unlinked here or it outlives the run.
-    """
-    if item[0] != "done":
-        return
-    payload = item[3]
-    if isinstance(payload, tuple) and len(payload) >= 3:
-        meta = payload[2]
-        if isinstance(meta, dict):
-            shm_results.discard_result(meta.get("shm"))
-
-
-def _process_rss_kb(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` in KB via /proc, or None off-Linux."""
+def _answer(key: int, index: int, writer: Any) -> None:
+    """Body of a one-task process: run it and send the reply back."""
+    _become_worker()
     try:
-        with open(f"/proc/{pid}/statm", "rb") as stream:
-            pages = int(stream.read().split()[1])
-        return pages * (os.sysconf("SC_PAGE_SIZE") // 1024)
-    except (OSError, ValueError, IndexError):
-        return None
+        reply = (True, _call(key, index))
+    except BaseException as error:  # noqa: BLE001 - reported to the parent
+        reply = (False, error)
+    try:
+        writer.send(reply)
+    except Exception as error:  # noqa: BLE001 - unpicklable reply
+        failure = ParallelError(f"task {index}: reply not sent: {error}")
+        writer.send((False, failure))
 
 
-class WorkerPool:
-    """A fixed-size pool of forked workers; see the module docstring.
+class ForkPool:
+    """A fork-context process pool running ``task(index)`` calls.
 
-    The keyword-only supervision knobs are all off by default (an
-    unsupervised pool behaves exactly as before):
-
-    * ``heartbeat_interval`` — workers run a daemon thread proving
-      liveness this often while a task runs; ``poll`` declares a worker
-      hung when no beat arrives for ``heartbeat_timeout`` (default 6x
-      the interval).
-    * ``unit_deadline`` — hard per-task wall clock; a worker still
-      running one task past it is killed and the task surfaces as a
-      ``"hang"`` message.
-    * ``rss_limit_kb`` — RSS watchdog; a worker whose resident set
-      exceeds this while running a task is killed the same way.
-    * ``kill_grace`` — seconds between SIGTERM and SIGKILL in
-      :meth:`kill`.
-
-    The detection knobs (everything except ``heartbeat_interval``,
-    which is baked into the forked workers) can be changed later with
-    :meth:`configure_supervision` — that is how a lease supervises the
-    shared pool for one engine run and hands it back unsupervised.
+    Use as a context manager.  Leaving it shuts the pool down; workers
+    still running a task at that point (an interrupt, a fail-fast stop)
+    are terminated rather than waited for.
     """
 
-    def __init__(
-        self,
-        tasks: Optional[Sequence[Callable[[], Any]]] = None,
-        jobs: int = 1,
-        *,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_timeout: Optional[float] = None,
-        unit_deadline: Optional[float] = None,
-        rss_limit_kb: Optional[int] = None,
-        kill_grace: float = 1.0,
-    ) -> None:
-        if in_worker():
-            raise ParallelError("worker pools must not be created in a worker")
-        if not fork_available():
-            raise ParallelError("worker pools need the fork start method")
-        if jobs < 1:
-            raise ParallelError(f"a pool needs at least one worker, got {jobs}")
-        for name, value in (
-            ("heartbeat_interval", heartbeat_interval),
-            ("heartbeat_timeout", heartbeat_timeout),
-            ("unit_deadline", unit_deadline),
-            ("kill_grace", kill_grace),
-        ):
-            if value is not None and value <= 0:
-                raise ParallelError(f"{name} must be positive, got {value}")
-        self.jobs = jobs
-        self._tasks = list(tasks) if tasks is not None else []
-        self._heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval is not None:
-            heartbeat_timeout = 6.0 * heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
-        self._unit_deadline = unit_deadline
-        self._rss_limit_kb = rss_limit_kb
-        self._kill_grace = kill_grace
-        self._last_rss_check = 0.0
-        self._context = multiprocessing.get_context("fork")
-        self._workers: Dict[int, _WorkerHandle] = {}
-        self._deferred: List[Message] = []
-        self._closed = False
-        #: Aggregate transport stats of the most recent ``run_calls``
-        #: (batches, tasks, queue_wait_s, run_s, encode_s, transfer_s,
-        #: decode_s) — diagnostic only, surfaced by ``repro-bench
-        #: --profile``.
-        self.last_run_stats: Optional[Dict[str, float]] = None
-        for worker_id in range(jobs):
-            self._spawn(worker_id)
-
-    @property
-    def heartbeat_interval(self) -> Optional[float]:
-        """The interval baked into this pool's workers (read-only)."""
-        return self._heartbeat_interval
-
-    def configure_supervision(
-        self,
-        *,
-        heartbeat_timeout: Any = _UNSET,
-        unit_deadline: Any = _UNSET,
-        rss_limit_kb: Any = _UNSET,
-        kill_grace: Any = _UNSET,
-    ) -> None:
-        """Adjust parent-side detection knobs on a live pool.
-
-        Only the arguments passed change; ``None`` disables that check.
-        ``heartbeat_interval`` is intentionally absent — it is forked
-        into the workers and cannot change without respawning them.
-        Detection via ``heartbeat_timeout`` requires the pool to have
-        been built with a ``heartbeat_interval`` (otherwise no beats
-        ever arrive and every busy worker would look hung).
-        """
-        for name, value in (
-            ("heartbeat_timeout", heartbeat_timeout),
-            ("unit_deadline", unit_deadline),
-            ("kill_grace", kill_grace),
-        ):
-            if value is not _UNSET and value is not None and value <= 0:
-                raise ParallelError(f"{name} must be positive, got {value}")
-        if heartbeat_timeout is not _UNSET:
-            if heartbeat_timeout is not None and self._heartbeat_interval is None:
-                raise ParallelError(
-                    "heartbeat_timeout needs a pool built with "
-                    "heartbeat_interval (workers are not beating)"
-                )
-            self._heartbeat_timeout = heartbeat_timeout
-        if unit_deadline is not _UNSET:
-            self._unit_deadline = unit_deadline
-        if rss_limit_kb is not _UNSET:
-            self._rss_limit_kb = rss_limit_kb
-        if kill_grace is not _UNSET:
-            if kill_grace is None:
-                raise ParallelError("kill_grace must be positive, got None")
-            self._kill_grace = kill_grace
-
-    def _spawn(self, worker_id: int) -> None:
-        old = self._workers.get(worker_id)
-        if old is not None:
-            # Replacing a dead worker: drain and close its channel so a
-            # leftover report can never be read under the new worker's
-            # id (and any undecoded shm segment is unlinked).
-            self._retire_channel(old)
-        task_queue = self._context.SimpleQueue()
-        receiver, sender = self._context.Pipe(duplex=False)
-        # Unlocked shared ints: single-writer (the worker), single-reader
-        # (the parent, and only once the worker is dead or being killed).
-        progress_started = self._context.Value("q", -1, lock=False)
-        progress_done = self._context.Value("q", -1, lock=False)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                self._tasks,
-                task_queue,
-                sender,
-                self._heartbeat_interval,
-                progress_started,
-                progress_done,
-            ),
-            daemon=True,
+    def __init__(self, task: Callable[[int], Any], workers: int) -> None:
+        self._key = next(_KEYS)
+        _TASKS[self._key] = task
+        self._futures: List[Future] = []
+        self._executor = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_become_worker,
         )
+
+    def submit(self, index: int) -> Future:
+        future = self._executor.submit(_call, self._key, index)
+        self._futures.append(future)
+        return future
+
+    def shutdown(self) -> None:
+        """Stop the pool; terminate workers whose task is unfinished."""
+        if not all(future.done() for future in self._futures):
+            # The executor has no public way to stop a running task.
+            for process in list((self._executor._processes or {}).values()):
+                process.terminate()
+        self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def run_isolated(self, index: int) -> Any:
+        """Run task ``index`` alone in a fresh forked process.
+
+        Raises the task's own exception, or :class:`WorkerCrashError`
+        with the exit code when the process dies without answering.
+        """
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(target=_answer, args=(self._key, index, writer))
         process.start()
-        # Close the parent's copy of the write end: the worker now holds
-        # the only one, so its death — however abrupt — EOFs the pipe.
-        # (Spawns are sequential in the parent, so no other fork can
-        # inherit this write end in between.)
-        sender.close()
-        self._workers[worker_id] = _WorkerHandle(
-            worker_id,
-            process,
-            task_queue,
-            progress_started=progress_started,
-            progress_done=progress_done,
-            receiver=receiver,
-        )
-
-    def respawn(self, worker_id: int) -> None:
-        """Replace a dead worker so remaining work can still be absorbed."""
-        handle = self._workers[worker_id]
-        if handle.process.is_alive():
-            raise ParallelError(f"worker {worker_id} is alive; not respawning")
-        self._spawn(worker_id)
-
-    def revive(self) -> int:
-        """Respawn every dead (non-retired) worker; returns the count.
-
-        This is how a persistent pool recovers full capacity after a
-        crash: :func:`shared_task_pool` calls it on acquisition so one
-        poisoned sweep does not leave every later sweep running on the
-        surviving workers only.
-        """
-        revived = 0
-        for worker_id, handle in list(self._workers.items()):
-            if handle.sentinel_sent or handle.process.is_alive():
-                continue
-            handle.process.join(0.0)  # reap before replacing
-            self._spawn(worker_id)
-            revived += 1
-        return revived
-
-    def kill(self, worker_id: int) -> Optional[int]:
-        """Forcibly stop one worker: SIGTERM, then SIGKILL after grace.
-
-        Returns the task id that was running (now orphaned), or None.
-        Batch siblings the worker never started are deferred as
-        ``"requeue"`` messages surfaced by the next :meth:`poll`.  The
-        handle is marked dead so ``poll`` does not also synthesize a
-        ``"crash"`` for it; the caller decides what the orphaned task
-        means (requeue, fail, quarantine).
-        """
-        handle = self._workers[worker_id]
-        task_id, siblings = handle.victim_and_siblings()
-        handle.current = None
-        handle.pending = []
-        handle.dispatched_at = None
-        handle.unit_started_at = None
-        handle.reported_dead = True
-        if handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(self._kill_grace)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(1.0)
-        else:
-            handle.process.join(0.0)
-        self._deferred.extend(
-            Message("requeue", worker_id, sibling, None) for sibling in siblings
-        )
-        return task_id
-
-    def submit(
-        self,
-        worker_id: int,
-        task_id: int,
-        call: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]] = None,
-    ) -> None:
-        """Dispatch one task to an idle worker.
-
-        ``call=None`` sends registry task ``task_id``; otherwise
-        ``call=(function, args)`` is pickled and sent as a dynamic task.
-        """
-        self.submit_batch(worker_id, [(task_id, call)])
-
-    def submit_batch(
-        self, worker_id: int, items: Sequence[Tuple[int, Any]]
-    ) -> None:
-        """Dispatch a batch of tasks to an idle worker in one round-trip.
-
-        Each item is ``(task_id, payload)`` where payload is ``None``
-        (registry task ``task_id``), a ``(function, args)`` tuple
-        (pickled here), or pre-pickled bytes.  The worker reports each
-        task individually; order within the batch is execution order.
-        """
-        if self._closed:
-            raise ParallelError("pool is closed")
-        if not items:
-            raise ParallelError("submit_batch needs at least one task")
-        handle = self._workers[worker_id]
-        if handle.busy:
-            raise ParallelError(
-                f"worker {worker_id} already has task {handle.in_flight}"
-            )
-        if not handle.usable:
-            raise WorkerCrashError(f"worker {worker_id} is not running")
-        batch = []
-        for task_id, payload in items:
-            if payload is None:
-                spec: Any = task_id
-            elif isinstance(payload, bytes):
-                spec = payload
-            else:
-                spec = pickle.dumps(payload)
-            batch.append((task_id, spec))
-        handle.pending = [task_id for task_id, _spec in batch]
-        handle.dispatched += len(batch)
-        now = time.monotonic()
-        handle.dispatched_at = now
-        handle.unit_started_at = None
-        handle.last_beat = now
-        handle.task_queue.put(batch)
-
-    def idle_workers(self) -> List[int]:
-        """Usable workers with no task in flight, least-loaded first."""
-        idle = [
-            handle
-            for handle in self._workers.values()
-            if handle.usable and not handle.busy
-        ]
-        idle.sort(key=lambda handle: (handle.dispatched, handle.worker_id))
-        return [handle.worker_id for handle in idle]
-
-    def alive_count(self) -> int:
-        return sum(1 for handle in self._workers.values() if handle.usable)
-
-    def busy_count(self) -> int:
-        """Workers holding a batch whose outcome is still unresolved.
-
-        Deliberately *not* gated on process liveness: a worker that died
-        with work in flight stays "busy" until :meth:`poll` synthesizes
-        its crash and requeues the siblings.  The engine's AIMD window
-        compares against this count, so counting the dead worker as free
-        would let a requeued crasher be re-dispatched before its own
-        crash was even accounted — racing the supervisor's kill
-        bookkeeping and respawn budget.
-        """
-        return sum(
-            1
-            for handle in self._workers.values()
-            if not handle.sentinel_sent and handle.busy
-        )
-
-    def dead_workers(self) -> List[int]:
-        """Worker ids that died (or were killed) and were not retired."""
-        return [
-            handle.worker_id
-            for handle in self._workers.values()
-            if not handle.sentinel_sent and not handle.process.is_alive()
-        ]
-
-    def _retire_channel(self, handle: _WorkerHandle) -> None:
-        """Drain and close one worker's pipe for good.
-
-        Any unread ``"done"`` result is stale by definition (the worker
-        is being replaced or the pool is shutting down); its
-        shared-memory segment, if any, is unlinked so nothing leaks.
-        """
-        for item in self._drain_receiver(handle):
-            _discard_stale_item(item)
-        self._close_receiver(handle)
-
-    def _close_receiver(self, handle: _WorkerHandle) -> None:
-        handle.receiver_closed = True
-        if handle.receiver is not None:
-            try:
-                handle.receiver.close()
-            except OSError:
-                pass
-
-    def _drain_receiver(self, handle: _WorkerHandle) -> List[Any]:
-        """Read every complete frame waiting on one worker's pipe.
-
-        EOF (the worker died, its write end closed) and a truncated or
-        corrupt frame (the worker died *mid-send*) both end the channel
-        — for this worker only.  Everything sent before that is
-        returned intact: pipe writes are synchronous in the worker, so
-        unlike a queue's feeder thread, a finished ``send`` cannot be
-        lost to SIGKILL.
-        """
-        items: List[Any] = []
-        conn = handle.receiver
-        if conn is None or handle.receiver_closed:
-            return items
-        while True:
-            try:
-                if not conn.poll(0):
-                    break
-                items.append(conn.recv())
-            except (EOFError, OSError):
-                self._close_receiver(handle)
-                break
-            except Exception:  # noqa: BLE001 - unpicklable/corrupt frame
-                self._close_receiver(handle)
-                break
-        return items
-
-    def _read_available(self, timeout: float) -> List[Any]:
-        """Multiplex all live worker pipes for up to ``timeout`` seconds."""
-        receivers = {
-            handle.receiver: handle
-            for handle in self._workers.values()
-            if handle.receiver is not None and not handle.receiver_closed
-        }
-        if not receivers:
-            if timeout > 0:
-                time.sleep(timeout)
-            return []
+        writer.close()
         try:
-            ready = connection_module.wait(list(receivers), timeout)
-        except OSError:
-            return []
-        items: List[Any] = []
-        for conn in ready:
-            items.extend(self._drain_receiver(receivers[conn]))
-        return items
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                process.join()
+                raise WorkerCrashError(
+                    f"worker exited with code {process.exitcode}"
+                ) from None
+            process.join()
+        finally:
+            reader.close()
+            if process.exitcode is None:  # interrupted while waiting
+                process.terminate()
+                process.join()
+        if not ok:
+            raise value
+        return value
 
-    def _account(self, item: Any, messages: List[Message]) -> None:
-        """Fold one raw transport item into handle state and ``messages``."""
-        message = Message(*item)
-        handle = self._workers.get(message.worker_id)
-        if message.kind == "heartbeat":
-            # Parent clock, not the worker's send time: delivery may
-            # lag, but delivery proves liveness.
-            if handle is not None:
-                handle.last_beat = time.monotonic()
-            return
-        messages.append(message)
-        if handle is None:
-            return
-        if message.kind == "start":
-            now = time.monotonic()
-            handle.last_beat = now
-            handle.unit_started_at = now
-            handle.current = message.task_id
-            if message.task_id in handle.pending:
-                handle.pending.remove(message.task_id)
-        elif message.kind in ("done", "error"):
-            handle.last_beat = time.monotonic()
-            if handle.current == message.task_id:
-                handle.current = None
-                handle.unit_started_at = None
-            elif message.task_id in handle.pending:
-                # Start message lost/merged; keep accounting sane.
-                handle.pending.remove(message.task_id)
-            if not handle.busy:
-                handle.dispatched_at = None
-        elif message.kind == "bye":
-            handle.said_bye = True
+    def __enter__(self) -> "ForkPool":
+        return self
 
-    def poll(self, timeout: float = 0.1) -> List[Message]:
-        """Drain pending messages, then synthesize crashes and hangs.
-
-        Heartbeat messages are consumed here (they refresh the sender's
-        liveness clock) and never returned.  A worker with a task in
-        flight that blows the per-unit deadline, goes silent past the
-        heartbeat timeout, or trips the RSS watchdog is killed via
-        :meth:`kill` and reported as a ``"hang"`` message whose payload
-        carries the reason and elapsed seconds.  Batch siblings of dead
-        or killed workers surface as ``"requeue"`` messages after the
-        crash/hang that stranded them.
-        """
-        messages: List[Message] = []
-        for item in self._read_available(timeout):
-            self._account(item, messages)
-        for handle in self._workers.values():
-            if (
-                not handle.said_bye
-                and not handle.reported_dead
-                and not handle.sentinel_sent
-                and not handle.process.is_alive()
-            ):
-                # Read the dead worker's final reports *before* judging
-                # what the death orphaned: sends are synchronous, so a
-                # "done" that finished sending is still in the pipe and
-                # must not be charged as the crash victim.
-                for item in self._drain_receiver(handle):
-                    self._account(item, messages)
-                handle.reported_dead = True
-                task_id, siblings = handle.victim_and_siblings()
-                handle.current = None
-                handle.pending = []
-                handle.dispatched_at = None
-                handle.unit_started_at = None
-                messages.append(
-                    Message(
-                        "crash",
-                        handle.worker_id,
-                        task_id,
-                        handle.process.exitcode,
-                    )
-                )
-                messages.extend(
-                    Message("requeue", handle.worker_id, sibling, None)
-                    for sibling in siblings
-                )
-        messages.extend(self._detect_hangs())
-        if self._deferred:
-            messages.extend(self._deferred)
-            self._deferred = []
-        return messages
-
-    def _detect_hangs(self) -> List[Message]:
-        """Kill and report workers that look hung (supervised pools only)."""
-        if (
-            self._unit_deadline is None
-            and self._heartbeat_timeout is None
-            and self._rss_limit_kb is None
-        ):
-            return []
-        now = time.monotonic()
-        check_rss = False
-        if self._rss_limit_kb is not None and (
-            now - self._last_rss_check >= 0.5
-        ):
-            self._last_rss_check = now
-            check_rss = True
-        hangs: List[Message] = []
-        for handle in list(self._workers.values()):
-            if not handle.usable or not handle.busy:
-                continue
-            # The deadline clock starts when the unit starts running,
-            # falling back to batch dispatch time until the start
-            # message arrives (queue wait on an idle worker is bounded
-            # by transport, not simulation, time).
-            started = handle.unit_started_at or handle.dispatched_at or now
-            elapsed = now - started
-            reason = None
-            if (
-                self._unit_deadline is not None
-                and elapsed > self._unit_deadline
-            ):
-                reason = "deadline"
-            elif (
-                self._heartbeat_timeout is not None
-                and handle.last_beat is not None
-                and now - handle.last_beat > self._heartbeat_timeout
-            ):
-                reason = "heartbeat"
-            elif check_rss:
-                rss = _process_rss_kb(handle.process.pid)
-                if rss is not None and rss > self._rss_limit_kb:
-                    reason = "rss"
-            if reason is None:
-                continue
-            task_id = self.kill(handle.worker_id)
-            hangs.append(
-                Message(
-                    "hang",
-                    handle.worker_id,
-                    task_id,
-                    {"reason": reason, "elapsed": elapsed},
-                )
-            )
-        return hangs
-
-    def quiesce(self) -> None:
-        """Return the pool to an idle, fully-alive, empty-queue state.
-
-        Used when a lease hands back a pool with work still in flight
-        (fail-fast stop, an error mid-dispatch): busy workers are
-        killed (their batches are abandoned), every stale message is
-        drained — unlinking any shared-memory result segments that
-        nobody will decode — and dead workers are respawned.  After
-        this the pool is indistinguishable from a freshly built one,
-        minus the fork cost.
-        """
-        if self._closed:
-            return
-        for handle in list(self._workers.values()):
-            if handle.usable and handle.busy:
-                self.kill(handle.worker_id)
-        self._deferred = []
-        for handle in list(self._workers.values()):
-            for item in self._drain_receiver(handle):
-                _discard_stale_item(item)
-        for handle in self._workers.values():
-            handle.current = None
-            handle.pending = []
-            handle.dispatched_at = None
-            handle.unit_started_at = None
-        self.revive()
-
-    def close(self, timeout: float = 10.0) -> None:
-        """Send sentinels and join workers (idempotent)."""
-        if self._closed:
-            return
-        for handle in self._workers.values():
-            if not handle.sentinel_sent and handle.process.is_alive():
-                handle.sentinel_sent = True
-                try:
-                    handle.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + timeout
-        for handle in self._workers.values():
-            # Keep this worker's pipe drained while waiting: a worker
-            # mid-report into a full pipe could otherwise never reach
-            # the sentinel (the parent is the only reader).
-            while handle.process.is_alive() and time.monotonic() < deadline:
-                for item in self._drain_receiver(handle):
-                    _discard_stale_item(item)
-                handle.process.join(0.05)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(1.0)
-            if handle.process.is_alive():
-                # A worker ignoring/blocked from SIGTERM (a C-level hang,
-                # a masked handler) must not hold close() hostage.
-                handle.process.kill()
-                handle.process.join(1.0)
-            self._retire_channel(handle)
-        self._closed = True
-
-    def terminate(self) -> None:
-        """Kill all workers immediately (used on interrupt/fatal error)."""
-        if self._closed:
-            return
-        for handle in self._workers.values():
-            if handle.process.is_alive():
-                handle.process.terminate()
-        for handle in self._workers.values():
-            handle.process.join(1.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(1.0)
-            self._retire_channel(handle)
-        self._closed = True
-
-    def run_calls(
-        self,
-        calls: Optional[
-            Sequence[Tuple[Callable[..., Any], Tuple[Any, ...]]]
-        ] = None,
-        count: Optional[int] = None,
-        *,
-        batch_size: int = 1,
-    ) -> List[Any]:
-        """Run tasks to completion, preserving submission order.
-
-        With ``calls``, each ``(function, args)`` pair is pickled and
-        shipped; with ``count`` alone, registry tasks ``0..count-1`` run
-        instead.  ``batch_size`` tasks travel per worker round-trip
-        (results still arrive per task).  Raises the reconstructed
-        error of the lowest-indexed failing task (after letting
-        in-flight work finish), or :class:`WorkerCrashError` if a
-        worker died running one.
-        """
-        if calls is None:
-            if count is None:
-                raise ParallelError("run_calls needs calls or a task count")
-            total = count
-        else:
-            total = len(calls)
-        batch_size = max(1, int(batch_size))
-        results: List[Any] = [None] * total
-        finished = [False] * total
-        failures: Dict[int, BaseException] = {}
-        requeued: List[int] = []
-        next_task = 0
-        submitted_at: Dict[int, float] = {}
-        stats = {
-            "batches": 0.0,
-            "tasks": 0.0,
-            "queue_wait_s": 0.0,
-            "run_s": 0.0,
-            "encode_s": 0.0,
-            "transfer_s": 0.0,
-            "decode_s": 0.0,
-        }
-        self.last_run_stats = stats
-        while not all(finished):
-            if not failures:
-                for worker_id in self.idle_workers():
-                    batch: List[int] = []
-                    while len(batch) < batch_size:
-                        if requeued:
-                            batch.append(requeued.pop(0))
-                        elif next_task < total:
-                            batch.append(next_task)
-                            next_task += 1
-                        else:
-                            break
-                    if not batch:
-                        break
-                    now = time.monotonic()
-                    for task_id in batch:
-                        submitted_at[task_id] = now
-                    self.submit_batch(
-                        worker_id,
-                        [
-                            (
-                                task_id,
-                                None if calls is None else calls[task_id],
-                            )
-                            for task_id in batch
-                        ],
-                    )
-                    stats["batches"] += 1
-                    stats["tasks"] += len(batch)
-            else:
-                # Stop feeding new work; finish what's in flight so the
-                # lowest-indexed error is deterministic.
-                for index in requeued:
-                    if not finished[index]:
-                        finished[index] = True
-                        failures.setdefault(
-                            index,
-                            ParallelError("cancelled after an earlier failure"),
-                        )
-                requeued = []
-                for index in range(next_task, total):
-                    if not finished[index]:
-                        finished[index] = True
-                        failures.setdefault(
-                            index,
-                            ParallelError("cancelled after an earlier failure"),
-                        )
-            for message in self.poll(0.05):
-                if message.task_id is None or message.kind in ("start", "bye"):
-                    continue
-                index = message.task_id
-                if message.kind == "requeue":
-                    if not finished[index]:
-                        requeued.append(index)
-                    continue
-                if finished[index]:
-                    continue
-                if message.kind == "done":
-                    blob, _elapsed, meta = message.payload
-                    received = time.monotonic()
-                    try:
-                        results[index] = shm_results.decode_result(
-                            blob, meta.get("shm")
-                        )
-                    except ParallelError as error:
-                        failures[index] = error
-                        finished[index] = True
-                        continue
-                    stats["decode_s"] += time.monotonic() - received
-                    stats["run_s"] += meta.get("run_s", 0.0)
-                    stats["encode_s"] += meta.get("encode_s", 0.0)
-                    sent_at = meta.get("sent_at")
-                    if sent_at is not None:
-                        stats["transfer_s"] += max(0.0, received - sent_at)
-                    submitted = submitted_at.get(index)
-                    started_at = meta.get("started_at")
-                    if submitted is not None and started_at is not None:
-                        stats["queue_wait_s"] += max(
-                            0.0, started_at - submitted
-                        )
-                    finished[index] = True
-                elif message.kind == "error":
-                    type_name, text, remote_tb, _elapsed = message.payload
-                    failures[index] = reconstruct_error(
-                        type_name, text, remote_tb
-                    )
-                    finished[index] = True
-                elif message.kind == "crash":
-                    failures[index] = WorkerCrashError(
-                        f"worker {message.worker_id} exited with code "
-                        f"{message.payload} while running task {index}"
-                    )
-                    finished[index] = True
-                elif message.kind == "hang":
-                    reason = (
-                        message.payload.get("reason", "hang")
-                        if isinstance(message.payload, dict)
-                        else "hang"
-                    )
-                    failures[index] = WorkerCrashError(
-                        f"worker {message.worker_id} hung ({reason}) "
-                        f"while running task {index}"
-                    )
-                    finished[index] = True
-            if self.alive_count() == 0 and not all(finished):
-                for worker_id, handle in self._workers.items():
-                    if not handle.usable:
-                        self.respawn(worker_id)
-        if failures:
-            raise failures[min(failures)]
-        return results
+    def __exit__(self, *exc_info: Any) -> None:
+        try:
+            self.shutdown()
+        finally:
+            del _TASKS[self._key]
 
 
 def parallel_map(
@@ -1139,156 +176,24 @@ def parallel_map(
 ) -> List[Any]:
     """Run zero-argument callables, preserving order; serial when jobs<=1.
 
-    The callables may close over arbitrary unpicklable state — they are
-    inherited by the forked workers, never pickled.  On failure the
-    lowest-indexed error is raised (reconstructed for remote failures).
+    The callables may close over unpicklable state — forked workers
+    inherit them, only indices are pickled.  On failure the
+    lowest-indexed error is raised.
     """
     thunks = list(thunks)
-    count = min(resolve_jobs(jobs), len(thunks))
-    if count <= 1:
+    workers = min(resolve_jobs(jobs), len(thunks))
+    if workers <= 1:
         return [thunk() for thunk in thunks]
-    pool = WorkerPool(thunks, count)
-    try:
-        # Registry tasks: workers inherit the closures, only indices ship.
-        return pool.run_calls(count=len(thunks))
-    finally:
-        pool.terminate()
+    with ForkPool(lambda index: thunks[index](), workers) as pool:
+        futures = [pool.submit(index) for index in range(len(thunks))]
+        return [future.result() for future in futures]
 
 
-#: Process-wide pool reused across calls that ship dynamic tasks (the
-#: sweep family pool and the picklable-unit path of the experiment
-#: engine).  Workers forked at first use know nothing about traces
-#: created later — that is exactly why those tasks travel as
-#: shared-memory handles rather than pickled reference streams.
-_SHARED_POOL: Optional[WorkerPool] = None
-_SHARED_POOL_ATEXIT = False
-_SHARED_POOL_LEASED = False
-
-#: The shared pool always forks with heartbeats available (beats only
-#: flow while a task runs, so an idle pool is silent); leases turn
-#: *detection* on and off per run via ``configure_supervision``.
-_SHARED_HEARTBEAT_INTERVAL = 0.5
-
-
-def shared_task_pool(jobs: int) -> WorkerPool:
-    """Return the persistent dynamic-task pool, (re)creating on demand.
-
-    A pool that lost workers to a crash in an earlier sweep is revived
-    to full strength here — acquisition, not crash time, is when a
-    persistent pool must be healthy.  While a :class:`PoolLease` holds
-    the pool this raises instead of handing out a second reference;
-    use :func:`lease_task_pool`, which falls back to a private pool.
-    """
-    global _SHARED_POOL, _SHARED_POOL_ATEXIT
-    if jobs < 1:
-        raise ParallelError(f"a pool needs at least one worker, got {jobs}")
-    if _SHARED_POOL_LEASED:
-        raise ParallelError(
-            "shared pool is leased; use lease_task_pool() for reentrant use"
-        )
-    pool = _SHARED_POOL
-    if pool is not None and (pool._closed or pool.jobs != jobs):
-        pool.close(timeout=2.0)
-        pool = None
-    if pool is None:
-        pool = WorkerPool(
-            None, jobs, heartbeat_interval=_SHARED_HEARTBEAT_INTERVAL
-        )
-        # Beats are emitted but not judged until a lease asks for it.
-        pool.configure_supervision(heartbeat_timeout=None)
-        _SHARED_POOL = pool
-        if not _SHARED_POOL_ATEXIT:
-            _SHARED_POOL_ATEXIT = True
-            atexit.register(shutdown_shared_pool)
-    else:
-        pool.revive()
-    return pool
-
-
-def shutdown_shared_pool() -> None:
-    """Close the persistent pool (idempotent; registered atexit)."""
-    global _SHARED_POOL, _SHARED_POOL_LEASED
-    _SHARED_POOL_LEASED = False
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close(timeout=2.0)
-        _SHARED_POOL = None
-
-
-def shared_pool_stats() -> Optional[Dict[str, float]]:
-    """Transport stats of the shared pool's last ``run_calls`` (if any)."""
-    if _SHARED_POOL is None:
-        return None
-    return _SHARED_POOL.last_run_stats
-
-
-@dataclass
-class PoolLease:
-    """Temporary custody of a pool, shared or private.
-
-    ``release()`` must always run (use try/finally).  For the shared
-    pool it restores the unsupervised detection knobs and — when the
-    run ended ``dirty`` (failure, fail-fast stop, work abandoned in
-    flight) — quiesces so the next caller sees a clean pool.  For a
-    private pool it closes (clean) or terminates (dirty).  Workers of
-    the shared pool survive release; that is the whole point.
-    """
-
-    pool: WorkerPool
-    shared: bool
-    dirty: bool = False
-    released: bool = False
-
-    def release(self) -> None:
-        global _SHARED_POOL_LEASED
-        if self.released:
-            return
-        self.released = True
-        if self.shared:
-            try:
-                if not self.pool._closed:
-                    self.pool.configure_supervision(
-                        heartbeat_timeout=None,
-                        unit_deadline=None,
-                        rss_limit_kb=None,
-                        kill_grace=1.0,
-                    )
-                    if self.dirty:
-                        self.pool.quiesce()
-            finally:
-                _SHARED_POOL_LEASED = False
-        elif self.dirty:
-            self.pool.terminate()
-        else:
-            self.pool.close()
-
-
-def try_lease_shared_pool(jobs: int) -> Optional[PoolLease]:
-    """Lease the shared pool, or None when it cannot be had.
-
-    The shared pool is unavailable inside a worker, on platforms
-    without fork, or while another lease is outstanding (e.g. a
-    journal callback starting a nested sweep while the engine holds
-    the pool).
-    """
-    global _SHARED_POOL_LEASED
-    if jobs < 1:
-        raise ParallelError(f"a pool needs at least one worker, got {jobs}")
-    if in_worker() or not fork_available():
-        return None
-    if _SHARED_POOL_LEASED:
-        return None
-    pool = shared_task_pool(jobs)
-    _SHARED_POOL_LEASED = True
-    return PoolLease(pool, shared=True)
-
-
-def lease_task_pool(jobs: int) -> PoolLease:
-    """Lease the shared pool, falling back to a private throwaway pool.
-
-    Always returns a lease; callers run the same code either way and
-    ``release()`` does the right thing for both.
-    """
-    lease = try_lease_shared_pool(jobs)
-    if lease is not None:
-        return lease
-    return PoolLease(WorkerPool(None, jobs), shared=False)
+__all__ = [
+    "ForkPool",
+    "fork_available",
+    "in_worker",
+    "parallel_map",
+    "reconstruct_error",
+    "resolve_jobs",
+]

@@ -56,8 +56,11 @@ from repro.errors import BenchmarkError
 #: multiprogrammed two-page-size kernel vs per-program policy walks).
 #: ``/8`` added ``suite/tombstone-heavy`` (the shootdown correction on a
 #: dense stream) and ``suite/paging-curve`` (one byte-weighted paging
-#: pass vs per-budget weighted-LRU walks).
-REPORT_SCHEMA = "repro-bench/8"
+#: pass vs per-budget weighted-LRU walks).  ``/9`` replaced
+#: ``suite/parallel-sweep`` and ``suite/supervised-sweep`` with
+#: ``suite/parallel-units`` (twelve per-workload units through
+#: ``run_units``, serial vs ``--jobs``) and dropped the ``profile`` block.
+REPORT_SCHEMA = "repro-bench/9"
 
 
 def load_report(path: Union[str, Path]) -> Dict[str, Any]:
@@ -169,7 +172,7 @@ def check_floors(
 
     Baseline comparison is *relative* — it cannot catch "parallelism
     has always been off on this runner" because the baseline would be
-    just as slow.  A floor is absolute: ``suite/parallel-sweep >= 1.0``
+    just as slow.  A floor is absolute: ``suite/parallel-units >= 1.0``
     means the parallel run must beat the serial one on this machine,
     full stop.  Returns the violations (empty = all floors hold).
 

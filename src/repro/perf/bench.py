@@ -24,26 +24,20 @@ dominates (a dense random stream under a tiny promotion window), and
 budget vs a scalar policy walk plus one weighted-LRU run per budget.
 Two *suite-level* units ride along:
 
-* ``suite/parallel-sweep`` — one configuration sweep timed serially,
-  again at ``--jobs N`` through the persistent shared worker pool, and
-  once more at ``2N`` (the scaling point: ``speedup_jobs4`` with the
-  default ``--jobs 2``), recording the wall times and the
-  serial/parallel speedups (~1x on a single core, ~N on N).  Every
-  parallel sweep must produce results identical to the serial run or
-  the unit raises.  ``--floor suite/parallel-sweep=1.0`` turns "the
-  parallel run beats serial on this machine" into an absolute gate.
-* ``suite/supervised-sweep`` — the same sweep shaped as experiment
-  units through ``run_units`` at ``--jobs N``, once with supervision
-  disabled and once with the default supervision (heartbeats, AIMD
-  admission, kill accounting), recording the unsupervised/supervised
-  ratio.  Its baseline threshold is deliberately tight (5%): the
-  supervision layer must stay effectively free on healthy runs.
+* ``suite/parallel-units`` — one Table 5.1 two-size sweep per workload
+  (twelve independent units, the grain ``repro-experiments --jobs``
+  fans out at) run through ``run_units`` serially and again at
+  ``--jobs N``, recording both wall times and the serial/parallel
+  speedup (~1x on a single core, approaching N on N).  The parallel
+  results must equal the serial ones or the unit raises.
+  ``--floor suite/parallel-units=1.0`` turns "the parallel run beats
+  serial on this machine" into an absolute gate.
 * ``suite/result-cache`` — one two-page-size simulation timed against
   an empty content-addressed cache (cold: simulate + store) and again
   against the populated one (warm: pure lookup), recording the
   cold/warm speedup.
 
-All three carry a per-unit regression threshold in the baseline (their
+Both carry a per-unit regression threshold in the baseline (their
 ratios have different noise floors than kernel ratios) but are gated by
 the same comparator.
 
@@ -79,14 +73,13 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import BenchmarkError, ReproError
 from repro.mem.pageout import _simulate_weighted_lru, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
-from repro.parallel.pool import shared_pool_stats
 from repro.perf.baseline import (
     REPORT_SCHEMA,
     check_floors,
@@ -96,6 +89,7 @@ from repro.perf.baseline import (
 from repro.perf.kernels import KERNEL_SAMPLED, KERNEL_SCALAR, KERNEL_VECTOR
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
+from repro.robustness.executor import UnitSpec, run_units
 from repro.sim.config import (
     SingleSizeScheme,
     TLBConfig,
@@ -107,17 +101,11 @@ from repro.sim.multiprog import (
     sweep_multiprogrammed,
     sweep_multiprogrammed_two_sizes,
 )
-from repro.sim.sweep import sweep_single_size
 from repro.stacksim.lru_stack import lru_miss_curve
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.trace.record import Trace
-from repro.trace.trace_io import (
-    SharedTraceHandle,
-    attach_shared_trace,
-    share_trace,
-)
 from repro.types import PAIR_4KB_32KB
-from repro.workloads.registry import generate_trace
+from repro.workloads.registry import generate_trace, workload_names
 
 #: Trace lengths for the full and --quick suites.
 FULL_LENGTH = 400_000
@@ -350,8 +338,7 @@ SUITE = (
 
 #: Suite-level unit names, in reporting order (after the kernel units).
 SUITE_LEVEL = (
-    "suite/parallel-sweep",
-    "suite/supervised-sweep",
+    "suite/parallel-units",
     "suite/result-cache",
 )
 
@@ -359,21 +346,6 @@ SUITE_LEVEL = (
 #: filesystem noise dwarf kernel timing noise, so the gate only trips on
 #: a gross loss (parallelism or caching silently turned off).
 SUITE_LEVEL_THRESHOLD = 50.0
-
-#: Threshold for ``suite/supervised-sweep``: supervision must cost less
-#: than this on a healthy run.  The ratio compares two runs of the same
-#: engine in the same process, so its noise floor is far below the other
-#: suite-level units'.
-SUPERVISION_THRESHOLD = 5.0
-
-#: Pinned shapes for ``suite/parallel-sweep``: four page sizes over
-#: three geometries → eight independent stack-pass families.
-_SWEEP_PAGE_SIZES = (4096, 8192, 16384, 32768)
-_SWEEP_CONFIGS = (
-    _CONFIG_32E_2WAY,
-    _CONFIG_16E_FA,
-    TLBConfig(entries=64, associativity=4),
-)
 
 
 def _time_kernel(
@@ -396,147 +368,55 @@ def _time_call(func: Callable[[], Any], repeats: int) -> float:
     return best
 
 
-def _suite_parallel_sweep(
-    trace: Trace, repeats: int, jobs: int
-) -> Tuple[Dict[str, Any], Optional[Dict[str, float]]]:
-    """Time one pinned sweep serially, at ``jobs`` and at ``2*jobs``.
+def _suite_parallel_units(
+    length: int, seed: int, repeats: int, jobs: int
+) -> Dict[str, Any]:
+    """Time twelve independent per-workload units serially and at ``jobs``.
 
-    The second parallel point (``speedup_jobs4`` at double the worker
-    count, 4 with the default ``--jobs 2``) shows whether the engine
-    actually *scales* or merely breaks even — on a multi-core runner
-    the jobs-4 figure should pull further ahead of serial than jobs-2.
-    Every parallel run is checked for bit-identical equivalence with
-    the serial results before anything is timed.
-
-    Returns the unit record plus the shared pool's transport stats from
-    the last timed parallel run (``--profile`` surfaces them).
+    Each unit is the ``suite/two-size-kernel`` sweep over one workload's
+    trace.  Both arms go through ``run_units``, and the parallel results
+    must equal the serial ones before anything is timed.
     """
-    sizes = list(_SWEEP_PAGE_SIZES)
-    configs = list(_SWEEP_CONFIGS)
-    jobs4 = jobs * 2
-    serial_results = sweep_single_size(trace, sizes, configs)
-    for workers in (jobs, jobs4):
-        parallel_results = sweep_single_size(
-            trace, sizes, configs, jobs=workers
+    units = [
+        UnitSpec(
+            name=name,
+            run=functools.partial(
+                _unit_two_size_sweep,
+                generate_trace(name, length, seed),
+                KERNEL_VECTOR,
+            ),
         )
-        if serial_results != parallel_results:
-            raise BenchmarkError(
-                f"suite/parallel-sweep: jobs={workers} sweep results "
-                "diverged from the serial run — the engines are not "
-                "equivalent"
-            )
-    serial_seconds = _time_call(
-        lambda: sweep_single_size(trace, sizes, configs), repeats
-    )
-    parallel4_seconds = _time_call(
-        lambda: sweep_single_size(trace, sizes, configs, jobs=jobs4), repeats
-    )
-    parallel_seconds = _time_call(
-        lambda: sweep_single_size(trace, sizes, configs, jobs=jobs), repeats
-    )
-    pool_stats = shared_pool_stats()
-    return {
-        "name": "suite/parallel-sweep",
-        "workload": trace.name,
-        "references": len(trace),
-        "repeats": repeats,
-        "kind": "suite",
-        "jobs": jobs,
-        "jobs4": jobs4,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "parallel4_seconds": parallel4_seconds,
-        "speedup": serial_seconds / parallel_seconds,
-        "speedup_jobs4": serial_seconds / parallel4_seconds,
-        "threshold_percent": SUITE_LEVEL_THRESHOLD,
-    }, pool_stats
+        for name in workload_names()
+    ]
 
-
-def _supervised_sweep_unit(
-    handle: SharedTraceHandle,
-    size: int,
-    configs: Tuple[TLBConfig, ...],
-) -> Any:
-    """One ``suite/supervised-sweep`` unit: a single-page-size sweep.
-
-    Module-level (and fed a :class:`SharedTraceHandle`, not a trace) so
-    the whole unit pickles small — that is what lets ``run_units`` ship
-    it to the *persistent shared pool* instead of forking a private
-    pool per timing repeat.  Both arms of the supervised-sweep unit pay
-    the same dispatch path, so their ratio isolates supervision cost.
-    """
-    trace = attach_shared_trace(handle)
-    return sweep_single_size(trace, [size], list(configs))
-
-
-def _suite_supervised_sweep(
-    trace: Trace, repeats: int, jobs: int
-) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Measure what default supervision costs on a healthy parallel run.
-
-    The pinned sweep is reshaped into one experiment unit per page size
-    and driven through ``run_units`` twice at the same worker count:
-    once with ``SupervisorConfig(enabled=False)`` (the bare engine) and
-    once with default supervision (heartbeat threads, hang detection,
-    AIMD admission, kill accounting).  The gated figure is the
-    unsupervised/supervised wall-time ratio, capped at 1.0 — the guard
-    is one-sided, only overhead can regress it.
-
-    Returns the unit record plus the supervised run's per-unit timing
-    breakdown (dispatch/queue-wait/run/transfer/flush seconds) for
-    ``--profile``.
-    """
-    from repro.parallel.supervisor import SupervisorConfig
-    from repro.robustness.executor import UnitSpec, run_units
-
-    sizes = list(_SWEEP_PAGE_SIZES)
-    configs = tuple(_SWEEP_CONFIGS)
-    handle = share_trace(trace)
-    last_timing: List[Optional[Dict[str, Any]]] = [None]
-
-    def make_units() -> List[UnitSpec]:
-        return [
-            UnitSpec(
-                name=f"sweep/{size}",
-                run=functools.partial(
-                    _supervised_sweep_unit, handle, size, configs
-                ),
-            )
-            for size in sizes
-        ]
-
-    def run(supervision: Optional[SupervisorConfig]) -> List[Any]:
-        report = run_units(make_units(), jobs=jobs, supervision=supervision)
+    def run(workers: Optional[int]) -> List[Any]:
+        report = run_units(units, jobs=workers)
         if not report.ok:
             failed = ", ".join(o.name for o in report.failures)
             raise BenchmarkError(
-                f"suite/supervised-sweep: units failed during timing: {failed}"
+                f"suite/parallel-units: units failed during timing: {failed}"
             )
-        last_timing[0] = report.timing
         return [outcome.result for outcome in report.outcomes]
 
-    bare = SupervisorConfig(enabled=False)
-    if run(bare) != run(None):
+    if run(jobs) != run(None):
         raise BenchmarkError(
-            "suite/supervised-sweep: supervised results diverged from the "
-            "unsupervised run — supervision changed the answers"
+            f"suite/parallel-units: jobs={jobs} results diverged from the "
+            "serial run — the fan-out is not equivalent"
         )
-    unsupervised_seconds = _time_call(lambda: run(bare), repeats)
-    supervised_seconds = _time_call(lambda: run(None), repeats)
-    raw_speedup = unsupervised_seconds / supervised_seconds
+    serial_seconds = _time_call(lambda: run(None), repeats)
+    parallel_seconds = _time_call(lambda: run(jobs), repeats)
     return {
-        "name": "suite/supervised-sweep",
-        "workload": trace.name,
-        "references": len(trace),
+        "name": "suite/parallel-units",
+        "workload": "all",
+        "references": length * len(units),
         "repeats": repeats,
         "kind": "suite",
         "jobs": jobs,
-        "unsupervised_seconds": unsupervised_seconds,
-        "supervised_seconds": supervised_seconds,
-        "raw_speedup": raw_speedup,
-        "speedup": min(raw_speedup, 1.0),
-        "threshold_percent": SUPERVISION_THRESHOLD,
-    }, last_timing[0]
+        "serial_seconds": serial_seconds,
+        "parallel_seconds": parallel_seconds,
+        "speedup": serial_seconds / parallel_seconds,
+        "threshold_percent": SUITE_LEVEL_THRESHOLD,
+    }
 
 
 def _suite_result_cache(trace: Trace, repeats: int) -> Dict[str, Any]:
@@ -590,18 +470,8 @@ def run_suite(
     repeats: Optional[int] = None,
     revision: Optional[str] = None,
     jobs: int = 2,
-    profile: bool = False,
 ) -> Dict[str, Any]:
-    """Execute the pinned suite and return the report as a dict.
-
-    With ``profile=True`` the report gains a ``profile`` block: the
-    shared pool's transport stats from the last timed parallel sweep
-    (batches, tasks, queue-wait/run/encode/transfer/decode seconds) and
-    the supervised sweep's per-unit timing breakdown
-    (dispatch/queue-wait/run/result-transfer/flush per unit, plus
-    totals).  Measurement itself is unchanged — the data is collected
-    either way; ``profile`` only controls whether it is reported.
-    """
+    """Execute the pinned suite and return the report as a dict."""
     length = QUICK_LENGTH if quick else FULL_LENGTH
     if repeats is None:
         repeats = QUICK_REPEATS if quick else FULL_REPEATS
@@ -609,7 +479,7 @@ def run_suite(
         raise BenchmarkError(f"repeats must be positive, got {repeats}")
     if jobs < 2:
         raise BenchmarkError(
-            f"jobs must be at least 2 for suite/parallel-sweep, got {jobs}"
+            f"jobs must be at least 2 for suite/parallel-units, got {jobs}"
         )
 
     started = time.perf_counter()
@@ -638,17 +508,10 @@ def run_suite(
             }
         )
 
-    sweep_unit, pool_stats = _suite_parallel_sweep(
-        traces["matrix300"], repeats, jobs
-    )
-    units.append(sweep_unit)
-    supervised_unit, unit_timing = _suite_supervised_sweep(
-        traces["matrix300"], repeats, jobs
-    )
-    units.append(supervised_unit)
+    units.append(_suite_parallel_units(length, seed, repeats, jobs))
     units.append(_suite_result_cache(traces["espresso"], repeats))
 
-    report: Dict[str, Any] = {
+    return {
         "schema": REPORT_SCHEMA,
         "revision": revision or detect_revision(),
         "quick": quick,
@@ -661,12 +524,6 @@ def run_suite(
         "wall_seconds": time.perf_counter() - started,
         "units": units,
     }
-    if profile:
-        report["profile"] = {
-            "parallel_sweep_pool": pool_stats,
-            "supervised_sweep_timing": unit_timing,
-        }
-    return report
 
 
 def detect_revision() -> str:
@@ -701,25 +558,11 @@ def _render_report(report: Dict[str, Any]) -> str:
     ]
     for unit in report["units"]:
         if "serial_seconds" in unit:
-            line = (
+            lines.append(
                 f"  {unit['name']:24s} [{unit['workload']}] "
                 f"serial {unit['serial_seconds']:.3f}s "
                 f"jobs={unit['jobs']} {unit['parallel_seconds']:.3f}s "
                 f"speedup {unit['speedup']:.1f}x"
-            )
-            if "speedup_jobs4" in unit:
-                line += (
-                    f" | jobs={unit['jobs4']} "
-                    f"{unit['parallel4_seconds']:.3f}s "
-                    f"speedup {unit['speedup_jobs4']:.1f}x"
-                )
-            lines.append(line)
-        elif "supervised_seconds" in unit:
-            lines.append(
-                f"  {unit['name']:24s} [{unit['workload']}] "
-                f"bare {unit['unsupervised_seconds']:.3f}s "
-                f"supervised {unit['supervised_seconds']:.3f}s "
-                f"ratio {unit['raw_speedup']:.2f}x"
             )
         elif "cold_seconds" in unit:
             lines.append(
@@ -740,44 +583,6 @@ def _render_report(report: Dict[str, Any]) -> str:
         f"  wall {report['wall_seconds']:.1f}s, "
         f"peak RSS {report['peak_rss_kb']} KB"
     )
-    return "\n".join(lines)
-
-
-def _render_profile(report: Dict[str, Any]) -> str:
-    """Human-readable dump of the report's ``profile`` block."""
-    profile = report.get("profile") or {}
-    lines = ["profile:"]
-    pool = profile.get("parallel_sweep_pool")
-    if pool:
-        lines.append(
-            "  parallel-sweep pool: "
-            f"{pool.get('batches', 0):.0f} batches / "
-            f"{pool.get('tasks', 0):.0f} tasks, "
-            f"queue_wait {pool.get('queue_wait_s', 0.0):.3f}s, "
-            f"run {pool.get('run_s', 0.0):.3f}s, "
-            f"encode {pool.get('encode_s', 0.0):.3f}s, "
-            f"transfer {pool.get('transfer_s', 0.0):.3f}s, "
-            f"decode {pool.get('decode_s', 0.0):.3f}s"
-        )
-    timing = profile.get("supervised_sweep_timing") or {}
-    totals = timing.get("totals")
-    if totals:
-        lines.append(
-            "  supervised-sweep totals: "
-            + ", ".join(
-                f"{key} {value:.3f}s" for key, value in sorted(totals.items())
-            )
-        )
-    for name, breakdown in sorted((timing.get("units") or {}).items()):
-        lines.append(
-            f"    {name}: "
-            + ", ".join(
-                f"{key} {value:.3f}s"
-                for key, value in sorted(breakdown.items())
-            )
-        )
-    if len(lines) == 1:
-        lines.append("  (no profile data collected)")
     return "\n".join(lines)
 
 
@@ -852,17 +657,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker processes for suite/parallel-sweep (minimum 2; "
+            "worker processes for suite/parallel-units (minimum 2; "
             "default: REPRO_JOBS or 2)"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "include the dispatch/transfer timing breakdown in the "
-            "report and print it (pool transport stats, per-unit "
-            "dispatch/queue-wait/run/transfer/flush seconds)"
         ),
     )
     parser.add_argument(
@@ -873,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "require unit NAME's measured speedup to be at least VALUE "
             "(absolute, unlike the relative --baseline check; "
-            "repeatable); e.g. --floor suite/parallel-sweep=1.0"
+            "repeatable); e.g. --floor suite/parallel-units=1.0"
         ),
     )
     parser.add_argument(
@@ -954,12 +750,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             repeats=args.repeats,
             revision=args.rev,
             jobs=max(2, jobs),
-            profile=args.profile,
         )
         path = write_report(report, args.output_dir)
         print(_render_report(report))
-        if args.profile:
-            print(_render_profile(report))
         print(f"report written to {path}")
         if floors:
             violations = check_floors(report, floors)

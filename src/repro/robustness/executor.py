@@ -7,6 +7,12 @@ FAILED with its traceback and the *rest of the suite keeps going*; with
 a :class:`~repro.robustness.journal.RunJournal` attached, every outcome
 is checkpointed so an interrupted run resumes where it left off.
 
+With ``jobs`` > 1 the units run on a fork-context process pool
+(:class:`repro.parallel.pool.ForkPool`).  Workers only run units; the
+parent takes their outcomes in spec order and publishes, journals and
+reports each with the serial loop's code, so stdout, result files,
+journal and report match a serial run.
+
 The resulting :class:`SuiteReport` renders a one-screen summary (OK /
 SKIPPED / FAILED per unit plus each failure's message) and maps to the
 process exit code: 0 when everything succeeded, 1 when any unit failed.
@@ -14,22 +20,18 @@ process exit code: 0 when everything succeeded, 1 when any unit failed.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import sys
 import time
 import traceback as traceback_module
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.errors import DeadlineExceededError
-from repro.parallel.supervisor import SupervisorConfig
+from repro.errors import DeadlineExceededError, WorkerCrashError
+from repro.parallel.cache import corrupt_discarded_total
+from repro.parallel.pool import ForkPool, reconstruct_error, resolve_jobs
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
 
@@ -40,27 +42,10 @@ STATUS_SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class UnitSpec:
-    """One schedulable unit of work: a name and a zero-argument callable.
-
-    ``needs`` names units that must *complete successfully* first (they
-    must be listed earlier in the suite); if one fails, this unit is
-    recorded FAILED without running.  ``affinity`` is an opaque grouping
-    key for parallel runs — units sharing a key run in the same worker
-    process, so worker-local state (attached shared-memory traces, a
-    warmed stack pass) is actually reused.  Both are ignored-but-honored
-    in serial runs: ``needs`` still gates execution, ``affinity`` is
-    moot when there is only one process.
-
-    ``cost`` is an optional relative size estimate (e.g. estimated
-    references x geometry count) steering parallel batch packing; it
-    never affects correctness, only how units are grouped per dispatch.
-    """
+    """One unit of work: a name and a zero-argument callable."""
 
     name: str
     run: Callable[[], Any]
-    needs: Tuple[str, ...] = ()
-    affinity: Optional[str] = None
-    cost: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -91,16 +76,8 @@ class SuiteReport:
     """Every unit's outcome, in execution order."""
 
     outcomes: List[UnitOutcome] = field(default_factory=list)
-    #: Supervision counters from a supervised parallel run (kills,
-    #: requeues, respawns, poisoned units, degraded flag); None for
-    #: serial or unsupervised runs.
-    supervision: Optional[Dict[str, Any]] = None
     #: Corrupt cache entries discarded (and recomputed) during the run.
     cache_corrupt_discarded: int = 0
-    #: Per-unit orchestration timing from a parallel run: ``{"units":
-    #: {name: {dispatch_s, queue_wait_s, run_s, result_transfer_s,
-    #: flush_s}}, "totals": {...}}``; None for serial runs.
-    timing: Optional[Dict[str, Any]] = None
 
     @property
     def succeeded(self) -> List[UnitOutcome]:
@@ -145,27 +122,155 @@ class SuiteReport:
                 f"entr{'ies' if self.cache_corrupt_discarded != 1 else 'y'} "
                 f"discarded and recomputed"
             )
-        if self.supervision:
-            sup = self.supervision
-            interventions = (
-                sup.get("crashes", 0)
-                + sup.get("hangs", 0)
-                + sup.get("respawns", 0)
-            )
-            if interventions or sup.get("degraded") or sup.get("poisoned"):
-                lines.append(
-                    f"  supervision: {sup.get('crashes', 0)} crashes, "
-                    f"{sup.get('hangs', 0)} hangs, "
-                    f"{sup.get('respawns', 0)} respawns, "
-                    f"{len(sup.get('poisoned', []))} quarantined"
-                    + (" [degraded to serial]" if sup.get("degraded") else "")
-                )
         for outcome in self.failures:
             lines.append("")
             lines.append(f"FAILED {outcome.name}: {outcome.error}")
             if outcome.traceback:
                 lines.append(outcome.traceback.rstrip("\n"))
         return "\n".join(lines)
+
+
+@dataclass
+class _Ran:
+    """What running one unit under its retry policy produced.
+
+    Built wherever the unit ran.  From a pool worker it arrives pickled:
+    ``error`` then survives only for an interrupt (the parent re-raises
+    it), and ``retries`` holds the notices the parent announces at the
+    unit's turn.
+    """
+
+    result: Any = None
+    error: Optional[BaseException] = None
+    #: ``"Type: message"`` when the unit failed or was interrupted.
+    error_text: Optional[str] = None
+    traceback: Optional[str] = None
+    interrupted: bool = False
+    attempts: int = 0
+    elapsed: float = 0.0
+    #: ``(attempt, error type name, error message, delay)`` per retry.
+    retries: List[Tuple[int, str, str, float]] = field(default_factory=list)
+    #: Corrupt cache entries a worker discarded while running the unit.
+    cache_corrupt_discarded: int = 0
+
+
+def _failed(error: BaseException, attempts: int, elapsed: float) -> _Ran:
+    traceback_text = None
+    if error.__traceback__ is not None:
+        traceback_text = "".join(
+            traceback_module.format_exception(
+                type(error), error, error.__traceback__
+            )
+        )
+    return _Ran(
+        error=error,
+        error_text=f"{type(error).__name__}: {error}",
+        traceback=traceback_text,
+        attempts=attempts,
+        elapsed=elapsed,
+    )
+
+
+def _interrupted(interrupt: BaseException, attempts: int, elapsed: float) -> _Ran:
+    return _Ran(
+        error=interrupt,
+        error_text=f"interrupted: {interrupt!r}",
+        interrupted=True,
+        attempts=attempts,
+        elapsed=elapsed,
+    )
+
+
+def _attempt(
+    spec: UnitSpec,
+    *,
+    retry_policy: RetryPolicy,
+    deadline_seconds: Optional[float],
+    retriable: Tuple[Type[BaseException], ...],
+    clock: Callable[[], float],
+    sleep: Callable[[float], None],
+    on_retry: Callable[[int, BaseException, float], None],
+) -> _Ran:
+    """Run one unit under its retry policy and deadline; never raises."""
+    retries = {"count": 0}
+
+    def notify(attempt: int, error: BaseException, delay: float) -> None:
+        retries["count"] = attempt
+        on_retry(attempt, error, delay)
+
+    deadline = Deadline(deadline_seconds, clock=clock)
+    started = clock()
+    try:
+        result, attempts = call_with_retry(
+            spec.run,
+            policy=retry_policy,
+            deadline=deadline,
+            retriable=retriable,
+            on_retry=notify,
+            sleep=sleep,
+            label=spec.name,
+        )
+    except (KeyboardInterrupt, SystemExit) as interrupt:
+        return _interrupted(interrupt, retries["count"] + 1, clock() - started)
+    except BaseException as error:  # noqa: BLE001 - isolation boundary
+        if not isinstance(error, DeadlineExceededError):
+            retries["count"] += 1
+        return _failed(error, retries["count"], clock() - started)
+    return _Ran(result=result, attempts=attempts, elapsed=clock() - started)
+
+
+class _Fanout:
+    """Units running on a fork pool, taken back in spec order.
+
+    A worker that dies breaks the whole pool.  The units it still held
+    are then rerun one at a time, each in a fresh one-worker fork, so
+    the unit that kills its process fails alone and never runs in the
+    parent.
+    """
+
+    def __init__(
+        self, pool: ForkPool, units: Sequence[UnitSpec], indices: Sequence[int]
+    ) -> None:
+        self.pool = pool
+        self.units = units
+        self.futures = {index: pool.submit(index) for index in indices}
+        self.broken = False
+
+    def take(self, index: int) -> _Ran:
+        future = self.futures[index]
+        if self.broken and _lost(future):
+            return self._rerun(index)
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            self.broken = True
+            self.pool.shutdown()  # settles every future
+            lost = sum(1 for other in self.futures.values() if _lost(other))
+            print(
+                f"repro: a worker process died; rerunning the {lost} "
+                "unfinished unit(s) one at a time in fresh processes",
+                file=sys.stderr,
+            )
+            return self._rerun(index)
+        except Exception as error:  # noqa: BLE001 - e.g. an unpicklable result
+            return _failed(error, 1, 0.0)
+
+    def _rerun(self, index: int) -> _Ran:
+        try:
+            return self.pool.run_isolated(index)
+        except WorkerCrashError as error:
+            name = self.units[index].name
+            crash = WorkerCrashError(f"{error} while running {name!r}")
+            return _failed(crash, 1, 0.0)
+        except Exception as error:  # noqa: BLE001 - e.g. an unpicklable result
+            return _failed(error, 1, 0.0)
+
+
+def _lost(future: Any) -> bool:
+    """Whether a settled future's unit went down with a broken pool."""
+    return future.cancelled() or isinstance(
+        future.exception(), BrokenProcessPool
+    )
 
 
 def run_units(
@@ -187,8 +292,6 @@ def run_units(
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
     jobs: Optional[int] = None,
-    supervision: Optional[SupervisorConfig] = None,
-    batch_size: Optional[int] = None,
 ) -> SuiteReport:
     """Run every unit, isolating failures; never raises for a unit's error.
 
@@ -201,200 +304,167 @@ def run_units(
     resumed run can re-publish outputs without re-running the unit.
 
     ``jobs`` spreads units over that many forked worker processes
-    (``0`` = one per CPU; default serial).  The parallel path
-    (:mod:`repro.parallel.engine`) produces the same report, journal
-    contents and callback order as this serial loop: workers only
-    compute, while the parent publishes and journals outcomes as a
-    contiguous prefix of spec order.  ``clock``/``sleep`` injection only
-    affects worker-side retry timing through the fork, so tests that
-    fake time should stay serial.
+    (``0`` = one per CPU; default serial).  Workers run the units'
+    attempts, retries and deadlines; the parent does everything else,
+    in spec order.  Results must pickle; ``clock`` and ``sleep`` reach
+    the workers through the fork.  A worker that dies fails only the
+    unit it was running.
 
     ``KeyboardInterrupt``/``SystemExit`` still propagate (after being
     journaled as a failure when a journal is attached) so an operator's
     Ctrl-C actually stops the run — the journal then makes the rerun
-    cheap, which is the whole point.
+    cheap, which is the whole point.  A unit that raises one in a worker
+    is journaled at its turn and re-raised in the parent.
     """
-    from repro.parallel.cache import corrupt_discarded_total
-    from repro.parallel.pool import resolve_jobs
-
-    worker_count = resolve_jobs(jobs)
-    corrupt_before = corrupt_discarded_total()
-    if worker_count > 1 and len(units) > 1:
-        from repro.parallel.engine import run_units_parallel
-
-        return run_units_parallel(
-            units,
-            jobs=worker_count,
-            journal=journal,
-            resume=resume,
-            retry_policy=retry_policy,
-            deadline_seconds=deadline_seconds,
-            fail_fast=fail_fast,
-            retriable=retriable,
-            on_success=on_success,
-            on_skip=on_skip,
-            on_failure=on_failure,
-            on_retry=on_retry,
-            journal_payload=journal_payload,
-            clock=clock,
-            sleep=sleep,
-            supervision=supervision,
-            batch_size=batch_size,
-        )
-    if any(spec.needs or spec.affinity is not None for spec in units):
-        from repro.parallel.scheduler import validate_units
-
-        validate_units(units)
-
+    Deadline(deadline_seconds)  # a bad deadline raises before any unit runs
     report = SuiteReport()
-    failed_names = set()
-    for spec in units:
-        if resume and journal is not None and journal.completed(spec.name):
-            previous = journal.get(spec.name)
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_SKIPPED,
-                    elapsed=previous.elapsed if previous else 0.0,
-                )
-            )
-            if on_skip is not None:
-                on_skip(spec)
-            continue
+    corrupt_before = corrupt_discarded_total()
+    resumed = {
+        index
+        for index, spec in enumerate(units)
+        if resume and journal is not None and journal.completed(spec.name)
+    }
+    pending = [index for index in range(len(units)) if index not in resumed]
+    attempt = functools.partial(
+        _attempt,
+        retry_policy=retry_policy,
+        deadline_seconds=deadline_seconds,
+        retriable=retriable,
+        clock=clock,
+        sleep=sleep,
+    )
 
-        failed_needs = [need for need in spec.needs if need in failed_names]
-        if failed_needs:
-            from repro.errors import ParallelError
+    def run_here(index: int) -> _Ran:
+        spec = units[index]
 
-            error = ParallelError(f"dependency {failed_needs[0]!r} failed")
-            error_text = f"{type(error).__name__}: {error}"
-            failed_names.add(spec.name)
-            if journal is not None:
-                journal.record_failure(
-                    spec.name, error=error_text, elapsed=0.0, attempts=0
-                )
-            report.outcomes.append(
-                UnitOutcome(
-                    name=spec.name,
-                    status=STATUS_FAILED,
-                    error=error_text,
-                    elapsed=0.0,
-                    attempts=0,
-                )
-            )
-            if on_failure is not None:
-                on_failure(spec, error)
-            if fail_fast:
-                break
-            continue
-
-        deadline = Deadline(deadline_seconds, clock=clock)
-        started = clock()
-        attempts_seen = {"count": 0}
-
-        def unit_on_retry(attempt, error, delay, _spec=spec):
-            attempts_seen["count"] = attempt
+        def announce(attempt_no: int, error: BaseException, delay: float) -> None:
             if on_retry is not None:
-                on_retry(_spec, attempt, error, delay)
+                on_retry(spec, attempt_no, error, delay)
 
-        def journal_interrupt(interrupt, attempts, _spec=spec, _started=started):
-            if journal is not None:
-                journal.record_failure(
-                    _spec.name,
-                    error=f"interrupted: {interrupt!r}",
-                    elapsed=clock() - _started,
-                    attempts=attempts,
-                )
+        return attempt(spec, on_retry=announce)
 
-        def record_unit_failure(error, attempts, _spec=spec, _started=started):
-            failed_names.add(_spec.name)
-            elapsed = clock() - _started
-            trace_text = "".join(
-                traceback_module.format_exception(
-                    type(error), error, error.__traceback__
-                )
-            )
-            if journal is not None:
-                journal.record_failure(
-                    _spec.name,
-                    error=f"{type(error).__name__}: {error}",
-                    traceback=trace_text,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                )
-            report.outcomes.append(
-                UnitOutcome(
-                    name=_spec.name,
-                    status=STATUS_FAILED,
-                    error=f"{type(error).__name__}: {error}",
-                    traceback=trace_text,
-                    elapsed=elapsed,
-                    attempts=attempts,
-                )
-            )
-            if on_failure is not None:
-                on_failure(_spec, error)
+    def run_in_worker(index: int) -> _Ran:
+        notices: List[Tuple[int, str, str, float]] = []
+        before = corrupt_discarded_total()
+        ran = attempt(
+            units[index],
+            on_retry=lambda attempt_no, error, delay: notices.append(
+                (attempt_no, type(error).__name__, str(error), delay)
+            ),
+        )
+        ran.retries = notices
+        ran.cache_corrupt_discarded = corrupt_discarded_total() - before
+        if not ran.interrupted:
+            ran.error = None  # may not pickle; the parent rebuilds it
+        return ran
 
-        try:
-            result, attempts = call_with_retry(
-                spec.run,
-                policy=retry_policy,
-                deadline=deadline,
-                retriable=retriable,
-                on_retry=unit_on_retry,
-                sleep=sleep,
-                label=spec.name,
+    def fail(spec: UnitSpec, ran: _Ran, error: BaseException) -> None:
+        if journal is not None:
+            journal.record_failure(
+                spec.name,
+                error=ran.error_text,
+                traceback=ran.traceback,
+                elapsed=ran.elapsed,
+                attempts=ran.attempts,
             )
-        except (KeyboardInterrupt, SystemExit) as interrupt:
-            journal_interrupt(interrupt, attempts_seen["count"] + 1)
-            raise
-        except BaseException as error:  # noqa: BLE001 - isolation boundary
-            attempts = (
-                attempts_seen["count"] + 1
-                if not isinstance(error, DeadlineExceededError)
-                else attempts_seen["count"]
+        report.outcomes.append(
+            UnitOutcome(
+                name=spec.name,
+                status=STATUS_FAILED,
+                error=ran.error_text,
+                traceback=ran.traceback,
+                elapsed=ran.elapsed,
+                attempts=ran.attempts,
             )
-            record_unit_failure(error, attempts)
-            if fail_fast:
-                break
-            continue
+        )
+        if on_failure is not None:
+            on_failure(spec, error)
 
+    def journal_interrupt(spec: UnitSpec, ran: _Ran) -> None:
+        if journal is not None:
+            journal.record_failure(
+                spec.name,
+                error=ran.error_text,
+                elapsed=ran.elapsed,
+                attempts=ran.attempts,
+            )
+
+    def flush(spec: UnitSpec, ran: _Ran) -> bool:
+        """Announce, publish, journal and report one unit; True if FAILED."""
+        for attempt_no, type_name, message, delay in ran.retries:
+            if on_retry is not None:
+                on_retry(spec, attempt_no, reconstruct_error(type_name, message), delay)
+        if ran.interrupted:
+            journal_interrupt(spec, ran)
+            raise ran.error
+        if ran.error_text is not None:
+            type_name, _, message = ran.error_text.partition(": ")
+            fail(spec, ran, ran.error or reconstruct_error(type_name, message))
+            return True
         # Publish BEFORE journaling success: a unit is complete only
         # once its outputs exist, so a publish error (render, CSV or
         # results-dir write) must not leave a success record that a
         # later --resume would trust.
-        elapsed = clock() - started
         payload: Optional[Dict[str, Any]] = None
         try:
             if on_success is not None:
-                on_success(spec, result, elapsed)
+                on_success(spec, ran.result, ran.elapsed)
             if journal is not None and journal_payload is not None:
-                payload = journal_payload(spec, result)
+                payload = journal_payload(spec, ran.result)
         except (KeyboardInterrupt, SystemExit) as interrupt:
-            journal_interrupt(interrupt, attempts)
+            journal_interrupt(
+                spec, _interrupted(interrupt, ran.attempts, ran.elapsed)
+            )
             raise
         except BaseException as error:  # noqa: BLE001 - isolation boundary
-            record_unit_failure(error, attempts)
-            if fail_fast:
-                break
-            continue
-
+            fail(spec, _failed(error, ran.attempts, ran.elapsed), error)
+            return True
         if journal is not None:
             journal.record_success(
-                spec.name, elapsed=elapsed, attempts=attempts, payload=payload
+                spec.name,
+                elapsed=ran.elapsed,
+                attempts=ran.attempts,
+                payload=payload,
             )
         report.outcomes.append(
             UnitOutcome(
                 name=spec.name,
                 status=STATUS_OK,
-                result=result,
-                elapsed=elapsed,
-                attempts=attempts,
+                result=ran.result,
+                elapsed=ran.elapsed,
+                attempts=ran.attempts,
             )
         )
-    report.cache_corrupt_discarded = corrupt_discarded_total() - corrupt_before
-    return report
+        return False
 
+    workers = min(resolve_jobs(jobs), len(pending))
+    with contextlib.ExitStack() as stack:
+        take = run_here
+        if workers > 1:
+            pool = stack.enter_context(ForkPool(run_in_worker, workers))
+            take = _Fanout(pool, units, pending).take
+        for index, spec in enumerate(units):
+            if index in resumed:
+                previous = journal.get(spec.name)
+                report.outcomes.append(
+                    UnitOutcome(
+                        name=spec.name,
+                        status=STATUS_SKIPPED,
+                        elapsed=previous.elapsed if previous else 0.0,
+                    )
+                )
+                if on_skip is not None:
+                    on_skip(spec)
+                continue
+            try:
+                ran = take(index)
+            except (KeyboardInterrupt, SystemExit) as interrupt:
+                ran = _interrupted(interrupt, 1, 0.0)
+            report.cache_corrupt_discarded += ran.cache_corrupt_discarded
+            if flush(spec, ran) and fail_fast:
+                break
+    report.cache_corrupt_discarded += corrupt_discarded_total() - corrupt_before
+    return report
 
 __all__ = [
     "STATUS_FAILED",

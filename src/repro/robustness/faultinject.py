@@ -1,6 +1,6 @@
 """Deterministic fault injection for robustness testing.
 
-Three families of faults, all fully deterministic so failures reproduce:
+Two families of faults, all fully deterministic so failures reproduce:
 
 * **Byte-level corruption** of on-disk trace files —
   :func:`flip_byte`, :func:`truncate_file`, and the seeded
@@ -16,15 +16,8 @@ Three families of faults, all fully deterministic so failures reproduce:
   ``sim.driver.run_with_policy``, ``sim.sweep``), so a test can make a
   real trace pass fail twice and succeed on the third retry.
 
-* **Parallel chaos** against the worker pool (:class:`ChaosPlan`):
-  seeded selection of victim units whose workers are SIGKILLed or hung
-  mid-unit, plus corruption helpers for shared-memory trace segments
-  (:func:`corrupt_shared_memory`) and result-cache entries
-  (:func:`corrupt_cache_entry`).  Strikes fire **only inside pool
-  workers** (never in the parent or a degraded-serial run) and use a
-  token directory for exactly-``times`` cross-process semantics, so a
-  requeued unit recovers on its next attempt — or keeps striking to
-  prove poison-unit quarantine.
+:func:`corrupt_cache_entry` applies the first family to the result
+cache, whose corrupt entries must be discarded and recomputed.
 
 Injected faults deliberately do **not** derive from
 :class:`~repro.errors.ReproError`: they model the *unexpected* crash the
@@ -36,20 +29,9 @@ from __future__ import annotations
 
 import os
 import random
-import signal
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
 
@@ -215,138 +197,6 @@ def corrupt_trace(
     raise ConfigurationError(f"unknown corruption mode {mode!r}")
 
 
-# -- parallel chaos ------------------------------------------------------
-
-
-def _token_slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name)
-
-
-class ChaosPlan:
-    """Seeded worker-kill / worker-hang chaos for the parallel engine.
-
-    ``victims`` maps a unit name to ``(action, times)`` where ``action``
-    is ``"kill"`` (SIGKILL own process mid-unit) or ``"hang"`` (sleep
-    ``hang_seconds``, far past any supervised deadline).  Each victim
-    strikes on its first ``times`` *attempts*, counted across processes
-    through ``token_dir`` (one ``O_CREAT|O_EXCL`` token per strike) —
-    so with ``times=1`` the requeued attempt succeeds, and with
-    ``times >= max_worker_kills`` the unit proves quarantine.
-
-    Strikes are a no-op outside a pool worker: a degraded-serial
-    fallback or a serial equivalence run executes the same wrapped
-    callables untouched, which is exactly the "byte-identical to
-    serial" contract the chaos matrix asserts.
-    """
-
-    def __init__(
-        self,
-        token_dir: PathLike,
-        *,
-        victims: Dict[str, Tuple[str, int]],
-        hang_seconds: float = 60.0,
-    ) -> None:
-        for name, (action, times) in victims.items():
-            if action not in ("kill", "hang"):
-                raise ConfigurationError(
-                    f"unknown chaos action {action!r} for {name!r}"
-                )
-            if times < 1:
-                raise ConfigurationError(
-                    f"chaos victim {name!r} needs times >= 1, got {times}"
-                )
-        self.token_dir = Path(token_dir)
-        self.token_dir.mkdir(parents=True, exist_ok=True)
-        self.victims = dict(victims)
-        self.hang_seconds = hang_seconds
-
-    @classmethod
-    def sample(
-        cls,
-        names: Sequence[str],
-        token_dir: PathLike,
-        *,
-        kills: int = 0,
-        hangs: int = 0,
-        seed: int = 0,
-        times: int = 1,
-        hang_seconds: float = 60.0,
-    ) -> "ChaosPlan":
-        """Pick ``kills`` + ``hangs`` victim units deterministically."""
-        names = list(names)
-        if kills + hangs > len(names):
-            raise ConfigurationError(
-                f"cannot pick {kills + hangs} victims from "
-                f"{len(names)} units"
-            )
-        chosen = random.Random(seed).sample(names, kills + hangs)
-        victims: Dict[str, Tuple[str, int]] = {}
-        for name in chosen[:kills]:
-            victims[name] = ("kill", times)
-        for name in chosen[kills:]:
-            victims[name] = ("hang", times)
-        return cls(token_dir, victims=victims, hang_seconds=hang_seconds)
-
-    def strike(self, name: str) -> None:
-        """Maybe kill or hang the calling process (pool workers only)."""
-        victim = self.victims.get(name)
-        if victim is None:
-            return
-        from repro.parallel.pool import in_worker
-
-        if not in_worker():
-            return  # never take down the parent / degraded-serial run
-        action, times = victim
-        for attempt in range(times):
-            token = self.token_dir / f"{action}-{_token_slug(name)}-{attempt}"
-            try:
-                fd = os.open(str(token), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue  # this strike already happened (earlier attempt)
-            os.close(fd)
-            if action == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            time.sleep(self.hang_seconds)
-            return
-
-    def wrap(self, name: str, fn: Callable[[], T]) -> Callable[[], T]:
-        """Wrap a unit callable so it strikes (maybe) before running."""
-
-        def chaotic() -> T:
-            self.strike(name)
-            return fn()
-
-        chaotic.__name__ = getattr(fn, "__name__", "chaotic")
-        return chaotic
-
-    def strikes_delivered(self) -> int:
-        """How many strikes actually fired (tokens consumed)."""
-        return sum(1 for _ in self.token_dir.iterdir())
-
-
-def corrupt_shared_memory(shm_name: str, *, seed: int = 0) -> int:
-    """Flip one seeded byte of a shared-memory segment; returns offset.
-
-    Models a scribbler or bit flip in the shared trace transport;
-    :func:`repro.trace.trace_io.attach_shared_trace` must catch it via
-    the handle CRC and raise
-    :class:`~repro.errors.TraceIntegrityError` instead of simulating
-    garbage.  POSIX shared memory is a tmpfs file, so the flip goes
-    through the file — writes are visible to every existing mapping and
-    no :class:`~multiprocessing.shared_memory.SharedMemory` attach (with
-    its resource-tracker registration side effects) is needed.
-    """
-    path = os.path.join("/dev/shm", shm_name.lstrip("/"))
-    if not os.path.exists(path):
-        raise ConfigurationError(
-            f"shared memory segment {shm_name!r} not found at {path}"
-        )
-    rng = random.Random(seed)
-    offset = rng.randrange(os.path.getsize(path))
-    flip_byte(path, offset, mask=rng.randrange(1, 256))
-    return offset
-
-
 def corrupt_cache_entry(root: PathLike, *, seed: int = 0) -> Path:
     """Flip one seeded byte of one result-cache entry; returns its path."""
     entries = sorted(Path(root).rglob("*.json"))
@@ -359,13 +209,11 @@ def corrupt_cache_entry(root: PathLike, *, seed: int = 0) -> Path:
 
 
 __all__ = [
-    "ChaosPlan",
     "FaultPlan",
     "InjectedFault",
     "TransientInjectedFault",
     "check",
     "corrupt_cache_entry",
-    "corrupt_shared_memory",
     "corrupt_trace",
     "flaky",
     "flip_byte",

@@ -69,10 +69,6 @@ class UnitRecord:
     error: Optional[str] = None
     traceback: Optional[str] = None
     payload: Optional[Dict[str, Any]] = None
-    #: Structured failure context (e.g. a poison-unit quarantine record:
-    #: kill count, kill reasons, last worker error).  Machine-readable
-    #: where ``error`` is for humans.
-    detail: Optional[Dict[str, Any]] = None
 
     @property
     def succeeded(self) -> bool:
@@ -164,7 +160,6 @@ class RunJournal:
                 error=record.get("error"),
                 traceback=record.get("traceback"),
                 payload=record.get("payload"),
-                detail=record.get("detail"),
             )
 
     @staticmethod
@@ -231,14 +226,8 @@ class RunJournal:
         traceback: Optional[str] = None,
         elapsed: float = 0.0,
         attempts: int = 1,
-        detail: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Journal ``unit`` as FAILED with its error for the report.
-
-        ``detail`` attaches a machine-readable record to the failure —
-        the supervisor uses it for poison-unit quarantines (kill count,
-        reasons, last worker error).
-        """
+        """Journal ``unit`` as FAILED with its error for the report."""
         record = UnitRecord(
             unit=unit,
             status=STATUS_FAILED,
@@ -246,7 +235,6 @@ class RunJournal:
             attempts=attempts,
             error=error,
             traceback=traceback,
-            detail=detail,
         )
         self._write_line(self._to_json(record))
         self._records[unit] = record
@@ -266,8 +254,6 @@ class RunJournal:
             data["traceback"] = record.traceback
         if record.payload is not None:
             data["payload"] = record.payload
-        if record.detail is not None:
-            data["detail"] = record.detail
         return data
 
     # -- queries ---------------------------------------------------------

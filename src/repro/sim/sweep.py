@@ -16,11 +16,7 @@ skips any stack pass whose entire family of results is already
 journaled — one pass is expensive, its results are precious.  A
 :class:`~repro.parallel.cache.SimulationCache` adds a second,
 cross-run layer: results found there are copied into the journal
-without simulating.  ``jobs`` fans independent stack-pass families out
-over the persistent worker pool (leased via
-:func:`repro.parallel.pool.lease_task_pool`), shipping the trace once
-via shared memory instead of pickling it per task and batching several
-families per dispatch round-trip.
+without simulating.
 """
 
 from __future__ import annotations
@@ -36,8 +32,6 @@ from repro.parallel.cache import (
     SimulationCache,
     canonical_key,
 )
-from repro.parallel.pool import lease_task_pool, resolve_jobs
-from repro.parallel.scheduler import plan_batch_size
 from repro.perf.kernels import KERNEL_AUTO
 from repro.robustness import faultinject
 from repro.robustness.journal import RunJournal
@@ -49,11 +43,6 @@ from repro.stacksim.lru_stack import (
     per_set_miss_curve,
 )
 from repro.trace.record import Trace
-from repro.trace.trace_io import (
-    SharedTraceHandle,
-    attach_shared_trace,
-    share_trace,
-)
 from repro.types import log2_exact
 
 
@@ -127,42 +116,6 @@ def _family_curve(
     )
 
 
-#: Worker-local warm cache of page-number arrays, keyed by (segment
-#: name, page shift).  Several stack-pass families of one sweep share a
-#: page size; recomputing the shift per task would redo a full-trace
-#: vector op the worker already did for the previous batch item.  Small
-#: and bounded: entries die with the segment's sweep (new shm name).
-_PAGES_CACHE: Dict[Tuple[str, int], np.ndarray] = {}
-_PAGES_CACHE_LIMIT = 16
-
-
-def _family_curve_task(
-    handle: SharedTraceHandle,
-    page_shift: int,
-    index_shift: int,
-    sets: int,
-    depth: int,
-    kernel: str,
-) -> MissCurve:
-    """Worker-side stack pass over a shared-memory trace.
-
-    Module-level so it pickles by reference; the trace itself travels as
-    a :class:`SharedTraceHandle` and is attached (and cached) inside the
-    worker rather than being serialized per task.  The derived
-    page-number array is cached per (segment, shift) so batch siblings
-    with the same page size skip straight to the stack pass.
-    """
-    key = (handle.shm_name, page_shift)
-    pages = _PAGES_CACHE.get(key)
-    if pages is None:
-        trace = attach_shared_trace(handle)
-        pages = trace.addresses >> np.uint32(page_shift)
-        if len(_PAGES_CACHE) >= _PAGES_CACHE_LIMIT:
-            _PAGES_CACHE.clear()
-        _PAGES_CACHE[key] = pages
-    return _family_curve(pages, index_shift, sets, depth, kernel)
-
-
 def sweep_single_size(
     trace: Trace,
     page_sizes: Sequence[int],
@@ -173,7 +126,6 @@ def sweep_single_size(
     journal: Optional[RunJournal] = None,
     kernel: str = KERNEL_AUTO,
     cache: Optional[SimulationCache] = None,
-    jobs: Optional[int] = None,
 ) -> Dict[Tuple[int, str], RunResult]:
     """Miss counts for every (page size, TLB shape) pair.
 
@@ -191,10 +143,6 @@ def sweep_single_size(
         cache: optional content-addressed result cache, consulted after
             the journal; hits are recorded into the journal, fresh
             results are stored back.
-        jobs: fan independent stack-pass families out over this many
-            worker processes (``0`` = one per CPU; default serial).
-            Results, journal contents and their order are identical to
-            a serial sweep.
 
     Returns:
         {(page_size, config.label): RunResult}
@@ -270,64 +218,13 @@ def sweep_single_size(
         if remaining:
             pending.append((page_size, remaining))
 
-    worker_count = resolve_jobs(jobs)
-    family_count = sum(
-        len(_group_by_sets(remaining)) for _size, remaining in pending
-    )
-    if worker_count > 1 and family_count > 1:
-        # Parallel: every pending page size's fault check runs up front
-        # (serial interleaves them with the passes), then the stack
-        # passes fan out over the persistent shared pool with the trace
-        # attached once per worker via shared memory.  Extraction — and
-        # therefore the journal record order — replays the serial
-        # (page size, set-count group, config) order.
-        families: List[Tuple[int, int, int, List[TLBConfig]]] = []
-        for page_size, remaining in pending:
-            faultinject.check("sim.sweep")
-            for sets, group in _group_by_sets(remaining).items():
-                families.append(
-                    (page_size, sets, _family_depth(sets, group), group)
-                )
-        handle = share_trace(trace)
-        lease = lease_task_pool(worker_count)
-        try:
-            curves = lease.pool.run_calls(
-                calls=[
-                    (
-                        _family_curve_task,
-                        (
-                            handle,
-                            log2_exact(page_size),
-                            index_shift,
-                            sets,
-                            depth,
-                            kernel,
-                        ),
-                    )
-                    for page_size, sets, depth, _group in families
-                ],
-                batch_size=plan_batch_size(len(families), worker_count),
-            )
-        except BaseException:
-            lease.dirty = True
-            raise
-        finally:
-            lease.release()
-        for (page_size, sets, _depth, group), curve in zip(families, curves):
+    for page_size, remaining in pending:
+        faultinject.check("sim.sweep")
+        pages = trace.addresses >> np.uint32(log2_exact(page_size))
+        for sets, group in _group_by_sets(remaining).items():
+            depth = _family_depth(sets, group)
+            curve = _family_curve(pages, index_shift, sets, depth, kernel)
             for config in group:
                 ways = config.entries if sets == 1 else config.entries // sets
                 record(page_size, config, ways, curve)
-    else:
-        for page_size, remaining in pending:
-            faultinject.check("sim.sweep")
-            pages = trace.addresses >> np.uint32(log2_exact(page_size))
-            for sets, group in _group_by_sets(remaining).items():
-                depth = _family_depth(sets, group)
-                curve = _family_curve(pages, index_shift, sets, depth, kernel)
-                for config in group:
-                    ways = (
-                        config.entries if sets == 1
-                        else config.entries // sets
-                    )
-                    record(page_size, config, ways, curve)
     return results

@@ -9,7 +9,7 @@ declaration file::
 
 The study compiles into content-addressed simulation units, dedupes
 against the result cache before anything is dispatched, and schedules
-the remainder through the parallel engine (``--jobs``), with
+the remainder across worker processes (``--jobs``), with
 ``--journal``/``--resume`` checkpointing inherited from the robustness
 layer.  ``--expect-cached`` turns the dedupe guarantee into an
 assertion: the run exits non-zero if any simulation was dispatched —

@@ -16,9 +16,8 @@ studies asking the same question share results.
    ``"study"`` kind) are resolved without dispatching anything;
 2. **schedules** the remainder through
    :func:`repro.robustness.executor.run_units` — and therefore, with
-   ``jobs > 1``, through the supervised parallel engine with journaled
-   checkpoints, worker supervision and batched dispatch inherited
-   unchanged;
+   ``jobs > 1``, across forked worker processes, with journaled
+   checkpoints and failure isolation inherited unchanged;
 3. **aggregates** the per-unit metric payloads into a
    :class:`StudyResult` with per-factor importance rankings: for every
    factor, the main-effect delta — the spread between the best and
@@ -39,7 +38,6 @@ from repro.parallel.cache import (
     SimulationCache,
     canonical_key,
 )
-from repro.parallel.supervisor import SupervisorConfig
 from repro.report.table import TextTable
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
@@ -413,7 +411,6 @@ def run_study(
     journal: Optional[RunJournal] = None,
     resume: bool = False,
     retry_policy: RetryPolicy = RetryPolicy(),
-    supervision: Optional[SupervisorConfig] = None,
     strict: bool = True,
 ) -> StudyResult:
     """Compile ``study`` and execute every unit not already answered.
@@ -424,7 +421,7 @@ def run_study(
     unless ``cache`` is given) is probed per run ID so a repeated run
     dispatches **zero** simulations.  The remainder is scheduled through
     :func:`~repro.robustness.executor.run_units`; with ``jobs > 1``
-    that is the supervised parallel engine, and with a ``journal`` each
+    the units run in forked worker processes, and with a ``journal`` each
     completed unit is checkpointed (``resume=True`` replays completed
     units from it).
 
@@ -478,12 +475,7 @@ def run_study(
                     cache.put(_unit.run_id, payload)
                 return payload
 
-            return UnitSpec(
-                name=unit.label,
-                run=run,
-                affinity=unit.workload,
-                cost=float(len(trace)),
-            )
+            return UnitSpec(name=unit.label, run=run)
 
         by_label = {unit.label: unit for unit in pending}
         report = run_units(
@@ -493,7 +485,6 @@ def run_study(
             retry_policy=retry_policy,
             journal_payload=lambda spec, result: result,
             jobs=jobs,
-            supervision=supervision,
         )
         for outcome in report.outcomes:
             unit = by_label[outcome.name]

@@ -28,29 +28,19 @@ Two formats are supported:
 * A human-readable **text format** compatible in spirit with the classic
   ``dinero`` trace format (one ``<kind> <hex-address>`` pair per line),
   for interchange with other simulators and for eyeballing tiny traces.
-
-A third, in-memory transport lives alongside the file formats: a
-**shared-memory** layout (:func:`share_trace` / :func:`attach_shared_trace`)
-that hands a trace to worker processes of :mod:`repro.parallel` as a
-small :class:`SharedTraceHandle` instead of pickling megabytes of
-reference stream through a pipe.  The layout mirrors the ``RPT`` payload
-(addresses then kinds, little-endian) minus the header, which travels in
-the handle.
 """
 
 from __future__ import annotations
 
-import atexit
 import io
 import os
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from repro.errors import TraceError, TraceFormatError, TraceIntegrityError
+from repro.errors import TraceFormatError, TraceIntegrityError
 from repro.trace.record import KIND_STORE, Trace
 
 #: Current binary magic (checksummed format).
@@ -224,202 +214,6 @@ def _read_scalar(stream, dtype, path: PathLike) -> int:
     if len(raw) != size:
         raise TraceFormatError(f"{path}: truncated header")
     return dtype(np.frombuffer(raw, dtype=dtype)[0]).item()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport (parent -> repro.parallel workers)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedTraceHandle:
-    """Everything a worker needs to reattach a shared trace.
-
-    A handle is a few hundred bytes however long the trace is; it is the
-    *only* thing that crosses the task pipe.  ``fingerprint`` rides
-    along so workers never recompute the SHA-256 the parent already has;
-    ``crc`` (CRC32 of the segment payload at share time) lets a worker
-    attach *verify* the bytes it maps — shared memory has no filesystem
-    checksums, so a scribbled segment would otherwise simulate garbage
-    silently.
-    """
-
-    shm_name: str
-    count: int
-    name: str
-    refs_per_instruction: float
-    fingerprint: str
-    crc: int = 0
-
-
-#: Parent-side: fingerprint -> (SharedMemory, handle), so the same trace
-#: shared twice reuses one segment for the life of the process.
-_SHARED_SEGMENTS: Dict[str, Tuple[object, SharedTraceHandle]] = {}
-#: Worker-side: shm name -> (SharedMemory, Trace) attach cache, so a
-#: worker maps each distinct trace at most once.
-_ATTACHED_SEGMENTS: Dict[str, Tuple[object, Trace]] = {}
-_SHM_ATEXIT = False
-
-
-def _quiet_close(shm) -> None:
-    """Close a segment even if numpy views still reference its buffer.
-
-    ``SharedMemory.close`` raises ``BufferError`` while exported views
-    exist — and raises *again* from ``__del__`` as an "Exception
-    ignored" message.  Detaching the Python wrappers instead lets the
-    C-level mapping die with its last view (or at process exit) while
-    the file descriptor is released immediately.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-        try:
-            shm.close()  # releases the fd; nothing else is left
-        except (BufferError, OSError):
-            pass
-
-
-def _tracker_unregister(shm) -> None:
-    """Stop the resource tracker from unlinking a segment we only attached.
-
-    On Python <= 3.12, attaching registers the segment with the resource
-    tracker exactly like creating it does, so a worker exiting would
-    unlink memory the parent still owns (and warn about leaks).  The
-    parent keeps sole unlink responsibility.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - best effort, platform-dependent
-        pass
-
-
-def share_trace(trace: Trace) -> SharedTraceHandle:
-    """Publish ``trace`` in shared memory and return its handle.
-
-    Idempotent per trace content: sharing the same trace (by
-    fingerprint) twice returns the same segment.  Segments live until
-    :func:`release_shared_traces` or process exit.
-    """
-    global _SHM_ATEXIT
-    from multiprocessing import shared_memory
-
-    fingerprint = trace.fingerprint
-    cached = _SHARED_SEGMENTS.get(fingerprint)
-    if cached is not None:
-        return cached[1]
-    count = len(trace)
-    payload = count * 5  # uint32 addresses + uint8 kinds
-    shm = shared_memory.SharedMemory(create=True, size=max(1, payload))
-    if count:
-        addresses = np.frombuffer(shm.buf, dtype=np.uint32, count=count)
-        addresses[:] = trace.addresses
-        kinds = np.frombuffer(
-            shm.buf, dtype=np.uint8, count=count, offset=count * 4
-        )
-        kinds[:] = trace.kinds
-        del addresses, kinds  # release buffer views before any close()
-    crc = zlib.crc32(bytes(shm.buf[: payload or 1])) & 0xFFFFFFFF
-    handle = SharedTraceHandle(
-        shm_name=shm.name,
-        count=count,
-        name=trace.name,
-        refs_per_instruction=trace.refs_per_instruction,
-        fingerprint=fingerprint,
-        crc=crc,
-    )
-    _SHARED_SEGMENTS[fingerprint] = (shm, handle)
-    if not _SHM_ATEXIT:
-        _SHM_ATEXIT = True
-        atexit.register(release_shared_traces)
-    return handle
-
-
-def attach_shared_trace(handle: SharedTraceHandle) -> Trace:
-    """Map a shared trace into this process (cached per segment name).
-
-    The returned trace's arrays are zero-copy views of the shared
-    segment; repeated attaches of the same handle return the same
-    :class:`Trace` object.
-    """
-    from multiprocessing import shared_memory
-
-    cached = _ATTACHED_SEGMENTS.get(handle.shm_name)
-    if cached is not None:
-        return cached[1]
-    # The sharing process already holds a parent-side mapping: reuse it
-    # rather than re-attach (also makes jobs=1 paths segment-free).
-    from repro.parallel.pool import in_worker
-
-    owned = _SHARED_SEGMENTS.get(handle.fingerprint)
-    owner = owned is not None and owned[1].shm_name == handle.shm_name
-    try:
-        if owner:
-            shm = owned[0]
-        else:
-            shm = shared_memory.SharedMemory(name=handle.shm_name)
-            _tracker_unregister(shm)
-        if handle.crc and (in_worker() or not owner):
-            # Worker-side attach (fresh, or a forked copy of the
-            # parent's own mapping — same shared pages either way):
-            # verify the payload actually is what was shared before
-            # simulating from it.  The sharing parent's direct reuse
-            # needs no check — that is the memory the CRC came from.
-            payload = handle.count * 5
-            actual = zlib.crc32(bytes(shm.buf[: payload or 1])) & 0xFFFFFFFF
-            if actual != handle.crc:
-                if not owner:
-                    _quiet_close(shm)
-                raise TraceIntegrityError(
-                    f"shared trace segment {handle.shm_name!r} "
-                    f"({handle.name}): payload CRC {actual:#010x} != "
-                    f"shared {handle.crc:#010x}; the segment was "
-                    f"corrupted after sharing"
-                )
-    except FileNotFoundError:
-        raise TraceError(
-            f"shared trace segment {handle.shm_name!r} is gone; the "
-            f"sharing process released it (or exited) before this attach"
-        ) from None
-    addresses = np.frombuffer(shm.buf, dtype=np.uint32, count=handle.count)
-    kinds = np.frombuffer(
-        shm.buf, dtype=np.uint8, count=handle.count, offset=handle.count * 4
-    )
-    trace = Trace(
-        addresses,
-        kinds,
-        name=handle.name,
-        refs_per_instruction=handle.refs_per_instruction,
-    )
-    trace._fingerprint = handle.fingerprint
-    _ATTACHED_SEGMENTS[handle.shm_name] = (shm, trace)
-    return trace
-
-
-def release_shared_traces() -> None:
-    """Drop every segment this process shared or attached (idempotent).
-
-    Traces returned by :func:`attach_shared_trace` must not be used
-    afterwards; their arrays view freed memory mappings.  A mapping that
-    still has live numpy views is left to the garbage collector rather
-    than force-closed.
-    """
-    shared = list(_SHARED_SEGMENTS.values())
-    _SHARED_SEGMENTS.clear()
-    for shm, _handle in shared:
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        _quiet_close(shm)
-    attached = list(_ATTACHED_SEGMENTS.values())
-    _ATTACHED_SEGMENTS.clear()
-    for shm, _trace in attached:
-        if not any(shm is owned for owned, _h in shared):
-            _quiet_close(shm)
 
 
 def _read_array(stream, dtype, count: int, path: PathLike) -> np.ndarray:

@@ -17,18 +17,3 @@ def _hermetic_parallel_env(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _shutdown_shared_pool_at_exit():
-    """Tear the persistent worker pool down once the session ends.
-
-    The shared pool deliberately outlives individual ``run_units`` calls
-    (fork cost is paid once per process); without an explicit shutdown
-    its workers would linger until the atexit hook, holding open pipes
-    and a copy of the test process's memory while unrelated teardown
-    runs.
-    """
-    yield
-    from repro.parallel.pool import shutdown_shared_pool
-
-    shutdown_shared_pool()

@@ -260,13 +260,6 @@ class TestCLI:
         assert main(["--output-dir", str(tmp_path), "--floor", "a"]) == 2
         assert main(["--output-dir", str(tmp_path), "--floor", "a=fast"]) == 2
 
-    def test_profile_flag_prints_profile_section(
-        self, canned_suite, tmp_path, capsys
-    ):
-        code = main(["--output-dir", str(tmp_path), "--profile"])
-        assert code == 0
-        assert "profile:" in capsys.readouterr().out
-
     def test_list_units(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
@@ -287,16 +280,14 @@ class TestSuiteSmoke:
         assert headline["speedup"] > 1.0  # vector must actually win
         assert headline["vector_refs_per_sec"] > headline["scalar_refs_per_sec"]
         assert loaded["peak_rss_kb"] > 0
-        sweep = next(
+        fanout = next(
             unit
             for unit in loaded["units"]
-            if unit["name"] == "suite/parallel-sweep"
+            if unit["name"] == "suite/parallel-units"
         )
-        # The second scaling point (double the workers) ships in every
-        # report so CI can watch scaling, not just a single ratio.
-        assert sweep["jobs4"] == sweep["jobs"] * 2
-        assert sweep["parallel4_seconds"] > 0
-        assert sweep["speedup_jobs4"] > 0
+        # Both arms are timed (the floor in CI gates their ratio).
+        assert fanout["jobs"] == 2
+        assert fanout["serial_seconds"] > 0 and fanout["parallel_seconds"] > 0
         # The committed CI baseline must match the pinned suite.
         committed_path = (
             Path(__file__).resolve().parent.parent / "benchmarks" / "baseline.json"

@@ -1,17 +1,18 @@
-"""The multi-process experiment engine (marker: ``parallel``).
+"""Running units on forked worker processes (marker: ``parallel``).
 
 The contract under test is *equivalence*: a parallel run must produce
 the same results, the same journal records in the same order, and the
 same published outputs as a serial run — only the wall clock may
 differ.  Plus the failure story: a worker that dies mid-unit fails only
-that unit, and a journal written under ``jobs=4`` resumes serially.
+that unit, an interrupt raised in a worker stops the run as it would
+serially, and a journal written under ``jobs=4`` resumes serially.
 """
 
 import json
 import os
+import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.errors import ParallelError
@@ -21,38 +22,18 @@ from repro.parallel.pool import (
     parallel_map,
     resolve_jobs,
 )
-from repro.parallel.scheduler import (
-    AffinityRouter,
-    topological_order,
-    transitive_dependents,
-    validate_units,
-)
+from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
-from repro.robustness.retry import RetryPolicy
-from repro.sim.config import TLBConfig
-from repro.sim.sweep import sweep_single_size
-from repro.trace.trace_io import (
-    attach_shared_trace,
-    share_trace,
-)
+from repro.robustness.retry import NO_RETRY, RetryPolicy
+from repro.sim.config import SingleSizeScheme, TLBConfig
+from repro.sim.driver import run_single_size
 from repro.workloads.registry import generate_trace
 
 pytestmark = [
     pytest.mark.parallel,
     pytest.mark.skipif(not fork_available(), reason="needs fork"),
 ]
-
-
-def _spec(name, value, needs=(), affinity=None):
-    """A deterministic unit: squares its value (picklable result)."""
-    return UnitSpec(
-        name=name,
-        run=lambda v=value: v * v,
-        needs=tuple(needs),
-        affinity=affinity,
-    )
-
 
 def _journal_units(path):
     """Unit names in on-disk record order (not the replayed dict)."""
@@ -63,55 +44,6 @@ def _journal_units(path):
             if record.get("type") == "unit":
                 names.append(record["unit"])
     return names
-
-
-class TestScheduler:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ParallelError, match="duplicate"):
-            validate_units([_spec("a", 1), _spec("a", 2)])
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ParallelError, match="unknown"):
-            validate_units([_spec("a", 1, needs=("ghost",))])
-
-    def test_self_dependency_rejected(self):
-        with pytest.raises(ParallelError, match="itself"):
-            validate_units([_spec("a", 1, needs=("a",))])
-
-    def test_dependency_after_dependent_rejected(self):
-        with pytest.raises(ParallelError, match="listed after"):
-            validate_units([_spec("a", 1, needs=("b",)), _spec("b", 2)])
-
-    def test_topological_order_is_stable(self):
-        units = [
-            _spec("a", 1),
-            _spec("b", 2, needs=("a",)),
-            _spec("c", 3),
-            _spec("d", 4, needs=("b", "c")),
-        ]
-        # Already dependency-consistent: spec order comes back verbatim.
-        assert topological_order(units) == [0, 1, 2, 3]
-
-    def test_transitive_dependents(self):
-        units = [
-            _spec("a", 1),
-            _spec("b", 2, needs=("a",)),
-            _spec("c", 3, needs=("b",)),
-            _spec("d", 4),
-        ]
-        assert transitive_dependents(units, "a") == {"b", "c"}
-
-    def test_affinity_router_is_sticky(self):
-        router = AffinityRouter()
-        grouped = _spec("a", 1, affinity="g")
-        assert router.pick_worker(grouped, [2, 0, 1]) == 2
-        # Bound worker busy: the unit waits even though others are idle.
-        assert router.pick_worker(_spec("b", 2, affinity="g"), [0, 1]) is None
-        assert router.pick_worker(_spec("c", 3, affinity="g"), [1, 2]) == 2
-        # No affinity: least-loaded idle worker, no waiting.
-        assert router.pick_worker(_spec("d", 4), [0, 1]) == 0
-        router.forget_worker(2)
-        assert router.pick_worker(_spec("e", 5, affinity="g"), [1]) == 1
 
 
 class TestPool:
@@ -143,32 +75,33 @@ class TestPool:
         assert parallel_map([lambda: resolve_jobs(4)] * 2, jobs=2) == [1, 1]
         assert parallel_map([in_worker] * 2, jobs=2) == [True, True]
 
+    def test_unit_workers_run_nested_calls_serially(self):
+        def nested():
+            inner = run_units(
+                [UnitSpec("i0", os.getpid), UnitSpec("i1", os.getpid)], jobs=2
+            )
+            return (
+                in_worker(),
+                resolve_jobs(4),
+                parallel_map([os.getpid] * 2, jobs=2),
+                [outcome.result for outcome in inner.outcomes],
+                os.getpid(),
+            )
 
-class TestSharedTraces:
-    def test_round_trip_and_attach_cache(self):
-        trace = generate_trace("li", 3000, seed=11)
-        handle = share_trace(trace)
-        # Idempotent per content: same fingerprint, same segment.
-        assert share_trace(trace).shm_name == handle.shm_name
-        attached = attach_shared_trace(handle)
-        assert attached is attach_shared_trace(handle)  # per-process cache
-        assert attached.name == trace.name
-        assert attached.fingerprint == trace.fingerprint
-        np.testing.assert_array_equal(attached.addresses, trace.addresses)
-        np.testing.assert_array_equal(attached.kinds, trace.kinds)
-
-    def test_worker_reads_shared_trace(self):
-        trace = generate_trace("espresso", 3000, seed=5)
-        handle = share_trace(trace)
-        sums = parallel_map(
-            [lambda: int(attach_shared_trace(handle).addresses.sum())] * 2,
-            jobs=2,
+        report = run_units(
+            [UnitSpec("n0", nested), UnitSpec("n1", nested)], jobs=2
         )
-        assert sums == [int(trace.addresses.sum())] * 2
+        assert report.ok
+        for outcome in report.outcomes:
+            flag, jobs, mapped, inner, pid = outcome.result
+            assert flag and jobs == 1
+            assert pid != os.getpid()
+            # Nested fan-out stays in the worker's own process.
+            assert mapped == [pid, pid] and inner == [pid, pid]
 
 
 class TestRunUnitsEquivalence:
-    def _run(self, tmp_path, tag, jobs, fail=(), flaky=(), batch_size=None):
+    def _run(self, tmp_path, tag, jobs, fail=(), flaky=()):
         published = []
         outdir = tmp_path / tag
         outdir.mkdir()
@@ -187,9 +120,18 @@ class TestRunUnitsEquivalence:
 
         units = [make(f"u{i}", i) for i in range(5)]
 
+        def log(line):
+            with open(outdir / "log.txt", "a", encoding="utf-8") as stream:
+                stream.write(line + "\n")
+
         def publish(spec, result, elapsed):
             published.append((spec.name, result))
             (outdir / f"{spec.name}.txt").write_text(f"{spec.name}={result}\n")
+            log(f"{spec.name} published")
+
+        def announce(spec, attempt, error, delay):
+            reason = f"{type(error).__name__}: {error}"
+            log(f"{spec.name} attempt {attempt} failed ({reason})")
 
         journal = RunJournal(tmp_path / f"{tag}.jsonl", fingerprint={"s": 1})
         report = run_units(
@@ -197,9 +139,9 @@ class TestRunUnitsEquivalence:
             journal=journal,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
             on_success=publish,
+            on_retry=announce,
             journal_payload=lambda spec, result: {"value": result},
             jobs=jobs,
-            batch_size=batch_size,
         )
         files = {
             path.name: path.read_text() for path in sorted(outdir.iterdir())
@@ -212,8 +154,12 @@ class TestRunUnitsEquivalence:
         parallel = self._run(tmp_path, f"jobs{jobs}", jobs, flaky={"u2"})
         # Same published results in the same (spec) order...
         assert parallel[1] == serial[1]
-        # ... same output files byte for byte ...
+        # ... same output files byte for byte, retry notices logged in
+        # spec order among the publishes ...
         assert parallel[2] == serial[2]
+        assert "u2 attempt 1 failed (RuntimeError: u2 hiccup)\nu2 published" in (
+            serial[2]["log.txt"]
+        )
         # ... same journal records in the same on-disk order ...
         assert _journal_units(tmp_path / f"jobs{jobs}.jsonl") == _journal_units(
             tmp_path / "serial.jsonl"
@@ -228,26 +174,6 @@ class TestRunUnitsEquivalence:
         assert parallel[3].get("u2").payload == {"value": 4}
         assert parallel[0].outcomes[2].attempts == 2  # the flaky unit
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("batch", [1, 4, 16])
-    def test_batched_identical_to_serial(self, tmp_path, jobs, batch):
-        # Batching is a dispatch optimization, never a semantic one: any
-        # (batch size, worker count) cell must be byte-identical to the
-        # serial run — published order, files, journal order, statuses.
-        serial = self._run(tmp_path, "serial", None, flaky={"u2"})
-        tag = f"j{jobs}b{batch}"
-        batched = self._run(
-            tmp_path, tag, jobs, flaky={"u2"}, batch_size=batch
-        )
-        assert batched[1] == serial[1]
-        assert batched[2] == serial[2]
-        assert _journal_units(tmp_path / f"{tag}.jsonl") == _journal_units(
-            tmp_path / "serial.jsonl"
-        )
-        assert [
-            (o.name, o.status, o.attempts) for o in batched[0].outcomes
-        ] == [(o.name, o.status, o.attempts) for o in serial[0].outcomes]
-
     def test_failure_isolated_and_exit_one(self, tmp_path):
         report, published, _files, journal = self._run(
             tmp_path, "fail", 2, fail={"u1"}
@@ -260,37 +186,6 @@ class TestRunUnitsEquivalence:
         assert [name for name, _ in published] == ["u0", "u2", "u3", "u4"]
         record = journal.get("u1")
         assert not record.succeeded and "exploded" in record.error
-
-    def test_affinity_groups_share_a_worker(self):
-        units = [
-            UnitSpec(name=f"g{i}", run=os.getpid, affinity="same")
-            for i in range(4)
-        ]
-        report = run_units(units, jobs=2)
-        pids = {outcome.result for outcome in report.outcomes}
-        assert len(pids) == 1 and os.getpid() not in pids
-
-    def test_failed_dependency_fails_dependent(self, tmp_path):
-        def boom():
-            raise RuntimeError("root failed")
-
-        units = [
-            UnitSpec(name="root", run=boom),
-            UnitSpec(name="leaf", run=lambda: 1, needs=("root",)),
-            UnitSpec(name="free", run=lambda: 2),
-        ]
-        for jobs in (None, 2):
-            report = run_units(
-                units,
-                retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-                jobs=jobs,
-            )
-            statuses = {o.name: o.status for o in report.outcomes}
-            assert statuses == {
-                "root": "failed", "leaf": "failed", "free": "ok"
-            }
-            leaf = next(o for o in report.outcomes if o.name == "leaf")
-            assert "dependency" in leaf.error
 
 
 class TestWorkerCrash:
@@ -319,153 +214,64 @@ class TestWorkerCrash:
         # The crash is journaled like any other failure.
         assert not journal.get("doomed").succeeded
 
+    def test_units_a_dead_pool_held_rerun_in_fresh_processes(self, capsys):
+        def slow_pid():
+            time.sleep(0.2)
+            return os.getpid()
 
-class TestBatchedDispatch:
-    def test_batch_interior_failure_isolated(self, tmp_path):
-        # One bad unit inside a 4-unit batch fails alone; its batch
-        # siblings complete normally on the same dispatch.
-        def make(name, value, broken=False):
-            def task(v=value, b=broken):
-                if b:
-                    raise RuntimeError("mid-batch failure")
-                return v * v
-
-            return UnitSpec(name=name, run=task)
-
-        units = [make(f"u{i}", i, broken=(i == 1)) for i in range(8)]
-        report = run_units(
-            units,
-            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-            jobs=2,
-            batch_size=4,
-        )
-        assert report.exit_code == 1
+        # The pool breaks while p2 runs and q0..q2 wait: all four rerun.
+        units = [UnitSpec(f"p{i}", slow_pid) for i in range(3)]
+        units.append(UnitSpec("doomed", lambda: os._exit(9)))
+        units += [UnitSpec(f"q{i}", slow_pid) for i in range(3)]
+        report = run_units(units, retry_policy=NO_RETRY, jobs=2)
+        err = capsys.readouterr().err
+        assert err.count("a worker process died") == 1
         statuses = {o.name: o.status for o in report.outcomes}
-        assert statuses == {
-            f"u{i}": ("failed" if i == 1 else "ok") for i in range(8)
-        }
-        failed = next(o for o in report.outcomes if o.name == "u1")
-        assert "mid-batch failure" in failed.error
-
-    def test_timing_breakdown_present(self, tmp_path):
-        units = [_spec(f"t{i}", i) for i in range(4)]
-        report = run_units(units, jobs=2, batch_size=2)
-        assert report.ok
-        assert report.timing is not None
-        per_unit = report.timing["units"]
-        assert set(per_unit) == {f"t{i}" for i in range(4)}
-        keys = {
-            "dispatch_s", "queue_wait_s", "run_s",
-            "result_transfer_s", "flush_s",
-        }
-        for breakdown in per_unit.values():
-            assert set(breakdown) == keys
-            assert all(value >= 0.0 for value in breakdown.values())
-        assert set(report.timing["totals"]) == keys
-
-    def test_serial_run_has_no_timing(self):
-        report = run_units([_spec("s0", 1)], jobs=None)
-        assert report.ok and report.timing is None
+        assert statuses.pop("doomed") == "failed"
+        assert set(statuses.values()) == {"ok"}
+        # Nothing ran in the parent, not even the rerun units.
+        pids = {o.result for o in report.outcomes if o.name != "doomed"}
+        assert os.getpid() not in pids
 
 
-def _worker_pid():
-    return os.getpid()
+class TestInterrupts:
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_worker_interrupt_journaled_then_reraised(self, tmp_path, interrupt):
+        def stop():
+            raise interrupt()
 
-
-def _big_payload():
-    return {
-        "addresses": np.arange(200_000, dtype=np.uint64),
-        "count": 200_000,
-    }
-
-
-class TestPersistentPool:
-    def test_worker_processes_reused_across_runs(self):
-        # Consecutive run_units calls at the same worker count must land
-        # on the same worker processes — the fork cost is paid once per
-        # pool, not once per call.
-        def units(prefix):
-            return [
-                UnitSpec(name=f"{prefix}{i}", run=_worker_pid)
-                for i in range(4)
+        def run(tag, jobs):
+            published = []
+            journal = RunJournal(tmp_path / f"{tag}.jsonl", fingerprint={"s": 1})
+            units = [
+                UnitSpec("a", lambda: 1),
+                UnitSpec("b", stop),
+                UnitSpec("c", lambda: 3),
             ]
+            with pytest.raises(interrupt):
+                run_units(
+                    units,
+                    journal=journal,
+                    on_success=lambda spec, result, elapsed: published.append(
+                        spec.name
+                    ),
+                    jobs=jobs,
+                )
+            records = [
+                (r.unit, r.status, r.error, r.attempts)
+                for r in journal.units.values()
+            ]
+            return published, records
 
-        first = run_units(units("a"), jobs=2)
-        second = run_units(units("b"), jobs=2)
-        assert first.ok and second.ok
-        first_pids = {o.result for o in first.outcomes}
-        second_pids = {o.result for o in second.outcomes}
-        assert os.getpid() not in first_pids
-        assert first_pids == second_pids
-
-    def test_large_result_round_trips_through_shared_memory(self):
-        # A >1MB numpy payload crosses back via a shared-memory segment
-        # (the pipe carries only a descriptor) and must arrive intact.
-        expected = _big_payload()
-        report = run_units(
-            [UnitSpec(name="big", run=_big_payload)], jobs=2
-        )
-        assert report.ok
-        result = report.outcomes[0].result
-        assert result["count"] == expected["count"]
-        np.testing.assert_array_equal(
-            result["addresses"], expected["addresses"]
-        )
-
-
-class TestShmResults:
-    def test_small_results_stay_on_the_pipe(self):
-        from repro.parallel import shm_results
-
-        blob, descriptor = shm_results.encode_result({"x": 1, "y": [2, 3]})
-        assert descriptor is None
-        assert shm_results.decode_result(blob, None) == {"x": 1, "y": [2, 3]}
-
-    def test_large_arrays_diverted_and_restored(self):
-        from repro.parallel import shm_results
-
-        payload = {
-            "a": np.arange(100_000, dtype=np.uint64),
-            "b": np.ones(50_000, dtype=np.float64),
-            "small": np.arange(4, dtype=np.uint8),  # under the threshold
-            "plain": "metadata",
-        }
-        blob, descriptor = shm_results.encode_result(payload)
-        assert descriptor is not None
-        assert len(descriptor.arrays) == 2  # only the big ones diverted
-        assert len(blob) < payload["a"].nbytes  # pipe carries no bulk data
-        decoded = shm_results.decode_result(blob, descriptor)
-        np.testing.assert_array_equal(decoded["a"], payload["a"])
-        np.testing.assert_array_equal(decoded["b"], payload["b"])
-        np.testing.assert_array_equal(decoded["small"], payload["small"])
-        assert decoded["plain"] == "metadata"
-
-    def test_corrupt_segment_is_a_structured_failure(self):
-        from multiprocessing import shared_memory
-
-        from repro.parallel import shm_results
-
-        blob, descriptor = shm_results.encode_result(
-            np.arange(100_000, dtype=np.uint64)
-        )
-        assert descriptor is not None
-        segment = shared_memory.SharedMemory(name=descriptor.shm_name)
-        try:
-            segment.buf[0] = segment.buf[0] ^ 0xFF
-        finally:
-            segment.close()
-        with pytest.raises(ParallelError, match="CRC"):
-            shm_results.decode_result(blob, descriptor)
-
-    def test_discard_is_idempotent(self):
-        from repro.parallel import shm_results
-
-        _blob, descriptor = shm_results.encode_result(
-            np.arange(100_000, dtype=np.uint64)
-        )
-        shm_results.discard_result(descriptor)
-        shm_results.discard_result(descriptor)  # already unlinked: no-op
-        shm_results.discard_result(None)
+        serial = run("serial", None)
+        assert run("jobs2", 2) == serial
+        published, records = serial
+        # ``c`` is never published or journaled: the run stopped at ``b``.
+        assert published == ["a"]
+        assert records == [
+            ("a", "ok", None, 1),
+            ("b", "failed", f"interrupted: {interrupt()!r}", 1),
+        ]
 
 
 class TestResumeAcrossModes:
@@ -512,34 +318,44 @@ class TestResumeAcrossModes:
         assert calls == ["b"]
 
 
-class TestSweepParallel:
-    CONFIGS = (
-        TLBConfig(entries=16, associativity=2),
-        TLBConfig(entries=8),  # fully associative: its own pass family
-    )
+class TestCacheCorruption:
+    SCHEME = SingleSizeScheme(4096)
+    CONFIGS = (TLBConfig(entries=16, associativity=2), TLBConfig(entries=8))
 
-    def test_jobs_two_matches_serial(self, tmp_path):
-        trace = generate_trace("li", 6000, seed=3)
-        serial_journal = RunJournal(tmp_path / "s.jsonl", fingerprint={"s": 1})
-        parallel_journal = RunJournal(
-            tmp_path / "p.jsonl", fingerprint={"s": 1}
-        )
-        serial = sweep_single_size(
-            trace, (4096, 8192), self.CONFIGS, journal=serial_journal
-        )
-        parallel = sweep_single_size(
-            trace,
-            (4096, 8192),
-            self.CONFIGS,
-            journal=parallel_journal,
-            jobs=2,
-        )
-        assert serial.keys() == parallel.keys()
-        for key in serial:
-            assert serial[key].to_payload() == parallel[key].to_payload()
-        assert _journal_units(tmp_path / "s.jsonl") == _journal_units(
-            tmp_path / "p.jsonl"
-        )
+    def _units(self, trace, cache):
+        return [
+            UnitSpec(
+                name=f"cfg{index}",
+                run=lambda c=config: run_single_size(
+                    trace, self.SCHEME, c, cache=cache
+                ).to_payload(),
+            )
+            for index, config in enumerate(self.CONFIGS)
+        ]
+
+    def test_corrupt_entry_counted_and_healed_in_parallel(self, tmp_path):
+        from repro.parallel.cache import SimulationCache
+
+        cache = SimulationCache.open(tmp_path / "cache")
+        trace = generate_trace("li", 4000, seed=3)
+
+        first = run_units(self._units(trace, cache), jobs=2)
+        assert first.ok and first.cache_corrupt_discarded == 0
+        assert len(list(cache.root.rglob("*.json"))) == len(self.CONFIGS)
+
+        faultinject.corrupt_cache_entry(cache.root, seed=0)
+        second = run_units(self._units(trace, cache), jobs=2)
+        assert second.ok
+        # The worker's discard count travels back with the unit's
+        # outcome and shows up in the report; the payload is recomputed.
+        assert second.cache_corrupt_discarded == 1
+        assert [o.result for o in second.outcomes] == [
+            o.result for o in first.outcomes
+        ]
+
+        # The rewritten entry is trusted again: no discards third time.
+        third = run_units(self._units(trace, cache), jobs=2)
+        assert third.ok and third.cache_corrupt_discarded == 0
 
 
 @dataclass
@@ -558,6 +374,35 @@ def _fake_alpha(scale):
 
 def _fake_beta(scale):
     return FakeArtifact(f"beta@{scale.window}")
+
+
+def _kill_resume_suite(token_dir):
+    """The runner kill/resume scenario, with a killer that works in workers.
+
+    The first ``boom`` call raises ``KeyboardInterrupt``; later calls
+    succeed.  Workers cannot update the parent's state, so the first
+    call leaves a token file behind instead.
+    """
+
+    def ok(name):
+        return lambda scale: FakeArtifact(f"RESULT {name}")
+
+    def killer(scale):
+        token = token_dir / "boom-interrupted"
+        if not token.exists():
+            token.touch()
+            raise KeyboardInterrupt()
+        return FakeArtifact("RESULT boom")
+
+    def always_fails(scale):
+        raise RuntimeError("intentionally broken experiment")
+
+    return {
+        "alpha": ok("alpha"),
+        "boom": killer,
+        "beta": always_fails,
+        "gamma": ok("gamma"),
+    }
 
 
 class TestRunnerJobs:
@@ -588,3 +433,40 @@ class TestRunnerJobs:
         assert {p.name: p.read_text() for p in parallel_dir.iterdir()} == {
             p.name: p.read_text() for p in serial_dir.iterdir()
         }
+
+    def test_kill_resume_matches_serial(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import runner
+        from repro.robustness import executor
+
+        # A frozen clock makes the journaled elapsed times match too.
+        monkeypatch.setitem(
+            executor.run_units.__kwdefaults__, "clock", lambda: 0.0
+        )
+
+        def scenario(tag, *extra):
+            root = tmp_path / tag
+            root.mkdir()
+            monkeypatch.setattr(runner, "EXPERIMENTS", _kill_resume_suite(root))
+            argv = [
+                "--trace-length", "1000",
+                "--window", "100",
+                "--journal", str(root / "journal.jsonl"),
+                "--results-dir", str(root / "results"),
+                "--retries", "1",
+                "--retry-delay", "0",
+                *extra,
+            ]
+            with pytest.raises(KeyboardInterrupt):
+                runner.main(argv)
+            (root / "results" / "alpha.txt").unlink()
+            assert runner.main([*argv, "--resume"]) == 1
+            capsys.readouterr()
+            results = {
+                path.name: path.read_bytes()
+                for path in sorted((root / "results").iterdir())
+            }
+            return (root / "journal.jsonl").read_bytes(), results
+
+        serial = scenario("serial")
+        assert set(serial[1]) == {"alpha.txt", "boom.txt", "gamma.txt"}
+        assert scenario("jobs2", "--jobs", "2") == serial
