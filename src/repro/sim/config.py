@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.policy.promotion import DynamicPromotionPolicy
 from repro.tlb.base import TLB
 from repro.tlb.fully_assoc import FullyAssociativeTLB
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
@@ -69,9 +70,8 @@ class TLBConfig:
     def cache_parts(self) -> dict:
         """This shape as JSON-stable key parts for the result cache.
 
-        Same fields as ``RunResult.to_payload()["config"]``, so a cached
-        payload always round-trips to a config equal to the one that
-        keyed it.
+        Cached payloads store a result's configuration in this form too
+        (:class:`~repro.sim.kinds.CachedResult`).
         """
         return {
             "entries": self.entries,
@@ -185,3 +185,12 @@ class TwoSizeScheme:
     @property
     def two_page_sizes(self) -> bool:
         return True
+
+    def policy(self) -> DynamicPromotionPolicy:
+        """A fresh Section 3.4 promotion policy for this regime."""
+        return DynamicPromotionPolicy(
+            self.pair,
+            self.window,
+            promote_fraction=self.promote_fraction,
+            demote_fraction=self.demote_fraction,
+        )

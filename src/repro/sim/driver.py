@@ -33,17 +33,12 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
-)
+from repro.parallel.cache import SimulationCache, canonical_key
 from repro.robustness import faultinject
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
-from repro.metrics.cpi import TLBPerformance
 from repro.perf.kernels import (
     KERNEL_AUTO,
     KERNEL_SAMPLED,
@@ -55,10 +50,7 @@ from repro.perf.kernels import (
 from repro.perf.sampled import SAMPLED_REPLACEMENTS, sampled_replacement_counts
 from repro.perf.twolevel import two_level_counts
 from repro.perf.twosize import split_two_size_counts, two_size_counts
-from repro.policy.promotion import (
-    DynamicPromotionPolicy,
-    PageSizeAssignmentPolicy,
-)
+from repro.policy.promotion import PageSizeAssignmentPolicy
 from repro.policy.vector import (
     PolicyDecisions,
     policy_decisions,
@@ -70,6 +62,8 @@ from repro.sim.config import (
     TwoLevelConfig,
     TwoSizeScheme,
 )
+from repro.sim import kinds
+from repro.sim.kinds import CachedResult
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.tlb.split import SplitTLB
 from repro.trace.record import Trace
@@ -77,7 +71,7 @@ from repro.types import log2_exact
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(CachedResult):
     """Outcome of simulating one TLB configuration over one trace.
 
     Attributes:
@@ -120,83 +114,6 @@ class RunResult:
         default=None, compare=False, repr=False
     )
 
-    @property
-    def performance(self) -> TLBPerformance:
-        """This run's metrics in the paper's units."""
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    @property
-    def cpi_tlb(self) -> float:
-        """Shorthand for ``performance.cpi_tlb``."""
-        return self.performance.cpi_tlb
-
-    @property
-    def miss_ratio(self) -> float:
-        """Shorthand for ``performance.miss_ratio``."""
-        return self.performance.miss_ratio
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for checkpoint journals."""
-        return {
-            "trace_name": self.trace_name,
-            "scheme_label": self.scheme_label,
-            "config": {
-                "entries": self.config.entries,
-                "associativity": self.config.associativity,
-                "scheme": self.config.scheme.value,
-                "probe_strategy": self.config.probe_strategy.value,
-                "replacement": self.config.replacement,
-            },
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "large_misses": int(self.large_misses),
-            "reprobes": int(self.reprobes),
-            "invalidations": int(self.invalidations),
-            "promotions": int(self.promotions),
-            "demotions": int(self.demotions),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-            "sampling": self.sampling,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "RunResult":
-        """Rebuild a result journaled by :meth:`to_payload`."""
-        from repro.tlb.indexing import IndexingScheme, ProbeStrategy
-
-        raw_config = payload["config"]
-        config = TLBConfig(
-            entries=int(raw_config["entries"]),
-            associativity=raw_config["associativity"],
-            scheme=IndexingScheme(raw_config["scheme"]),
-            probe_strategy=ProbeStrategy(raw_config["probe_strategy"]),
-            replacement=raw_config["replacement"],
-        )
-        return cls(
-            trace_name=payload["trace_name"],
-            scheme_label=payload["scheme_label"],
-            config=config,
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            large_misses=int(payload["large_misses"]),
-            reprobes=int(payload["reprobes"]),
-            invalidations=int(payload["invalidations"]),
-            promotions=int(payload["promotions"]),
-            demotions=int(payload["demotions"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-            sampling=payload.get("sampling"),
-        )
-
 
 def run_single_size(
     trace: Trace,
@@ -226,7 +143,7 @@ def run_single_size(
 
     With a ``cache``, the result is looked up by content address (trace
     fingerprint + config + kernel + penalty) before simulating, and
-    stored after; see :mod:`repro.parallel.cache`.
+    stored after; see :mod:`repro.sim.kinds`.
     """
     faultinject.check("sim.driver.run_single_size")
     choice = choose_kernel(
@@ -238,33 +155,36 @@ def run_single_size(
             f"nor a sampled kernel"
         ),
     )
-    key: Optional[str] = None
+    keys: Optional[List[str]] = None
     if cache is not None:
-        key_parts = {
-            "version": CACHE_KEY_VERSION,
-            "kind": "single",
-            "trace": trace.fingerprint,
-            "page_size": scheme.page_size,
-            "config": config.cache_parts(),
-            "base_penalty": base_penalty,
-            "kernel": choice.kernel,
-        }
-        if choice.kernel == KERNEL_SAMPLED:
-            key_parts["exact"] = exact
-        key = canonical_key(key_parts)
-        payload = cache.get(key)
-        if payload is not None:
-            return RunResult.from_payload(payload)
-    result = _run_single_size_uncached(
-        trace,
-        scheme,
-        config,
-        base_penalty=base_penalty,
-        choice=choice,
-        exact=exact,
+        sampled = {"exact": exact} if choice.kernel == KERNEL_SAMPLED else {}
+        keys = [
+            kinds.key(
+                "single",
+                trace=trace.fingerprint,
+                page_size=scheme.page_size,
+                config=config.cache_parts(),
+                base_penalty=base_penalty,
+                kernel=choice.kernel,
+                **sampled,
+            )
+        ]
+    (result,) = kinds.lookup_all(
+        cache,
+        keys,
+        RunResult.from_payload,
+        [(config,)],
+        lambda: [
+            _run_single_size_uncached(
+                trace,
+                scheme,
+                config,
+                base_penalty=base_penalty,
+                choice=choice,
+                exact=exact,
+            )
+        ],
     )
-    if cache is not None:
-        cache.put(key, result.to_payload())
     return result
 
 
@@ -279,6 +199,21 @@ def _sample_seed(trace: Trace, scheme: SingleSizeScheme, config: TLBConfig) -> i
             }
         ).encode("utf-8")
     )
+
+
+def single_size_reprobes(config: TLBConfig, misses: int) -> int:
+    """Reprobes of a single-page-size run that missed ``misses`` times.
+
+    A sequential EXACT_INDEX lookup reprobes with the large-page index
+    after a small-page miss; with one page size that probe never hits,
+    so every miss costs exactly one reprobe and no hit costs any.
+    """
+    sequential_exact = (
+        not config.fully_associative
+        and config.scheme is IndexingScheme.EXACT_INDEX
+        and config.probe_strategy is ProbeStrategy.SEQUENTIAL
+    )
+    return misses if sequential_exact else 0
 
 
 def _run_single_size_uncached(
@@ -308,11 +243,6 @@ def _run_single_size_uncached(
         resolved_kernel=kernel,
         fallback_reason=choice.fallback_reason,
     )
-    sequential_exact = (
-        not config.fully_associative
-        and config.scheme is IndexingScheme.EXACT_INDEX
-        and config.probe_strategy is ProbeStrategy.SEQUENTIAL
-    )
     if kernel == KERNEL_VECTOR:
         pages = np.asarray(
             trace.addresses >> np.uint32(log2_exact(scheme.page_size)),
@@ -328,7 +258,7 @@ def _run_single_size_uncached(
         misses = depths.misses(capacity)
         return RunResult(
             misses=misses,
-            reprobes=misses if sequential_exact else 0,
+            reprobes=single_size_reprobes(config, misses),
             **common,
         )
     if kernel == KERNEL_SAMPLED:
@@ -345,7 +275,7 @@ def _run_single_size_uncached(
         )
         return RunResult(
             misses=counts.misses,
-            reprobes=counts.misses if sequential_exact else 0,
+            reprobes=single_size_reprobes(config, counts.misses),
             sampling={
                 "exact": counts.exact,
                 "sampled_sets": counts.sampled_sets,
@@ -404,40 +334,35 @@ def run_with_policy(
         raise ConfigurationError("run_with_policy needs at least one TLBConfig")
     faultinject.check("sim.driver.run_with_policy")
     choice = _resolve_two_size_kernel(policy, configs, kernel)
+    token = policy.cache_token() if cache is not None else None
     keys: Optional[List[str]] = None
-    if cache is not None:
-        token = policy.cache_token()
-        if token is not None:
-            keys = [
-                canonical_key(
-                    {
-                        "version": CACHE_KEY_VERSION,
-                        "kind": "policy",
-                        "trace": trace.fingerprint,
-                        "policy": token,
-                        "config": config.cache_parts(),
-                        "base_penalty": base_penalty,
-                        "penalty_factor": penalty_factor,
-                        "kernel": choice.kernel,
-                    }
-                )
-                for config in configs
-            ]
-            payloads = [cache.get(key) for key in keys]
-            if all(payload is not None for payload in payloads):
-                return [RunResult.from_payload(p) for p in payloads]
-    results = _run_with_policy_uncached(
-        trace,
-        policy,
-        configs,
-        base_penalty=base_penalty,
-        penalty_factor=penalty_factor,
-        choice=choice,
+    if token is not None:
+        keys = [
+            kinds.key(
+                "policy",
+                trace=trace.fingerprint,
+                policy=token,
+                config=config.cache_parts(),
+                base_penalty=base_penalty,
+                penalty_factor=penalty_factor,
+                kernel=choice.kernel,
+            )
+            for config in configs
+        ]
+    return kinds.lookup_all(
+        cache,
+        keys,
+        RunResult.from_payload,
+        [(config,) for config in configs],
+        lambda: _run_with_policy_uncached(
+            trace,
+            policy,
+            configs,
+            base_penalty=base_penalty,
+            penalty_factor=penalty_factor,
+            choice=choice,
+        ),
     )
-    if keys is not None:
-        for key, result in zip(keys, results):
-            cache.put(key, result.to_payload())
-    return results
 
 
 def _resolve_two_size_kernel(
@@ -574,12 +499,7 @@ def run_two_sizes(
     25%-higher miss penalty.
     """
     if policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
+        policy = scheme.policy()
     return run_with_policy(
         trace,
         policy,
@@ -592,7 +512,7 @@ def run_two_sizes(
 
 
 @dataclass(frozen=True)
-class SplitRunResult:
+class SplitRunResult(CachedResult):
     """Outcome of simulating a split (per-size) TLB pair over one trace.
 
     Composite counters mirror :class:`~repro.tlb.split.SplitTLB`'s
@@ -616,60 +536,6 @@ class SplitRunResult:
     large_occupancy: int
     refs_per_instruction: float
     miss_penalty_cycles: float
-
-    @property
-    def performance(self) -> TLBPerformance:
-        """This run's metrics in the paper's units."""
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for the result cache."""
-        return {
-            "trace_name": self.trace_name,
-            "scheme_label": self.scheme_label,
-            "small_config": self.small_config.cache_parts(),
-            "large_config": self.large_config.cache_parts(),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "large_misses": int(self.large_misses),
-            "invalidations": int(self.invalidations),
-            "promotions": int(self.promotions),
-            "demotions": int(self.demotions),
-            "small_occupancy": int(self.small_occupancy),
-            "large_occupancy": int(self.large_occupancy),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-        }
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: Dict[str, Any],
-        small_config: TLBConfig,
-        large_config: TLBConfig,
-    ) -> "SplitRunResult":
-        """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            trace_name=payload["trace_name"],
-            scheme_label=payload["scheme_label"],
-            small_config=small_config,
-            large_config=large_config,
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            large_misses=int(payload["large_misses"]),
-            invalidations=int(payload["invalidations"]),
-            promotions=int(payload["promotions"]),
-            demotions=int(payload["demotions"]),
-            small_occupancy=int(payload["small_occupancy"]),
-            large_occupancy=int(payload["large_occupancy"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-        )
 
 
 def run_split_two_sizes(
@@ -697,48 +563,42 @@ def run_split_two_sizes(
     """
     faultinject.check("sim.driver.run_split_two_sizes")
     if policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
+        policy = scheme.policy()
     choice = _resolve_two_size_kernel(
         policy, (small_config, large_config), kernel
     )
-    key: Optional[str] = None
-    if cache is not None:
-        token = policy.cache_token()
-        if token is not None:
-            key = canonical_key(
-                {
-                    "version": CACHE_KEY_VERSION,
-                    "kind": "split",
-                    "trace": trace.fingerprint,
-                    "policy": token,
-                    "small_config": small_config.cache_parts(),
-                    "large_config": large_config.cache_parts(),
-                    "base_penalty": base_penalty,
-                    "penalty_factor": penalty_factor,
-                    "kernel": choice.kernel,
-                }
+    token = policy.cache_token() if cache is not None else None
+    keys: Optional[List[str]] = None
+    if token is not None:
+        keys = [
+            kinds.key(
+                "split",
+                trace=trace.fingerprint,
+                policy=token,
+                small_config=small_config.cache_parts(),
+                large_config=large_config.cache_parts(),
+                base_penalty=base_penalty,
+                penalty_factor=penalty_factor,
+                kernel=choice.kernel,
             )
-            payload = cache.get(key)
-            if payload is not None:
-                return SplitRunResult.from_payload(
-                    payload, small_config, large_config
-                )
-    result = _run_split_two_sizes_uncached(
-        trace,
-        policy,
-        small_config,
-        large_config,
-        base_penalty=base_penalty,
-        penalty_factor=penalty_factor,
-        kernel=choice.kernel,
+        ]
+    (result,) = kinds.lookup_all(
+        cache,
+        keys,
+        SplitRunResult.from_payload,
+        [(small_config, large_config)],
+        lambda: [
+            _run_split_two_sizes_uncached(
+                trace,
+                policy,
+                small_config,
+                large_config,
+                base_penalty=base_penalty,
+                penalty_factor=penalty_factor,
+                kernel=choice.kernel,
+            )
+        ],
     )
-    if key is not None:
-        cache.put(key, result.to_payload())
     return result
 
 
@@ -816,14 +676,14 @@ def _run_split_two_sizes_uncached(
 
 
 @dataclass(frozen=True)
-class TwoLevelRunResult:
+class TwoLevelRunResult(CachedResult):
     """Outcome of simulating one two-level TLB hierarchy over one trace.
 
     ``misses`` are full misses (both levels missed — software walks);
     ``l2_hits`` are L1 misses the L2 absorbed, each charged
     ``config.l2_hit_cycles`` instead of the full walk penalty.  The
     hierarchy's CPI contribution therefore has two terms; see
-    :attr:`cpi_tlb`.
+    :attr:`extra_cycles`.
     """
 
     trace_name: str
@@ -846,64 +706,9 @@ class TwoLevelRunResult:
     )
 
     @property
-    def miss_ratio(self) -> float:
-        """Full-miss ratio of the hierarchy (software walks / refs)."""
-        if self.references == 0:
-            return 0.0
-        return self.misses / self.references
-
-    @property
-    def cpi_tlb(self) -> float:
-        """TLB cycles per instruction: walk penalties plus L2-hit stalls."""
-        if self.references == 0:
-            return 0.0
-        instructions = self.references / self.refs_per_instruction
-        cycles = (
-            self.misses * self.miss_penalty_cycles
-            + self.l2_hits * self.config.l2_hit_cycles
-        )
-        return cycles / instructions
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for the result cache."""
-        return {
-            "trace_name": self.trace_name,
-            "scheme_label": self.scheme_label,
-            "config": self.config.cache_parts(),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "large_misses": int(self.large_misses),
-            "l2_hits": int(self.l2_hits),
-            "invalidations": int(self.invalidations),
-            "promotions": int(self.promotions),
-            "demotions": int(self.demotions),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, Any], config: TwoLevelConfig
-    ) -> "TwoLevelRunResult":
-        """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            trace_name=payload["trace_name"],
-            scheme_label=payload["scheme_label"],
-            config=config,
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            large_misses=int(payload["large_misses"]),
-            l2_hits=int(payload["l2_hits"]),
-            invalidations=int(payload["invalidations"]),
-            promotions=int(payload["promotions"]),
-            demotions=int(payload["demotions"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-        )
+    def extra_cycles(self) -> float:
+        """L2-hit stalls, charged on top of the full-miss walks."""
+        return self.l2_hits * self.config.l2_hit_cycles
 
 
 def _all_small_decisions(n: int) -> PolicyDecisions:
@@ -989,17 +794,9 @@ def sweep_two_level(
     faultinject.check("sim.driver.sweep_two_level")
     two_size = scheme.two_page_sizes
     if two_size and policy is None:
-        policy = DynamicPromotionPolicy(
-            scheme.pair,
-            scheme.window,
-            promote_fraction=scheme.promote_fraction,
-            demote_fraction=scheme.demote_fraction,
-        )
-    all_lru = all(
-        c.level1.replacement == "lru" and c.level2.replacement == "lru"
-        for c in configs
-    )
-    if not all_lru:
+        policy = scheme.policy()
+    levels = [shape for c in configs for shape in (c.level1, c.level2)]
+    if not all(shape.replacement == "lru" for shape in levels):
         choice = choose_kernel(
             kernel,
             vector_supported=False,
@@ -1008,60 +805,46 @@ def sweep_two_level(
                 "victim-stream reconstruction"
             ),
         )
-    elif two_size and not supports_vector_decisions(policy):
-        choice = choose_kernel(
-            kernel,
-            vector_supported=False,
-            reason=(
-                "the policy instance is stale or unsupported by the "
-                "vectorized decision replay"
-            ),
-        )
+    elif two_size:
+        choice = _resolve_two_size_kernel(policy, levels, kernel)
     else:
         choice = choose_kernel(kernel, vector_supported=True)
     penalty = base_penalty * (penalty_factor if two_size else 1.0)
 
     keys: Optional[List[str]] = None
     if cache is not None:
-        token = policy.cache_token() if two_size else None
-        if not two_size or token is not None:
+        if two_size:
+            token = policy.cache_token()
+            scheme_part = None if token is None else {"policy": token}
+        else:
+            scheme_part = {"page_size": scheme.page_size}
+        if scheme_part is not None:
             keys = [
-                canonical_key(
-                    {
-                        "version": CACHE_KEY_VERSION,
-                        "kind": "twolevel",
-                        "trace": trace.fingerprint,
-                        "scheme": (
-                            {"policy": token}
-                            if two_size
-                            else {"page_size": scheme.page_size}
-                        ),
-                        "config": config.cache_parts(),
-                        "base_penalty": base_penalty,
-                        "penalty_factor": penalty_factor,
-                        "kernel": choice.kernel,
-                    }
+                kinds.key(
+                    "twolevel",
+                    trace=trace.fingerprint,
+                    scheme=scheme_part,
+                    config=config.cache_parts(),
+                    base_penalty=base_penalty,
+                    penalty_factor=penalty_factor,
+                    kernel=choice.kernel,
                 )
                 for config in configs
             ]
-            payloads = [cache.get(key) for key in keys]
-            if all(payload is not None for payload in payloads):
-                return [
-                    TwoLevelRunResult.from_payload(p, config)
-                    for p, config in zip(payloads, configs)
-                ]
-    results = _sweep_two_level_uncached(
-        trace,
-        scheme,
-        configs,
-        policy=policy,
-        penalty=penalty,
-        choice=choice,
+    return kinds.lookup_all(
+        cache,
+        keys,
+        TwoLevelRunResult.from_payload,
+        [(config,) for config in configs],
+        lambda: _sweep_two_level_uncached(
+            trace,
+            scheme,
+            configs,
+            policy=policy,
+            penalty=penalty,
+            choice=choice,
+        ),
     )
-    if keys is not None:
-        for key, result in zip(keys, results):
-            cache.put(key, result.to_payload())
-    return results
 
 
 def _sweep_two_level_uncached(

@@ -5,22 +5,26 @@ scheduling, under either context-switch policy of
 :mod:`repro.tlb.context`.  This is the experiment the paper's traces
 could not support (Sections 3.1, 6); results are labelled beyond-paper.
 
-:func:`sweep_multiprogrammed` is the grid entry point: it builds each
-quantum's interleaving exactly once, then evaluates every requested
-geometry of a (quantum, policy) cell from one epoch-segmented
-stack-depth pass (:mod:`repro.perf.multiprog`), with per-cell failure
-isolation and optional worker fan-out via
-:func:`repro.robustness.executor.run_units` and per-configuration
-results threaded through the content-addressed result cache (kind
-``"multiprog"``).  :func:`run_multiprogrammed` is the single-cell
-special case.  The scalar :class:`~repro.tlb.context.MultiprogrammedTLB`
-walk remains the reference oracle behind ``kernel="scalar"``.
+:func:`sweep_multiprogrammed` (one page size) and
+:func:`sweep_multiprogrammed_two_sizes` (each program under its own
+promotion policy) are the grid entry points, and both run on one grid
+loop: it builds each quantum's interleaving exactly once, then
+evaluates every requested geometry of a (quantum, policy) cell from one
+epoch-segmented stack-depth pass (:mod:`repro.perf.multiprog`,
+:mod:`repro.perf.multiprog_twosize`), with per-cell failure isolation,
+optional worker fan-out via :func:`repro.robustness.executor.run_units`
+and per-configuration results threaded through the content-addressed
+result cache (kinds ``"multiprog"`` and ``"multiprog2"``).
+:func:`run_multiprogrammed` and :func:`run_multiprogrammed_two_sizes`
+are the single-cell special cases.  The scalar
+:class:`~repro.tlb.context.MultiprogrammedTLB` walk remains the
+reference oracle behind ``kernel="scalar"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,13 +33,13 @@ from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
-from repro.metrics.cpi import TLBPerformance
-from repro.parallel.cache import (
-    CACHE_KEY_VERSION,
-    SimulationCache,
-    canonical_key,
+from repro.parallel.cache import SimulationCache
+from repro.perf.kernels import (
+    KERNEL_AUTO,
+    KERNEL_VECTOR,
+    KernelChoice,
+    choose_kernel,
 )
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.perf.multiprog import (
     MultiprogCounts,
     multiprog_counts,
@@ -46,12 +50,13 @@ from repro.perf.multiprog_twosize import (
     fold_event_chunks,
     multiprog_two_size_counts,
 )
-from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.retry import NO_RETRY
+from repro.sim import kinds
 from repro.sim.config import TLBConfig, TwoSizeScheme
+from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
 from repro.trace.mix import interleave_with_contexts
 from repro.trace.record import Trace
@@ -62,7 +67,7 @@ SweepKey = Tuple[str, int, str]
 
 
 @dataclass(frozen=True)
-class MultiprogramResult:
+class MultiprogramResult(CachedResult):
     """Outcome of one multiprogrammed run.
 
     Attributes:
@@ -92,50 +97,6 @@ class MultiprogramResult:
     fallback_reason: Optional[str] = field(
         default=None, compare=False, repr=False
     )
-
-    @property
-    def performance(self) -> TLBPerformance:
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    @property
-    def cpi_tlb(self) -> float:
-        return self.performance.cpi_tlb
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for the result cache."""
-        return {
-            "program_names": list(self.program_names),
-            "switch_policy": self.switch_policy.value,
-            "quantum": int(self.quantum),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "switches": int(self.switches),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MultiprogramResult":
-        """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            program_names=tuple(payload["program_names"]),
-            switch_policy=ContextSwitchPolicy(payload["switch_policy"]),
-            quantum=int(payload["quantum"]),
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            switches=int(payload["switches"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-        )
 
 
 def run_multiprogrammed(
@@ -199,33 +160,106 @@ def sweep_multiprogrammed(
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
     faultinject.check("sim.multiprog.sweep")
+    for config in configs:
+        validate_multiprog_config(config)
+    choice = _grid_kernel(
+        "sweep_multiprogrammed", traces, configs, quanta, policies, kernel
+    )
+    program_names = tuple(trace.name for trace in traces)
+
+    def prepare(mixed: Trace, contexts: np.ndarray):
+        shift = np.uint32(log2_exact(page_size))
+        return np.asarray(mixed.addresses >> shift, dtype=np.int64), contexts, mixed
+
+    def cell(mix, quantum, policy, cell_configs):
+        faultinject.check("sim.multiprog.cell")
+        pages, contexts, mixed = mix
+        if choice.kernel == KERNEL_VECTOR:
+            counts = multiprog_counts(pages, contexts, policy, cell_configs)
+        else:
+            counts = _scalar_counts(pages, contexts, policy, cell_configs)
+        return [
+            MultiprogramResult(
+                program_names=program_names,
+                switch_policy=policy,
+                quantum=quantum,
+                references=len(mixed),
+                misses=count.misses,
+                switches=count.switches,
+                refs_per_instruction=mixed.refs_per_instruction,
+                miss_penalty_cycles=base_penalty,
+                resolved_kernel=choice.kernel,
+                fallback_reason=choice.fallback_reason,
+            )
+            for count in counts
+        ]
+
+    return _sweep_grid(
+        "multiprog",
+        traces,
+        configs,
+        quanta,
+        policies,
+        key_parts={
+            "page_size": page_size,
+            "base_penalty": base_penalty,
+            "kernel": choice.kernel,
+        },
+        decode=lambda payload, config: MultiprogramResult.from_payload(payload),
+        prepare=prepare,
+        cell=cell,
+        cache=cache,
+        jobs=jobs,
+    )
+
+
+def _grid_kernel(
+    name: str,
+    traces: Sequence[Trace],
+    configs: Sequence[TLBConfig],
+    quanta: Sequence[int],
+    policies: Sequence[ContextSwitchPolicy],
+    kernel: str,
+) -> KernelChoice:
+    """Reject an empty grid axis, then resolve ``kernel`` for ``configs``."""
     if not traces:
         raise ConfigurationError("need at least one trace to mix")
     if not configs:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one TLBConfig"
-        )
+        raise ConfigurationError(f"{name} needs at least one TLBConfig")
     if not quanta:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one quantum"
-        )
+        raise ConfigurationError(f"{name} needs at least one quantum")
     if not policies:
-        raise ConfigurationError(
-            "sweep_multiprogrammed needs at least one switch policy"
-        )
-    for config in configs:
-        validate_multiprog_config(config)
-    choice = choose_kernel(
+        raise ConfigurationError(f"{name} needs at least one switch policy")
+    return choose_kernel(
         kernel,
-        vector_supported=all(
-            config.replacement == "lru" for config in configs
-        ),
+        vector_supported=all(config.replacement == "lru" for config in configs),
         reason="non-LRU replacement breaks the epoch-segmented stack identity",
     )
-    resolved = choice.kernel
 
-    program_names = tuple(trace.name for trace in traces)
-    results: Dict[SweepKey, MultiprogramResult] = {}
+
+def _sweep_grid(
+    kind: str,
+    traces: Sequence[Trace],
+    configs: Sequence[TLBConfig],
+    quanta: Sequence[int],
+    policies: Sequence[ContextSwitchPolicy],
+    *,
+    key_parts: Dict[str, Any],
+    decode: Callable[[Dict[str, Any], TLBConfig], Any],
+    prepare: Callable[[Trace, np.ndarray], Any],
+    cell: Callable[[Any, int, ContextSwitchPolicy, List[TLBConfig]], List[Any]],
+    cache: Optional[SimulationCache],
+    jobs: Optional[int],
+) -> Dict[SweepKey, Any]:
+    """The quantum x policy x geometry loop behind both grid sweeps.
+
+    Every (quantum, policy, config) entry is looked up on its own under
+    ``kind``; only the missing configurations of each (quantum, policy)
+    cell run.  ``prepare`` turns a quantum's interleaving into the
+    cell input, built once in the parent so forked workers inherit it,
+    and ``cell`` returns one result per configuration.
+    """
+    results: Dict[SweepKey, Any] = {}
     # (quantum, policy) -> [(config, cache key or None), ...] still to run.
     pending: Dict[Tuple[int, ContextSwitchPolicy], List[Any]] = {}
     for quantum in quanta:
@@ -233,96 +267,56 @@ def sweep_multiprogrammed(
             for config in configs:
                 key: Optional[str] = None
                 if cache is not None:
-                    key = canonical_key(
-                        {
-                            "version": CACHE_KEY_VERSION,
-                            "kind": "multiprog",
-                            "traces": [t.fingerprint for t in traces],
-                            "quantum": quantum,
-                            "policy": policy.value,
-                            "page_size": page_size,
-                            "config": config.cache_parts(),
-                            "base_penalty": base_penalty,
-                            "kernel": resolved,
-                        }
+                    key = kinds.key(
+                        kind,
+                        traces=[trace.fingerprint for trace in traces],
+                        quantum=quantum,
+                        policy=policy.value,
+                        config=config.cache_parts(),
+                        **key_parts,
                     )
-                    payload = cache.get(key)
-                    if payload is not None:
-                        results[(policy.value, quantum, config.label)] = (
-                            MultiprogramResult.from_payload(payload)
-                        )
+                    hit = kinds.lookup(cache, key, decode, config)
+                    if hit is not None:
+                        results[(policy.value, quantum, config.label)] = hit
                         continue
-                pending.setdefault((quantum, policy), []).append(
-                    (config, key)
-                )
+                pending.setdefault((quantum, policy), []).append((config, key))
     if not pending:
         return results
 
-    # Build each needed interleaving exactly once, in the parent, so
-    # forked cell workers inherit the arrays instead of rebuilding them.
-    shift = np.uint32(log2_exact(page_size))
-    mixes: Dict[int, Tuple[np.ndarray, np.ndarray, Trace]] = {}
-    for quantum in {quantum for quantum, _ in pending}:
-        mixed, contexts = interleave_with_contexts(traces, quantum=quantum)
-        pages = np.asarray(mixed.addresses >> shift, dtype=np.int64)
-        mixes[quantum] = (pages, contexts, mixed)
+    mixes = {
+        quantum: prepare(*interleave_with_contexts(traces, quantum=quantum))
+        for quantum in {quantum for quantum, _ in pending}
+    }
 
-    def make_cell(
-        quantum: int, policy: ContextSwitchPolicy, cell_configs: List[TLBConfig]
-    ):
-        def run_cell() -> List[Dict[str, Any]]:
-            faultinject.check("sim.multiprog.cell")
-            pages, contexts, mixed = mixes[quantum]
-            if resolved == KERNEL_VECTOR:
-                counts = multiprog_counts(
-                    pages, contexts, policy, cell_configs
-                )
-            else:
-                counts = _scalar_counts(pages, contexts, policy, cell_configs)
+    def make_unit(quantum, policy, cell_configs) -> UnitSpec:
+        def run() -> List[Dict[str, Any]]:
             return [
-                MultiprogramResult(
-                    program_names=program_names,
-                    switch_policy=policy,
-                    quantum=quantum,
-                    references=len(mixed),
-                    misses=count.misses,
-                    switches=count.switches,
-                    refs_per_instruction=mixed.refs_per_instruction,
-                    miss_penalty_cycles=base_penalty,
-                    resolved_kernel=resolved,
-                    fallback_reason=choice.fallback_reason,
-                ).to_payload()
-                for count in counts
+                result.to_payload()
+                for result in cell(mixes[quantum], quantum, policy, cell_configs)
             ]
 
-        return run_cell
+        return UnitSpec(name=f"{kind}/q{quantum}/{policy.value}", run=run)
 
-    units = []
-    cells = []
-    for (quantum, policy), cell_entries in pending.items():
-        cell_configs = [config for config, _ in cell_entries]
-        units.append(
-            UnitSpec(
-                name=f"multiprog/q{quantum}/{policy.value}",
-                run=make_cell(quantum, policy, cell_configs),
-            )
-        )
-        cells.append((policy, quantum, cell_entries))
-    report = run_units(units, retry_policy=NO_RETRY, jobs=jobs)
+    cells = list(pending.items())
+    report = run_units(
+        [
+            make_unit(quantum, policy, [config for config, _ in entries])
+            for (quantum, policy), entries in cells
+        ],
+        retry_policy=NO_RETRY,
+        jobs=jobs,
+    )
     if report.failures:
         failure = report.failures[0]
         raise SimulationError(
-            f"multiprogrammed sweep cell {failure.name} failed: "
-            f"{failure.error}"
+            f"multiprogrammed sweep cell {failure.name} failed: {failure.error}"
         )
-    for outcome, (policy, quantum, cell_entries) in zip(
-        report.outcomes, cells
-    ):
-        for payload, (config, key) in zip(outcome.result, cell_entries):
-            if cache is not None and key is not None:
+    for outcome, ((quantum, policy), entries) in zip(report.outcomes, cells):
+        for payload, (config, key) in zip(outcome.result, entries):
+            if key is not None:
                 cache.put(key, payload)
-            results[(policy.value, quantum, config.label)] = (
-                MultiprogramResult.from_payload(payload)
+            results[(policy.value, quantum, config.label)] = decode(
+                payload, config
             )
     return results
 
@@ -355,7 +349,7 @@ def _scalar_counts(
 
 
 @dataclass(frozen=True)
-class TwoSizeMultiprogramResult:
+class TwoSizeMultiprogramResult(CachedResult):
     """Outcome of one multiprogrammed *two-page-size* run.
 
     Extends :class:`MultiprogramResult`'s counters with the two-size
@@ -386,73 +380,6 @@ class TwoSizeMultiprogramResult:
         default=None, compare=False, repr=False
     )
 
-    @property
-    def performance(self) -> TLBPerformance:
-        return TLBPerformance(
-            misses=self.misses,
-            references=self.references,
-            refs_per_instruction=self.refs_per_instruction,
-            miss_penalty_cycles=self.miss_penalty_cycles,
-        )
-
-    @property
-    def cpi_tlb(self) -> float:
-        return self.performance.cpi_tlb
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form, for the result cache."""
-        return {
-            "program_names": list(self.program_names),
-            "switch_policy": self.switch_policy.value,
-            "quantum": int(self.quantum),
-            "config": self.config.cache_parts(),
-            "references": int(self.references),
-            "misses": int(self.misses),
-            "large_misses": int(self.large_misses),
-            "reprobes": int(self.reprobes),
-            "invalidations": int(self.invalidations),
-            "promotions": int(self.promotions),
-            "demotions": int(self.demotions),
-            "switches": int(self.switches),
-            "refs_per_instruction": float(self.refs_per_instruction),
-            "miss_penalty_cycles": float(self.miss_penalty_cycles),
-            "resolved_kernel": self.resolved_kernel,
-            "fallback_reason": self.fallback_reason,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, Any], config: TLBConfig
-    ) -> "TwoSizeMultiprogramResult":
-        """Rebuild a result stored by :meth:`to_payload`."""
-        return cls(
-            program_names=tuple(payload["program_names"]),
-            switch_policy=ContextSwitchPolicy(payload["switch_policy"]),
-            quantum=int(payload["quantum"]),
-            config=config,
-            references=int(payload["references"]),
-            misses=int(payload["misses"]),
-            large_misses=int(payload["large_misses"]),
-            reprobes=int(payload["reprobes"]),
-            invalidations=int(payload["invalidations"]),
-            promotions=int(payload["promotions"]),
-            demotions=int(payload["demotions"]),
-            switches=int(payload["switches"]),
-            refs_per_instruction=float(payload["refs_per_instruction"]),
-            miss_penalty_cycles=float(payload["miss_penalty_cycles"]),
-            resolved_kernel=payload.get("resolved_kernel"),
-            fallback_reason=payload.get("fallback_reason"),
-        )
-
-
-def _fresh_policy(scheme: TwoSizeScheme) -> DynamicPromotionPolicy:
-    return DynamicPromotionPolicy(
-        scheme.pair,
-        scheme.window,
-        promote_fraction=scheme.promote_fraction,
-        demote_fraction=scheme.demote_fraction,
-    )
-
 
 def _composed_decisions(
     blocks: np.ndarray,
@@ -478,7 +405,7 @@ def _composed_decisions(
         idx = np.flatnonzero(contexts == ctx)
         if idx.size == 0:
             continue
-        d = policy_decisions(_fresh_policy(scheme), blocks[idx])
+        d = policy_decisions(scheme.policy(), blocks[idx])
         large[idx] = d.large
         promoted[idx] = fold_event_chunks(ctx, d.promoted, blocks_shift)
         demoted[idx] = fold_event_chunks(ctx, d.demoted, blocks_shift)
@@ -549,158 +476,79 @@ def sweep_multiprogrammed_two_sizes(
     (:mod:`repro.perf.multiprog_twosize`); the scalar oracle walks
     :class:`~repro.tlb.context.MultiprogrammedTLB` wrappers with
     per-program policy objects and forwarded shootdowns.  Cell fan-out,
-    failure isolation and caching (kind ``"multiprog2"``) mirror
-    :func:`sweep_multiprogrammed`.
+    failure isolation and caching (kind ``"multiprog2"``) are
+    :func:`sweep_multiprogrammed`'s.
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
     faultinject.check("sim.multiprog.sweep_two_sizes")
-    if not traces:
-        raise ConfigurationError("need at least one trace to mix")
-    if not configs:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one TLBConfig"
-        )
-    if not quanta:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one quantum"
-        )
-    if not policies:
-        raise ConfigurationError(
-            "sweep_multiprogrammed_two_sizes needs at least one switch policy"
-        )
-    choice = choose_kernel(
-        kernel,
-        vector_supported=all(
-            config.replacement == "lru" for config in configs
-        ),
-        reason="non-LRU replacement breaks the epoch-segmented stack identity",
+    choice = _grid_kernel(
+        "sweep_multiprogrammed_two_sizes", traces, configs, quanta, policies, kernel
     )
-    scheme_token = _fresh_policy(scheme).cache_token()
-
     program_names = tuple(trace.name for trace in traces)
     penalty = base_penalty * penalty_factor
-    results: Dict[SweepKey, TwoSizeMultiprogramResult] = {}
-    pending: Dict[Tuple[int, ContextSwitchPolicy], List[Any]] = {}
-    for quantum in quanta:
-        for policy in policies:
-            for config in configs:
-                key: Optional[str] = None
-                if cache is not None:
-                    key = canonical_key(
-                        {
-                            "version": CACHE_KEY_VERSION,
-                            "kind": "multiprog2",
-                            "traces": [t.fingerprint for t in traces],
-                            "quantum": quantum,
-                            "policy": policy.value,
-                            "scheme": scheme_token,
-                            "config": config.cache_parts(),
-                            "base_penalty": base_penalty,
-                            "penalty_factor": penalty_factor,
-                            "kernel": choice.kernel,
-                        }
-                    )
-                    payload = cache.get(key)
-                    if payload is not None:
-                        results[(policy.value, quantum, config.label)] = (
-                            TwoSizeMultiprogramResult.from_payload(
-                                payload, config
-                            )
-                        )
-                        continue
-                pending.setdefault((quantum, policy), []).append(
-                    (config, key)
-                )
-    if not pending:
-        return results
+    blocks_shift = log2_exact(scheme.pair.blocks_per_chunk)
 
-    # Build each quantum's interleaving and composed decision stream
-    # exactly once, in the parent, shared by both policies' cells.
-    pair = scheme.pair
-    blocks_shift = log2_exact(pair.blocks_per_chunk)
-    shift = np.uint32(pair.small_shift)
-    num_programs = len(traces)
-    mixes: Dict[int, Tuple[np.ndarray, np.ndarray, PolicyDecisions, Trace]] = {}
-    for quantum in {quantum for quantum, _ in pending}:
-        mixed, contexts = interleave_with_contexts(traces, quantum=quantum)
-        blocks = np.asarray(mixed.addresses >> shift, dtype=np.int64)
+    def prepare(mixed: Trace, contexts: np.ndarray):
+        blocks = np.asarray(
+            mixed.addresses >> np.uint32(scheme.pair.small_shift), dtype=np.int64
+        )
         decisions = _composed_decisions(
-            blocks, contexts, scheme, num_programs, blocks_shift
+            blocks, contexts, scheme, len(traces), blocks_shift
         )
-        mixes[quantum] = (blocks, contexts, decisions, mixed)
+        return blocks, contexts, decisions, mixed
 
-    def make_cell(
-        quantum: int, policy: ContextSwitchPolicy, cell_configs: List[TLBConfig]
-    ):
-        def run_cell() -> List[Dict[str, Any]]:
-            faultinject.check("sim.multiprog.cell_two_sizes")
-            blocks, contexts, decisions, mixed = mixes[quantum]
-            if choice.kernel == KERNEL_VECTOR:
-                counts = multiprog_two_size_counts(
-                    blocks,
-                    contexts,
-                    blocks_shift,
-                    decisions,
-                    policy,
-                    cell_configs,
-                )
-            else:
-                counts = _scalar_two_size_counts(
-                    blocks, contexts, scheme, policy, cell_configs
-                )
-            return [
-                TwoSizeMultiprogramResult(
-                    program_names=program_names,
-                    switch_policy=policy,
-                    quantum=quantum,
-                    config=config,
-                    references=len(mixed),
-                    misses=count.misses,
-                    large_misses=count.large_misses,
-                    reprobes=count.reprobes,
-                    invalidations=count.invalidations,
-                    promotions=decisions.promotions,
-                    demotions=decisions.demotions,
-                    switches=count.switches,
-                    refs_per_instruction=mixed.refs_per_instruction,
-                    miss_penalty_cycles=penalty,
-                    resolved_kernel=choice.kernel,
-                    fallback_reason=choice.fallback_reason,
-                ).to_payload()
-                for config, count in zip(cell_configs, counts)
-            ]
-
-        return run_cell
-
-    units = []
-    cells = []
-    for (quantum, policy), cell_entries in pending.items():
-        cell_configs = [config for config, _ in cell_entries]
-        units.append(
-            UnitSpec(
-                name=f"multiprog2/q{quantum}/{policy.value}",
-                run=make_cell(quantum, policy, cell_configs),
+    def cell(mix, quantum, policy, cell_configs):
+        faultinject.check("sim.multiprog.cell_two_sizes")
+        blocks, contexts, decisions, mixed = mix
+        if choice.kernel == KERNEL_VECTOR:
+            counts = multiprog_two_size_counts(
+                blocks, contexts, blocks_shift, decisions, policy, cell_configs
             )
-        )
-        cells.append((policy, quantum, cell_entries))
-    report = run_units(units, retry_policy=NO_RETRY, jobs=jobs)
-    if report.failures:
-        failure = report.failures[0]
-        raise SimulationError(
-            f"multiprogrammed two-size sweep cell {failure.name} failed: "
-            f"{failure.error}"
-        )
-    for outcome, (policy, quantum, cell_entries) in zip(
-        report.outcomes, cells
-    ):
-        for payload, (config, key) in zip(outcome.result, cell_entries):
-            if cache is not None and key is not None:
-                cache.put(key, payload)
-            results[(policy.value, quantum, config.label)] = (
-                TwoSizeMultiprogramResult.from_payload(payload, config)
+        else:
+            counts = _scalar_two_size_counts(
+                blocks, contexts, scheme, policy, cell_configs
             )
-    return results
+        return [
+            TwoSizeMultiprogramResult(
+                program_names=program_names,
+                switch_policy=policy,
+                quantum=quantum,
+                config=config,
+                references=len(mixed),
+                misses=count.misses,
+                large_misses=count.large_misses,
+                reprobes=count.reprobes,
+                invalidations=count.invalidations,
+                promotions=decisions.promotions,
+                demotions=decisions.demotions,
+                switches=count.switches,
+                refs_per_instruction=mixed.refs_per_instruction,
+                miss_penalty_cycles=penalty,
+                resolved_kernel=choice.kernel,
+                fallback_reason=choice.fallback_reason,
+            )
+            for config, count in zip(cell_configs, counts)
+        ]
+
+    return _sweep_grid(
+        "multiprog2",
+        traces,
+        configs,
+        quanta,
+        policies,
+        key_parts={
+            "scheme": scheme.policy().cache_token(),
+            "base_penalty": base_penalty,
+            "penalty_factor": penalty_factor,
+            "kernel": choice.kernel,
+        },
+        decode=TwoSizeMultiprogramResult.from_payload,
+        prepare=prepare,
+        cell=cell,
+        cache=cache,
+        jobs=jobs,
+    )
 
 
 def _scalar_two_size_counts(
@@ -721,7 +569,7 @@ def _scalar_two_size_counts(
     blocks_shift = log2_exact(pair.blocks_per_chunk)
     blocks_per_chunk = pair.blocks_per_chunk
     num_programs = int(contexts.max()) + 1 if contexts.size else 0
-    policies = [_fresh_policy(scheme) for _ in range(num_programs)]
+    policies = [scheme.policy() for _ in range(num_programs)]
     tlbs = [MultiprogrammedTLB(config.build(), policy) for config in configs]
     current = -1
     for block, context in zip(blocks.tolist(), contexts.tolist()):

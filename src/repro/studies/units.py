@@ -233,7 +233,7 @@ def _run_split(
         cache=cache,
     )
     return {
-        "cpi_tlb": result.performance.cpi_tlb,
+        "cpi_tlb": result.cpi_tlb,
         "misses": result.misses,
         "large_misses": result.large_misses,
         "small_occupancy": result.small_occupancy,

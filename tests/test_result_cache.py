@@ -18,7 +18,6 @@ from repro.parallel.cache import (
 )
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.robustness import faultinject
-from repro.robustness.journal import RunJournal
 from repro.sim.config import PAIR_4KB_32KB, SingleSizeScheme, TLBConfig
 from repro.sim.config import TwoSizeScheme
 from repro.sim.driver import run_single_size, run_two_sizes, run_with_policy
@@ -139,60 +138,15 @@ class TestSweepLayering:
     PAGE_SIZES = (4096, 8192)
     CONFIGS = (TLBConfig(entries=16, associativity=2),)
 
-    def test_warm_cache_replays_and_journals(self, trace, cache, tmp_path):
+    def test_warm_cache_replays(self, trace, cache):
         cold = sweep_single_size(
             trace, self.PAGE_SIZES, self.CONFIGS, cache=cache
         )
         assert cache.stats.stores == len(cold)
 
-        journal = RunJournal(tmp_path / "sweep.jsonl", fingerprint={"s": 1})
         warm = sweep_single_size(
-            trace, self.PAGE_SIZES, self.CONFIGS, cache=cache, journal=journal
+            trace, self.PAGE_SIZES, self.CONFIGS, cache=cache
         )
         assert cache.stats.hits == len(cold)
         for key in cold:
             assert warm[key].to_payload() == cold[key].to_payload()
-        # Cache hits are copied into the journal: a later resume works
-        # even with the cache disabled.
-        assert sum(1 for r in journal.units.values() if r.succeeded) == len(
-            cold
-        )
-
-    def test_journal_keyed_by_trace_fingerprint(self, trace, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl", fingerprint={"s": 1})
-        sweep_single_size(
-            trace, self.PAGE_SIZES, self.CONFIGS, journal=journal
-        )
-        fingerprinted = [
-            unit for unit in journal.units if trace.fingerprint[:12] in unit
-        ]
-        assert len(fingerprinted) == len(self.PAGE_SIZES)
-
-        # A different trace with the same workload name must NOT be
-        # satisfied by this journal: with the fault armed, a journal hit
-        # would be silent, a real re-simulation trips the injected fault.
-        other = generate_trace("li", 5000, seed=9)
-        assert other.name == trace.name
-        assert other.fingerprint != trace.fingerprint
-        journal = RunJournal(tmp_path / "j.jsonl", fingerprint={"s": 1})
-        with faultinject.inject(
-            faultinject.FaultPlan(times=1, sites=("sim.sweep",))
-        ):
-            with pytest.raises(faultinject.TransientInjectedFault):
-                sweep_single_size(
-                    other, self.PAGE_SIZES, self.CONFIGS, journal=journal
-                )
-        # The original trace, by contrast, resumes entirely from the
-        # journal: no pass runs, so the armed fault is never reached.
-        journal = RunJournal(tmp_path / "j.jsonl", fingerprint={"s": 1})
-        with faultinject.inject(
-            faultinject.FaultPlan(times=1, sites=("sim.sweep",))
-        ):
-            replayed = sweep_single_size(
-                trace, self.PAGE_SIZES, self.CONFIGS, journal=journal
-            )
-        assert set(replayed) == {
-            (size, config.label)
-            for size in self.PAGE_SIZES
-            for config in self.CONFIGS
-        }

@@ -21,10 +21,6 @@ from repro.robustness import faultinject
 from repro.robustness.executor import SuiteReport, UnitSpec, run_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
-from repro.sim.sweep import sweep_single_size
-from repro.sim.config import TLBConfig
-from repro.types import PAGE_4KB, PAGE_8KB
-from repro.workloads import generate_trace
 
 
 class TestRunJournal:
@@ -364,30 +360,6 @@ class TestExecutor:
         report = run_units([])
         assert isinstance(report, SuiteReport)
         assert report.ok and report.exit_code == 0
-
-
-class TestSweepJournal:
-    def test_sweep_results_checkpoint_and_replay(self, tmp_path):
-        trace = generate_trace("li", 5_000)
-        configs = [TLBConfig(16), TLBConfig(16, 2)]
-        journal = RunJournal(tmp_path / "sweep.jsonl", fingerprint={})
-        first = sweep_single_size(
-            trace, [PAGE_4KB, PAGE_8KB], configs, journal=journal
-        )
-        # Re-sweeping with the journal must not touch the simulator at
-        # all: arm a fault plan that would detonate on any sweep pass.
-        reloaded = RunJournal(tmp_path / "sweep.jsonl", fingerprint={})
-        with faultinject.inject(
-            faultinject.FaultPlan(times=99, sites=["sim.sweep"])
-        ):
-            second = sweep_single_size(
-                trace, [PAGE_4KB, PAGE_8KB], configs, journal=reloaded
-            )
-        assert set(first) == set(second)
-        for key in first:
-            assert first[key].misses == second[key].misses
-            assert first[key].config == second[key].config
-            assert first[key].cpi_tlb == pytest.approx(second[key].cpi_tlb)
 
 
 class FakeResult:

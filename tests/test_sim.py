@@ -15,7 +15,12 @@ from repro.sim import (
     run_with_policy,
     sweep_single_size,
 )
-from repro.tlb import FullyAssociativeTLB, IndexingScheme, SetAssociativeTLB
+from repro.tlb import (
+    FullyAssociativeTLB,
+    IndexingScheme,
+    ProbeStrategy,
+    SetAssociativeTLB,
+)
 from repro.trace import Trace
 from repro.types import PAGE_4KB, PAGE_8KB, PAGE_32KB, PAIR_4KB_32KB
 
@@ -157,16 +162,33 @@ class TestRunWithPolicy:
 class TestSweepSingleSize:
     def test_matches_direct_driver(self):
         trace = random_trace()
-        configs = [TLBConfig(16), TLBConfig(16, 2), TLBConfig(32, 2)]
-        swept = sweep_single_size(trace, [PAGE_4KB, PAGE_8KB], configs)
-        for page_size in (PAGE_4KB, PAGE_8KB):
-            for config in configs:
-                direct = run_single_size(
-                    trace, SingleSizeScheme(page_size), config
-                )
-                assert (
-                    swept[(page_size, config.label)].misses == direct.misses
-                ), (page_size, config.label)
+        sequential = TLBConfig(32, 2, probe_strategy=ProbeStrategy.SEQUENTIAL)
+        # ``sequential`` shares its label with TLBConfig(32, 2), so it
+        # needs a sweep of its own.
+        for configs in (
+            [TLBConfig(16), TLBConfig(16, 2), TLBConfig(32, 2)],
+            [sequential],
+        ):
+            swept = sweep_single_size(trace, [PAGE_4KB, PAGE_8KB], configs)
+            for page_size in (PAGE_4KB, PAGE_8KB):
+                for config in configs:
+                    direct = run_single_size(
+                        trace, SingleSizeScheme(page_size), config
+                    )
+                    assert swept[(page_size, config.label)] == direct, (
+                        page_size,
+                        config.label,
+                    )
+        assert swept[(PAGE_4KB, sequential.label)].reprobes > 0
+
+        # A stack pass models LRU only, and a label must name one shape.
+        with pytest.raises(ConfigurationError, match="LRU only"):
+            sweep_single_size(trace, [PAGE_4KB], [TLBConfig(16, replacement="fifo")])
+        with pytest.raises(ConfigurationError, match="share the label"):
+            sweep_single_size(trace, [PAGE_4KB], [TLBConfig(32, 2), sequential])
+        # Identical duplicates stay allowed.
+        twice = sweep_single_size(trace, [PAGE_4KB], [TLBConfig(16)] * 2)
+        assert list(twice) == [(PAGE_4KB, "16e-FA")]
 
     def test_index_shift_matches_large_index_tlb(self):
         # Sweeping 4KB pages with a 3-bit index shift must equal the
