@@ -49,6 +49,7 @@ from repro.experiments.table51 import run_table51
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
+from repro.trace import derived
 from repro.workloads.registry import GENERATOR_VERSION
 
 #: Experiment name -> runner; paper artifacts first, then extensions.
@@ -301,23 +302,28 @@ def _run_suite(args: argparse.Namespace) -> int:
             run=lambda runner=EXPERIMENTS[name]: runner(scale),
         )
 
-    report = run_units(
-        [make_unit(name) for name in names],
-        journal=journal,
-        resume=args.resume,
-        retry_policy=RetryPolicy(
-            max_attempts=max(1, args.retries + 1),
-            base_delay=max(0.0, args.retry_delay),
-        ),
-        deadline_seconds=args.deadline,
-        fail_fast=args.fail_fast,
-        on_success=publish,
-        journal_payload=journal_payload,
-        on_skip=announce_skip,
-        on_retry=announce_retry,
-        on_failure=announce_failure,
-        jobs=scale.jobs,
-    )
+    # One derivation store for the whole suite: experiments asking a
+    # trace the same question (window events, decision streams, miss
+    # curves, working sets) share the answer.  Pool workers fork
+    # inside the block and each fills its own.
+    with derived.run():
+        report = run_units(
+            [make_unit(name) for name in names],
+            journal=journal,
+            resume=args.resume,
+            retry_policy=RetryPolicy(
+                max_attempts=max(1, args.retries + 1),
+                base_delay=max(0.0, args.retry_delay),
+            ),
+            deadline_seconds=args.deadline,
+            fail_fast=args.fail_fast,
+            on_success=publish,
+            journal_payload=journal_payload,
+            on_skip=announce_skip,
+            on_retry=announce_retry,
+            on_failure=announce_failure,
+            jobs=scale.jobs,
+        )
 
     if not report.ok or report.skipped:
         print(report.render())

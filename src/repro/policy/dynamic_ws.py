@@ -21,15 +21,15 @@ blocks present doubles its contribution, and no other case inflates more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, resolve_kernel
+from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.window import SlidingBlockWindow
+from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import PageSizePair
 
@@ -74,23 +74,36 @@ def dynamic_average_working_set(
             ``"vector"`` for the event-stream batch kernel
             (:mod:`repro.policy.vector`), ``"auto"`` (default) for
             vector.  Both produce identical results.
-    """
-    if not 0 < promote_fraction <= 1:
-        raise ConfigurationError(
-            f"promote_fraction must be in (0, 1], got {promote_fraction}"
-        )
-    blocks_per_chunk = pair.blocks_per_chunk
-    promote_blocks = max(1, math.ceil(blocks_per_chunk * promote_fraction))
-    if demote_fraction is None:
-        demote_blocks = promote_blocks
-    else:
-        if not 0 <= demote_fraction <= promote_fraction:
-            raise ConfigurationError(
-                "demote_fraction must lie in [0, promote_fraction]"
-            )
-        demote_blocks = math.ceil(blocks_per_chunk * demote_fraction)
 
-    if resolve_kernel(kernel) == KERNEL_VECTOR:
+    The thresholds are the promotion policy's own
+    (:class:`~repro.policy.promotion.DynamicPromotionPolicy`), and
+    inside a :func:`repro.trace.derived.run` the result is derived once
+    per (trace, policy token, kernel).
+    """
+    policy = DynamicPromotionPolicy(
+        pair,
+        window,
+        promote_fraction=promote_fraction,
+        demote_fraction=demote_fraction,
+    )
+    kernel = resolve_kernel(kernel)
+    return derived.derive(
+        lambda: _measure(trace, policy, kernel),
+        "dynamic_working_set",
+        trace,
+        policy.cache_token(),
+        kernel,
+    )
+
+
+def _measure(
+    trace: Trace, policy: DynamicPromotionPolicy, kernel: str
+) -> DynamicWorkingSetResult:
+    pair = policy.pair
+    window = policy.window
+    promote_blocks = policy.promote_blocks
+    demote_blocks = policy.demote_blocks
+    if kernel == KERNEL_VECTOR:
         from repro.policy.vector import dynamic_working_set_events
 
         block_array = np.asarray(trace.addresses) >> np.uint32(pair.small_shift)
@@ -102,6 +115,7 @@ def dynamic_average_working_set(
         peak = int(current.max()) if total else 0
         return DynamicWorkingSetResult(average, peak, promotions, demotions)
 
+    blocks_per_chunk = pair.blocks_per_chunk
     small = pair.small
     large = pair.large
     sliding = SlidingBlockWindow(pair, window)

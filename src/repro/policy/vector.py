@@ -36,7 +36,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import window_events
+from repro.perf.kernels import KERNEL_VECTOR, window_events
 from repro.policy.promotion import (
     DynamicPromotionPolicy,
     ExplicitAssignmentPolicy,
@@ -44,6 +44,8 @@ from repro.policy.promotion import (
     StaticLargePolicy,
     StaticSmallPolicy,
 )
+from repro.trace import derived
+from repro.trace.record import Trace
 from repro.types import PageSizePair
 
 
@@ -87,6 +89,26 @@ class _EventState:
         return self.was_promoted & ~self.state
 
 
+def _shared_window_events(
+    blocks: np.ndarray, window: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`window_events`, derived once per (block stream, T) in a run.
+
+    Every dynamic decision stream and working-set pass over one block
+    stream shares them, whatever its pair or thresholds; the run keeps
+    them as bits.
+    """
+
+    def packed() -> Tuple[np.ndarray, ...]:
+        return tuple(np.packbits(events) for events in window_events(blocks, window))
+
+    entered, left = derived.derive(packed, "window_events", blocks, window)
+    return (
+        np.unpackbits(entered, count=blocks.size).view(bool),
+        np.unpackbits(left, count=blocks.size).view(bool),
+    )
+
+
 def _window_event_stream(
     blocks: np.ndarray,
     chunks: np.ndarray,
@@ -102,7 +124,7 @@ def _window_event_stream(
     a reference whose leave and enter land on one chunk becomes a
     single zero-delta event at the enter slot.
     """
-    entered, left = window_events(blocks, window)
+    entered, left = _shared_window_events(blocks, window)
     enter_ref = np.nonzero(entered)[0]
     left_ref = np.nonzero(left)[0]
     left_chunk = chunks[left_ref - window]
@@ -305,6 +327,71 @@ def supports_vector_decisions(policy: PageSizeAssignmentPolicy) -> bool:
     return isinstance(
         policy,
         (StaticSmallPolicy, StaticLargePolicy, ExplicitAssignmentPolicy),
+    )
+
+
+@dataclass(frozen=True)
+class PackedDecisions:
+    """A :class:`PolicyDecisions` in the derivation store's compact form.
+
+    ``large`` is kept as bits and each transition column as the
+    references where it fires plus the chunks it names;
+    :meth:`unpack` rebuilds the dense stream.
+    """
+
+    references: int
+    large_bits: np.ndarray
+    promoted_at: np.ndarray
+    promoted_chunks: np.ndarray
+    demoted_at: np.ndarray
+    demoted_chunks: np.ndarray
+    promotions: int
+    demotions: int
+
+    @classmethod
+    def pack(cls, decisions: PolicyDecisions) -> "PackedDecisions":
+        promoted_at = np.flatnonzero(decisions.promoted >= 0)
+        demoted_at = np.flatnonzero(decisions.demoted >= 0)
+        return cls(
+            references=int(decisions.large.size),
+            large_bits=np.packbits(decisions.large),
+            promoted_at=promoted_at,
+            promoted_chunks=decisions.promoted[promoted_at],
+            demoted_at=demoted_at,
+            demoted_chunks=decisions.demoted[demoted_at],
+            promotions=decisions.promotions,
+            demotions=decisions.demotions,
+        )
+
+    def unpack(self) -> PolicyDecisions:
+        count = self.references
+        promoted = np.full(count, -1, dtype=np.int64)
+        promoted[self.promoted_at] = self.promoted_chunks
+        demoted = np.full(count, -1, dtype=np.int64)
+        demoted[self.demoted_at] = self.demoted_chunks
+        return PolicyDecisions(
+            large=np.unpackbits(self.large_bits, count=count).view(bool),
+            promoted=promoted,
+            demoted=demoted,
+            promotions=self.promotions,
+            demotions=self.demotions,
+        )
+
+
+def trace_decisions(trace: Trace, policy: PageSizeAssignmentPolicy) -> PackedDecisions:
+    """``policy``'s decision stream over ``trace``, derived once per run.
+
+    Keyed by the trace fingerprint and ``policy.cache_token()`` (equal
+    tokens replay identical streams); a policy without a token is
+    replayed on every call.  Raises like :func:`policy_decisions`.
+    """
+
+    def replay() -> PackedDecisions:
+        blocks = trace.addresses >> np.uint32(policy.pair.small_shift)
+        return PackedDecisions.pack(policy_decisions(policy, blocks))
+
+    return derived.derive(
+        replay, "decisions", trace, policy.cache_token(), KERNEL_VECTOR
     )
 
 

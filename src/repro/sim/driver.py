@@ -49,12 +49,16 @@ from repro.perf.kernels import (
 )
 from repro.perf.sampled import SAMPLED_REPLACEMENTS, sampled_replacement_counts
 from repro.perf.twolevel import two_level_counts
-from repro.perf.twosize import split_two_size_counts, two_size_counts
+from repro.perf.twosize import (
+    TwoSizeCounts,
+    split_two_size_counts,
+    two_size_counts,
+)
 from repro.policy.promotion import PageSizeAssignmentPolicy
 from repro.policy.vector import (
     PolicyDecisions,
-    policy_decisions,
     supports_vector_decisions,
+    trace_decisions,
 )
 from repro.sim.config import (
     SingleSizeScheme,
@@ -66,6 +70,7 @@ from repro.sim import kinds
 from repro.sim.kinds import CachedResult
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.tlb.split import SplitTLB
+from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import log2_exact
 
@@ -174,7 +179,7 @@ def run_single_size(
         keys,
         RunResult.from_payload,
         [(config,)],
-        lambda: [
+        lambda missing: [
             _run_single_size_uncached(
                 trace,
                 scheme,
@@ -325,10 +330,12 @@ def run_with_policy(
     Caching applies only when ``policy.cache_token()`` is non-None (a
     fresh, parameter-determined policy): each config's result is
     addressed by (trace fingerprint, policy token, config, penalties,
-    kernel), and the pass is skipped only when *every* config hits —
-    a single trace pass serves all configs, so partial hits save
-    nothing.  Like the vector kernel, a cache hit leaves ``policy``
-    untouched; read transition counts from the results.
+    kernel), and one pass simulates only the configs that miss — the
+    vector path builds only the set families those configs need, and
+    inside a :func:`repro.trace.derived.run` it reuses the decision
+    stream and any counts already derived for this trace and token.
+    When every config hits, ``policy`` is left untouched, as the
+    vector kernel leaves it; read transition counts from the results.
     """
     if not configs:
         raise ConfigurationError("run_with_policy needs at least one TLBConfig")
@@ -354,10 +361,10 @@ def run_with_policy(
         keys,
         RunResult.from_payload,
         [(config,) for config in configs],
-        lambda: _run_with_policy_uncached(
+        lambda missing: _run_with_policy_uncached(
             trace,
             policy,
-            configs,
+            [configs[i] for i in missing],
             base_penalty=base_penalty,
             penalty_factor=penalty_factor,
             choice=choice,
@@ -410,12 +417,23 @@ def _run_with_policy_uncached(
 
     # ``choice`` arrives resolved (see ``_resolve_two_size_kernel``).
     if choice.kernel == KERNEL_VECTOR:
-        decisions = policy_decisions(policy, block_array)
-        counts = two_size_counts(
-            np.asarray(block_array, dtype=np.int64),
-            blocks_shift,
-            decisions,
+        decisions = trace_decisions(trace, policy)
+
+        def count(missing: List[TLBConfig]) -> List[TwoSizeCounts]:
+            return two_size_counts(
+                np.asarray(block_array, dtype=np.int64),
+                blocks_shift,
+                decisions.unpack(),
+                missing,
+            )
+
+        counts = derived.derive_each(
+            count,
             configs,
+            "two_size_counts",
+            trace,
+            policy.cache_token(),
+            choice.kernel,
         )
         return [
             RunResult(
@@ -587,7 +605,7 @@ def run_split_two_sizes(
         keys,
         SplitRunResult.from_payload,
         [(small_config, large_config)],
-        lambda: [
+        lambda missing: [
             _run_split_two_sizes_uncached(
                 trace,
                 policy,
@@ -619,7 +637,7 @@ def _run_split_two_sizes_uncached(
     scheme_label = f"{pair} split"
 
     if kernel == KERNEL_VECTOR:
-        decisions = policy_decisions(policy, block_array)
+        decisions = trace_decisions(trace, policy).unpack()
         counts = split_two_size_counts(
             np.asarray(block_array, dtype=np.int64),
             blocks_shift,
@@ -836,10 +854,10 @@ def sweep_two_level(
         keys,
         TwoLevelRunResult.from_payload,
         [(config,) for config in configs],
-        lambda: _sweep_two_level_uncached(
+        lambda missing: _sweep_two_level_uncached(
             trace,
             scheme,
-            configs,
+            [configs[i] for i in missing],
             policy=policy,
             penalty=penalty,
             choice=choice,
@@ -872,7 +890,7 @@ def _sweep_two_level_uncached(
     if choice.kernel == KERNEL_VECTOR:
         blocks = np.asarray(block_array, dtype=np.int64)
         if two_size:
-            decisions = policy_decisions(policy, block_array)
+            decisions = trace_decisions(trace, policy).unpack()
         else:
             decisions = _all_small_decisions(int(blocks.size))
         level1 = configs[0].level1

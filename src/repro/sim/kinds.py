@@ -17,11 +17,12 @@ through the codec here; no other module builds a key or a payload:
   configurations as their ``cache_parts()``.  A configuration is part
   of the key, so on decode the caller hands the objects back instead
   of rebuilding them.
-* **Lookup rules.**  A driver that serves every key from one trace
-  pass uses :func:`lookup_all`: all keys hit, or it simulates and
-  stores them all, since a partial hit saves no pass.  The sweep and
-  the multiprogrammed grids recompute only what is missing, so they
-  look up each entry with :func:`lookup`.
+* **Lookup rules.**  The drivers use :func:`lookup_all`: the keys
+  that hit are replayed, and one pass simulates and stores only the
+  missing ones (the vector two-size path builds only the families
+  those configurations need).  The sweep and the multiprogrammed
+  grids group their misses themselves, so they look up each entry
+  with :func:`lookup`.
 """
 
 from __future__ import annotations
@@ -150,25 +151,27 @@ def lookup_all(
     keys: Optional[Sequence[str]],
     decode: Callable[..., R],
     configs: Sequence[Tuple[Any, ...]],
-    run: Callable[[], List[R]],
+    run: Callable[[List[int]], List[R]],
 ) -> List[R]:
-    """All-or-nothing rule for a driver that serves every key in one pass.
+    """Replay the keys that hit; simulate and store only the rest.
 
     ``keys`` is None when the run is not cacheable (no cache, or a
-    policy without a cache token).  When every key hits, the entries
-    are decoded with ``configs[i]`` handed back for key ``i``;
-    otherwise ``run()`` simulates all of them and each is stored.
+    policy without a cache token): ``run`` then simulates every entry.
+    Otherwise a hit ``i`` is decoded with ``configs[i]`` handed back,
+    and ``run(missing)`` simulates the missing indices, in order.
     """
     if keys is None:
-        return run()
+        return run(list(range(len(configs))))
     payloads = [cache.get(entry_key) for entry_key in keys]
-    if all(payload is not None for payload in payloads):
-        return [
-            decode(payload, *given) for payload, given in zip(payloads, configs)
-        ]
-    results = run()
-    for entry_key, result in zip(keys, results):
-        cache.put(entry_key, result.to_payload())
+    results = [
+        None if payload is None else decode(payload, *given)
+        for payload, given in zip(payloads, configs)
+    ]
+    missing = [i for i, payload in enumerate(payloads) if payload is None]
+    if missing:
+        for i, result in zip(missing, run(missing)):
+            results[i] = result
+            cache.put(keys[i], result.to_payload())
     return results
 
 

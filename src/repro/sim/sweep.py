@@ -12,7 +12,10 @@ case of Table 5.1's second column.
 
 A :class:`~repro.parallel.cache.SimulationCache` replays each (page
 size, config) result across runs (kind ``"sweep"``); only the missing
-results of a family are simulated.
+results of a family are simulated.  Within one run, the derivation
+store (:mod:`repro.trace.derived`) keeps each family's miss curve, so a
+later sweep asking the same family reads the curve instead of
+repeating the stack pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
 from repro.parallel.cache import SimulationCache
-from repro.perf.kernels import KERNEL_AUTO
+from repro.perf.kernels import KERNEL_AUTO, choose_kernel
 from repro.robustness import faultinject
 from repro.sim import kinds
 from repro.sim.config import SingleSizeScheme, TLBConfig
@@ -34,6 +37,7 @@ from repro.stacksim.lru_stack import (
     lru_miss_curve,
     per_set_miss_curve,
 )
+from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import log2_exact
 
@@ -80,15 +84,35 @@ def _family_depth(sets: int, group: Sequence[TLBConfig]) -> int:
 
 
 def _family_curve(
-    pages: np.ndarray, index_shift: int, sets: int, depth: int, kernel: str
+    trace: Trace,
+    page_size: int,
+    index_shift: int,
+    sets: int,
+    depth: int,
+    kernel: str,
 ) -> MissCurve:
-    """One stack pass covering every shape with this set count."""
+    """One stack pass covering every shape with this set count.
+
+    Inside a :func:`repro.trace.derived.run` the curve is derived once
+    per (trace, page size, index shift, set count, kernel) and reused
+    by any later sweep it is deep enough for.
+    """
     if sets == 1:
-        return lru_miss_curve(pages, max_capacity=depth, kernel=kernel)
-    indices = (pages >> np.uint32(index_shift)) & np.uint32(sets - 1)
-    return per_set_miss_curve(
-        indices, pages, max_associativity=depth, kernel=kernel
-    )
+        index_shift = 0  # a single set ignores the index bits
+    parts = ("miss_curve", trace, page_size, index_shift, sets, kernel)
+    stored = derived.lookup(*parts)
+    if stored is not None and stored.max_capacity >= depth:
+        return stored
+    pages = trace.addresses >> np.uint32(log2_exact(page_size))
+    if sets == 1:
+        curve = lru_miss_curve(pages, max_capacity=depth, kernel=kernel)
+    else:
+        indices = (pages >> np.uint32(index_shift)) & np.uint32(sets - 1)
+        curve = per_set_miss_curve(
+            indices, pages, max_associativity=depth, kernel=kernel
+        )
+    derived.store(curve, *parts)
+    return curve
 
 
 def sweep_single_size(
@@ -125,6 +149,9 @@ def sweep_single_size(
     if not configs:
         raise ConfigurationError("sweep needs at least one TLBConfig")
     _check_sweepable(configs)
+    # Resolved once: the keys, the stack passes and the results all
+    # name the kernel that runs, so "auto" and "vector" share entries.
+    kernel = choose_kernel(kernel, vector_supported=True).kernel
     results: Dict[Tuple[int, str], RunResult] = {}
     pending: List[Tuple[int, List[TLBConfig], Dict[TLBConfig, str]]] = []
     for page_size in page_sizes:
@@ -151,10 +178,9 @@ def sweep_single_size(
 
     for page_size, remaining, keys in pending:
         faultinject.check("sim.sweep")
-        pages = trace.addresses >> np.uint32(log2_exact(page_size))
         for sets, group in _group_by_sets(remaining).items():
             depth = _family_depth(sets, group)
-            curve = _family_curve(pages, index_shift, sets, depth, kernel)
+            curve = _family_curve(trace, page_size, index_shift, sets, depth, kernel)
             for config in group:
                 ways = config.entries if sets == 1 else config.entries // sets
                 misses = curve.misses(ways)
@@ -171,6 +197,7 @@ def sweep_single_size(
                     demotions=0,
                     refs_per_instruction=trace.refs_per_instruction,
                     miss_penalty_cycles=base_penalty,
+                    resolved_kernel=kernel,
                 )
                 results[(page_size, config.label)] = result
                 if cache is not None:

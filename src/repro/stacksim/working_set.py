@@ -21,12 +21,13 @@ tests assert the two agree exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mem.address import page_numbers_array
+from repro.trace import derived
 from repro.trace.record import Trace
 
 
@@ -69,10 +70,20 @@ def average_working_set_pages(
 def average_working_set_bytes(
     trace: Trace, page_size: int, windows: Sequence[int]
 ) -> Dict[int, float]:
-    """Return {T: average working-set size in bytes} at ``page_size``."""
-    pages = page_numbers_array(trace.addresses, page_size)
-    per_pages = average_working_set_pages(pages, windows)
-    return {window: size * page_size for window, size in per_pages.items()}
+    """Return {T: average working-set size in bytes} at ``page_size``.
+
+    Inside a :func:`repro.trace.derived.run` each (trace, page size, T)
+    average is derived once; a later request computes only the windows
+    it lacks.
+    """
+
+    def measure(missing: List[int]) -> List[float]:
+        pages = page_numbers_array(trace.addresses, page_size)
+        per_pages = average_working_set_pages(pages, missing)
+        return [per_pages[int(window)] * page_size for window in missing]
+
+    sizes = derived.derive_each(measure, windows, "working_set", trace, page_size)
+    return {int(window): size for window, size in zip(windows, sizes)}
 
 
 def naive_average_working_set_pages(pages: Sequence[int], window: int) -> float:

@@ -148,7 +148,8 @@ CASES = {
 }
 
 #: Sorted entry file names each case writes, recorded before the cache
-#: format moved into :mod:`repro.sim.kinds`.
+#: format moved into :mod:`repro.sim.kinds` (the sweep names since sweep
+#: keys name the resolved kernel, as every other kind's do).
 PINNED = {
     "single": [
         "23bbf1dd5c833746354b37e798d4989f984150f9508d3f548d9c0f36e9fda25c.json",
@@ -168,10 +169,10 @@ PINNED = {
         "dd89618adf0afb36ac21c4bc1f02f33cb14e857c31e971be6ef28fe4b4a2ed34.json",
     ],
     "sweep": [
-        "91b47f07d0b115bb1c29421f6e4d1fe4d6e2c9b9b0c57ea56f6aeaba50fa9f1d.json",
-        "b08f8a532055026ac0f008bc60895729f7a05e7344de2d05274dd2b5661158d6.json",
-        "df9d259df81da1af15bf9e56d79daf7dd80cd50ed81415fa1a6abc233ad977d7.json",
-        "f7eef36796258227c6fe297d6e203d9e4cf181c6c3a6f85c971243157a147440.json",
+        "793fa9e35f019cafdda350f2cdfa18c7e6de1ef013c138a0ee9ee883130b066b.json",
+        "79befb6ea20a3bbb3b204cfe7526b1cd63c705ca072eb8cb392996540b67ebc3.json",
+        "91f9b872d1073b0166ad3d1c0b34f337944b08932c4bb8ef32cbb1155285006f.json",
+        "fbb87236fcd40741c5340728ff9fbf01eab6f09500df2d3d7894170635491e35.json",
     ],
     "multiprog": [
         "72a56c2cd0a3ec92c33ba353c5a8c6717b93c6e42c9e60f51413ed098e8f97ed.json",

@@ -125,6 +125,13 @@ class TestPolicyRuns:
         for ours, theirs in zip(second, first):
             assert ours.to_payload() == theirs.to_payload()
 
+    def test_partial_hit_simulates_only_the_missing_config(self, trace, cache):
+        expected = run_two_sizes(trace, self.SCHEME, self.CONFIGS)
+        run_two_sizes(trace, self.SCHEME, self.CONFIGS[:1], cache=cache)
+        both = run_two_sizes(trace, self.SCHEME, self.CONFIGS, cache=cache)
+        assert both == expected
+        assert (cache.stats.hits, cache.stats.stores) == (1, 2)
+
     def test_used_policy_bypasses_the_cache(self, trace, cache):
         policy = DynamicPromotionPolicy(PAIR_4KB_32KB, window=1000)
         policy.access(0)  # one observed reference: history-dependent now
@@ -150,3 +157,16 @@ class TestSweepLayering:
         assert cache.stats.hits == len(cold)
         for key in cold:
             assert warm[key].to_payload() == cold[key].to_payload()
+
+    def test_auto_and_vector_share_entries(self, trace, cache):
+        auto = sweep_single_size(trace, self.PAGE_SIZES, self.CONFIGS, cache=cache)
+        stores = cache.stats.stores
+        vector = sweep_single_size(
+            trace, self.PAGE_SIZES, self.CONFIGS, kernel="vector", cache=cache
+        )
+        assert cache.stats.stores == stores
+        assert cache.stats.hits == len(auto)
+        assert {result.resolved_kernel for result in auto.values()} == {"vector"}
+        assert [r.to_payload() for r in vector.values()] == [
+            r.to_payload() for r in auto.values()
+        ]
