@@ -31,7 +31,6 @@ from repro.perf.kernels import (
     KERNEL_SCALAR,
     KERNEL_VECTOR,
     previous_occurrences,
-    resolve_kernel,
     stack_depths,
     window_events,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "count_switches",
     "multiprog_counts",
     "previous_occurrences",
-    "resolve_kernel",
     "split_two_size_counts",
     "stack_depths",
     "two_size_counts",

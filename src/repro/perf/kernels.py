@@ -125,23 +125,6 @@ def choose_kernel(
     return KernelChoice(kernel)
 
 
-def resolve_kernel(kernel: str, *, vector_supported: bool = True) -> str:
-    """Normalise a ``kernel=`` argument to ``"scalar"`` or ``"vector"``.
-
-    ``"auto"`` selects the vector kernel whenever the caller reports it
-    can honour one (``vector_supported``), e.g. LRU replacement only.
-    Requesting ``"vector"`` explicitly when unsupported is an error, so
-    a benchmark or test never silently measures the wrong kernel.
-    Thin wrapper over :func:`choose_kernel` kept for call sites that
-    have no sampled path; the fallback warning applies equally.
-    """
-    return choose_kernel(
-        kernel,
-        vector_supported=vector_supported,
-        reason="non-LRU replacement or a non-array reference stream",
-    ).kernel
-
-
 def previous_occurrences(keys: np.ndarray) -> np.ndarray:
     """Return, per position, the previous position of the same key (-1 if none)."""
     keys = np.asarray(keys)

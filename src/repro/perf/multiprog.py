@@ -6,7 +6,7 @@ per-reference Python loop outside the two-level hierarchy.  This module
 replaces it with one :func:`repro.perf.kernels.stack_depths` pass per
 (mix, policy, set count), serving every entry count x associativity of
 that family from the shared depth arrays, the same
-many-configurations-per-pass economics as ``stacksim.allassoc`` and
+many-configurations-per-pass economics as :mod:`repro.sim.sweep` and
 :mod:`repro.perf.twosize`.
 
 Context switches as universal epochs
@@ -199,11 +199,7 @@ def multiprog_counts(
     family_depths: Dict[int, StackDepthResult] = {}
     results: List[MultiprogCounts] = []
     for config in configs:
-        if config.fully_associative:
-            num_sets, capacity = 1, config.entries
-        else:
-            num_sets = config.entries // config.associativity
-            capacity = config.associativity
+        num_sets, capacity = config.sets, config.ways
         depths = family_depths.get(num_sets)
         if depths is None:
             groups = (

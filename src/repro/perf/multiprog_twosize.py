@@ -36,23 +36,19 @@ vector-kernel precondition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.multiprog import count_switches, switch_boundaries
 from repro.perf.twosize import (
-    _event_plan,
-    _event_tombstones,
-    _family_of,
+    _flat_counts,
+    _key_stream,
     _require_lru,
-    _SetFamilyAnalysis,
-    _unified_set_stream,
     two_size_counts,
 )
 from repro.tlb.context import ASID_SHIFT, ContextSwitchPolicy
-from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 
 if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
     from repro.policy.vector import PolicyDecisions
@@ -127,86 +123,39 @@ def multiprog_two_size_counts(
         raise ConfigurationError(
             f"block numbers overflow the {ASID_SHIFT}-bit ASID fold"
         )
-    if int(decisions.large.size) != n:
-        raise ConfigurationError(
-            f"decision stream covers {decisions.large.size} references, "
-            f"mix has {n}"
-        )
     switches = count_switches(contexts)
 
     if switch_policy is ContextSwitchPolicy.ASID:
         # Fold once, then the plain two-size kernel is exact: disjoint
         # per-program chunk namespaces, shared capacity, no flushes.
         folded_blocks = (contexts << np.int64(ASID_SHIFT)) | blocks
-        inner = two_size_counts(folded_blocks, blocks_shift, decisions, configs)
-        return [
-            MultiprogTwoSizeCounts(
-                misses=c.misses,
-                large_misses=c.large_misses,
-                reprobes=c.reprobes,
-                invalidations=c.invalidations,
-                switches=switches,
-            )
-            for c in inner
-        ]
-
-    # FLUSH: raw pages, composed epoch x flush-segment key tags.
-    chunks = blocks >> np.int64(blocks_shift)
-    folded_chunks = (
-        contexts << np.int64(ASID_SHIFT - blocks_shift)
-    ) | chunks
-    large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(folded_chunks, decisions)
-    flush_epoch = np.cumsum(switch_boundaries(contexts)).astype(np.int64)
-    factor = np.int64(switches + 1)
-    span2 = np.int64(plan.num_events + 1) * factor
-    combined = plan.epoch * factor + flush_epoch
-    page = np.where(large, chunks, blocks)
-    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span2 + combined
-    large_total = int(np.count_nonzero(large))
-    refs = np.arange(n, dtype=np.int64)
-    # Shootdowns reach only entries inserted since the last flush.
-    same_flush = plan.ended >= 0
-    same_flush[same_flush] = (
-        flush_epoch[same_flush] == flush_epoch[plan.ev_ref[plan.ended[same_flush]]]
-    )
-
-    family_caps: Dict[Tuple[str, int], Set[int]] = {}
-    for config in configs:
-        fam_key, capacity = _family_of(config)
-        family_caps.setdefault(fam_key, set()).add(capacity)
-
-    families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
-    for fam_key, caps in family_caps.items():
-        kind, num_sets = fam_key
-        sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
-        family = _SetFamilyAnalysis(keys, sets_arr, refs, large, caps)
-        family.attach_tombstones(
-            *_event_tombstones(plan, sets_arr, keys, same_flush)
+        counts = two_size_counts(folded_blocks, blocks_shift, decisions, configs)
+    else:
+        # FLUSH: raw pages, composed epoch x flush-segment key tags.
+        flush_epoch = np.cumsum(switch_boundaries(contexts)).astype(np.int64)
+        chunks = blocks >> np.int64(blocks_shift)
+        stream = _key_stream(
+            blocks,
+            blocks_shift,
+            decisions,
+            event_chunks=(contexts << np.int64(ASID_SHIFT - blocks_shift)) | chunks,
+            segment=flush_epoch,
         )
-        families[fam_key] = family
-
-    results: List[MultiprogTwoSizeCounts] = []
-    for config in configs:
-        fam_key, capacity = _family_of(config)
-        misses, large_misses, invalidations = families[fam_key].counts(capacity)
-        if (
-            not config.fully_associative
-            and config.scheme is IndexingScheme.EXACT_INDEX
-            and config.probe_strategy is ProbeStrategy.SEQUENTIAL
-        ):
-            reprobes = large_total + (misses - large_misses)
-        else:
-            reprobes = 0
-        results.append(
-            MultiprogTwoSizeCounts(
-                misses=misses,
-                large_misses=large_misses,
-                reprobes=reprobes,
-                invalidations=invalidations,
-                switches=switches,
-            )
+        # Shootdowns reach only entries inserted since the last flush.
+        plan = stream.plan
+        same_flush = plan.ended >= 0
+        same_flush[same_flush] = (
+            flush_epoch[same_flush]
+            == flush_epoch[plan.ev_ref[plan.ended[same_flush]]]
         )
-    return results
-
-
+        counts = _flat_counts(stream, configs, mask=same_flush)
+    return [
+        MultiprogTwoSizeCounts(
+            misses=c.misses,
+            large_misses=c.large_misses,
+            reprobes=c.reprobes,
+            invalidations=c.invalidations,
+            switches=switches,
+        )
+        for c in counts
+    ]

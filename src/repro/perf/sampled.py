@@ -183,11 +183,7 @@ def sampled_replacement_counts(
         )
     pages = np.asarray(pages, dtype=np.int64)
     total_refs = int(pages.size)
-    if config.fully_associative:
-        num_sets, capacity = 1, config.entries
-    else:
-        num_sets = config.entries // config.associativity
-        capacity = config.associativity
+    num_sets, capacity = config.sets, config.ways
 
     sample_size = max(int(min_sets), math.ceil(sample_fraction * num_sets))
     if exact or sample_size >= num_sets:

@@ -30,19 +30,11 @@ levels (the vector-kernel precondition shared with the flat kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.perf.twosize import (
-    _event_plan,
-    _event_tombstones,
-    _family_of,
-    _require_lru,
-    _SetFamilyAnalysis,
-    _unified_set_stream,
-)
+from repro.perf.twosize import _families, _key_stream, _require_lru
 
 if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
     from repro.policy.vector import PolicyDecisions
@@ -85,52 +77,20 @@ def two_level_counts(
     if not l2_configs:
         return []
     _require_lru([l1_config, *l2_configs])
-    blocks = np.asarray(blocks, dtype=np.int64)
-    n = int(blocks.size)
-    if int(decisions.large.size) != n:
-        raise ConfigurationError(
-            f"decision stream covers {decisions.large.size} references, "
-            f"trace has {n}"
-        )
-    chunks = blocks >> np.int64(blocks_shift)
-    large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(chunks, decisions)
-    span = np.int64(plan.num_events + 1)
-    page = np.where(large, chunks, blocks)
-    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
-    refs = np.arange(n, dtype=np.int64)
+    stream = _key_stream(blocks, blocks_shift, decisions)
 
     # Level 1: one family, one capacity, plus the per-reference miss
     # stream that becomes the L2 trace.
-    (l1_kind, l1_sets), l1_capacity = _family_of(l1_config)
-    l1_set_stream = _unified_set_stream(l1_kind, l1_sets, blocks, chunks, page)
-    l1_family = _SetFamilyAnalysis(keys, l1_set_stream, refs, large, [l1_capacity])
-    l1_family.attach_tombstones(*_event_tombstones(plan, l1_set_stream, keys))
+    ((l1_family, l1_capacity),) = _families(stream, [l1_config])
     _, _, l1_invalidations = l1_family.counts(l1_capacity)
     sub = l1_family.miss_ref_indices(l1_capacity)
-    member = np.zeros(n, dtype=bool)
+    member = np.zeros(stream.keys.size, dtype=bool)
     member[sub] = True
     substream = int(sub.size)
 
-    family_caps: Dict[Tuple[str, int], Set[int]] = {}
-    for config in l2_configs:
-        fam_key, capacity = _family_of(config)
-        family_caps.setdefault(fam_key, set()).add(capacity)
-
-    families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
-    for fam_key, caps in family_caps.items():
-        kind, num_sets = fam_key
-        sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
-        family = _SetFamilyAnalysis(keys[sub], sets_arr[sub], sub, large[sub], caps)
-        family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys, member))
-        families[fam_key] = family
-
     results: List[TwoLevelCounts] = []
-    for config in l2_configs:
-        fam_key, capacity = _family_of(config)
-        misses, large_misses, l2_invalidations = families[fam_key].counts(
-            capacity
-        )
+    for family, capacity in _families(stream, l2_configs, sub=sub, mask=member):
+        misses, large_misses, l2_invalidations = family.counts(capacity)
         results.append(
             TwoLevelCounts(
                 misses=misses,

@@ -6,8 +6,8 @@ per-reference Python loop over stateful TLB objects: promotions and
 demotions invalidate entries mid-trace, so the block -> (set, key)
 mapping is not constant over the trace and a plain stack pass is wrong.
 This module removes that loop, for every supported organisation at
-once — the two-size analogue of ``stacksim.allassoc`` and the paper's
-own many-configurations-per-pass ``tycho`` economics.
+once — the two-size analogue of :func:`repro.sim.sweep.sweep_single_size`
+and the paper's own many-configurations-per-pass ``tycho`` economics.
 
 Epoch segmentation
 ------------------
@@ -111,7 +111,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.perf.kernels import _count_greater_preceding, previous_occurrences
-from repro.tlb.indexing import IndexingScheme, ProbeStrategy
+from repro.tlb.indexing import IndexingScheme
 
 if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
     from repro.policy.vector import PolicyDecisions
@@ -686,34 +686,120 @@ class _SetFamilyAnalysis:
         return int(np.count_nonzero(alive))
 
 
-# -- unified (single-structure) organisations --------------------------
+# -- the key stream and the set families ------------------------------
+
+
+class _KeyStream(NamedTuple):
+    """One trace's per-reference lookup streams under a decision stream.
+
+    ``page`` is each reference's page number at its assigned size and
+    ``keys`` its lookup key ``((page << 1) | large) * span + tag``: the
+    size bit keeps a small and a large page of one number apart, and the
+    epoch ``tag`` re-tags every key after each event on its chunk (see
+    the module docstring).
+    """
+
+    blocks: np.ndarray
+    chunks: np.ndarray
+    large: np.ndarray
+    page: np.ndarray
+    keys: np.ndarray
+    plan: _EventPlan
+
+
+def _key_stream(
+    blocks: np.ndarray,
+    blocks_shift: int,
+    decisions: PolicyDecisions,
+    *,
+    event_chunks: "np.ndarray | None" = None,
+    segment: "np.ndarray | None" = None,
+) -> _KeyStream:
+    """Epoch-tag ``blocks`` under ``decisions``, checking they line up.
+
+    ``event_chunks`` (default: the blocks' own chunks) names the chunk
+    the event plan files each reference under, so programs sharing raw
+    chunk numbers can keep private event namespaces.  ``segment`` is a
+    per-reference flush-segment counter folded into the tag: keys then
+    never match across a flush.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    n = int(blocks.size)
+    if int(decisions.large.size) != n:
+        raise ConfigurationError(
+            f"decision stream covers {decisions.large.size} references, "
+            f"trace has {n}"
+        )
+    chunks = blocks >> np.int64(blocks_shift)
+    large = np.asarray(decisions.large, dtype=bool)
+    plan = _event_plan(chunks if event_chunks is None else event_chunks, decisions)
+    span = np.int64(plan.num_events + 1)
+    tag = plan.epoch
+    if segment is not None:
+        factor = np.int64(int(segment.max(initial=0)) + 1)
+        span, tag = span * factor, tag * factor + segment
+    page = np.where(large, chunks, blocks)
+    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + tag
+    return _KeyStream(blocks, chunks, large, page, keys, plan)
 
 
 def _family_of(config: TLBConfig) -> Tuple[Tuple[str, int], int]:
-    """((family kind, set count), capacity) for one configuration."""
-    if config.fully_associative:
-        return (_FA_FAMILY, 1), config.entries
-    return (
-        (config.scheme.value, config.entries // config.associativity),
-        config.associativity,
-    )
+    """((set-selection rule, set count), capacity) for one configuration."""
+    rule = _FA_FAMILY if config.fully_associative else config.scheme.value
+    return (rule, config.sets), config.ways
 
 
-def _unified_set_stream(
-    kind: str,
-    num_sets: int,
-    blocks: np.ndarray,
-    chunks: np.ndarray,
-    page: np.ndarray,
-) -> np.ndarray:
-    if kind == _FA_FAMILY:
-        return np.zeros(blocks.size, dtype=np.int64)
+def _set_stream(rule: str, num_sets: int, stream: _KeyStream) -> np.ndarray:
+    """Per-reference set index under one set-selection rule."""
+    if rule == _FA_FAMILY:
+        return np.zeros(stream.blocks.size, dtype=np.int64)
     mask = np.int64(num_sets - 1)
-    if kind == IndexingScheme.SMALL_INDEX.value:
-        return blocks & mask
-    if kind == IndexingScheme.LARGE_INDEX.value:
-        return chunks & mask
-    return page & mask
+    if rule == IndexingScheme.SMALL_INDEX.value:
+        return stream.blocks & mask
+    if rule == IndexingScheme.LARGE_INDEX.value:
+        return stream.chunks & mask
+    return stream.page & mask
+
+
+def _families(
+    stream: _KeyStream,
+    configs: Sequence[TLBConfig],
+    *,
+    sub: "np.ndarray | None" = None,
+    mask: "np.ndarray | None" = None,
+) -> List[Tuple[_SetFamilyAnalysis, int]]:
+    """``(family analysis, capacity)`` per configuration, tombstones attached.
+
+    Configurations sharing a (set-selection rule, set count) family share
+    one analysis.  ``sub`` (sorted reference indices) limits the analyses
+    to a substream, and ``mask`` (per reference) keeps only the
+    tombstones of entries the structure ever held; see
+    :func:`_event_tombstones`.
+    """
+    family_caps: Dict[Tuple[str, int], set] = {}
+    for config in configs:
+        fam_key, capacity = _family_of(config)
+        family_caps.setdefault(fam_key, set()).add(capacity)
+
+    if sub is None:
+        refs = np.arange(stream.keys.size, dtype=np.int64)
+        keys, large = stream.keys, stream.large
+    else:
+        refs, keys, large = sub, stream.keys[sub], stream.large[sub]
+    families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
+    for fam_key, caps in family_caps.items():
+        sets_arr = _set_stream(*fam_key, stream)
+        family = _SetFamilyAnalysis(
+            keys, sets_arr if sub is None else sets_arr[sub], refs, large, caps
+        )
+        family.attach_tombstones(
+            *_event_tombstones(stream.plan, sets_arr, stream.keys, mask)
+        )
+        families[fam_key] = family
+    return [
+        (families[fam_key], capacity)
+        for fam_key, capacity in map(_family_of, configs)
+    ]
 
 
 def _require_lru(configs: Iterable[TLBConfig]) -> None:
@@ -723,6 +809,33 @@ def _require_lru(configs: Iterable[TLBConfig]) -> None:
                 "the two-size vector kernel supports LRU replacement only; "
                 f"got {config.replacement!r} (use kernel='scalar' or 'auto')"
             )
+
+
+# -- unified (single-structure) organisations --------------------------
+
+
+def _flat_counts(
+    stream: _KeyStream,
+    configs: Sequence[TLBConfig],
+    *,
+    mask: "np.ndarray | None" = None,
+) -> List[TwoSizeCounts]:
+    """Every configuration's counters over one key stream; see :func:`_families`."""
+    large_refs = int(np.count_nonzero(stream.large))
+    results: List[TwoSizeCounts] = []
+    for config, (family, capacity) in zip(
+        configs, _families(stream, configs, mask=mask)
+    ):
+        misses, large_misses, invalidations = family.counts(capacity)
+        results.append(
+            TwoSizeCounts(
+                misses=misses,
+                large_misses=large_misses,
+                reprobes=config.reprobes(misses, large_refs, large_misses),
+                invalidations=invalidations,
+            )
+        )
+    return results
 
 
 def two_size_counts(
@@ -744,95 +857,38 @@ def two_size_counts(
     if not configs:
         return []
     _require_lru(configs)
-    blocks = np.asarray(blocks, dtype=np.int64)
-    n = int(blocks.size)
-    if int(decisions.large.size) != n:
-        raise ConfigurationError(
-            f"decision stream covers {decisions.large.size} references, "
-            f"trace has {n}"
-        )
-    chunks = blocks >> np.int64(blocks_shift)
-    large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(chunks, decisions)
-    span = np.int64(plan.num_events + 1)
-    page = np.where(large, chunks, blocks)
-    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
-    large_total = int(np.count_nonzero(large))
-    refs = np.arange(n, dtype=np.int64)
-
-    family_caps: Dict[Tuple[str, int], set] = {}
-    for config in configs:
-        fam_key, capacity = _family_of(config)
-        family_caps.setdefault(fam_key, set()).add(capacity)
-
-    families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
-    for fam_key, caps in family_caps.items():
-        kind, num_sets = fam_key
-        sets_arr = _unified_set_stream(kind, num_sets, blocks, chunks, page)
-        family = _SetFamilyAnalysis(keys, sets_arr, refs, large, caps)
-        family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys))
-        families[fam_key] = family
-
-    results: List[TwoSizeCounts] = []
-    for config in configs:
-        fam_key, capacity = _family_of(config)
-        misses, large_misses, invalidations = families[fam_key].counts(capacity)
-        if (
-            not config.fully_associative
-            and config.scheme is IndexingScheme.EXACT_INDEX
-            and config.probe_strategy is ProbeStrategy.SEQUENTIAL
-        ):
-            # Sequential EXACT_INDEX reprobes whenever the small-page
-            # probe misses: on every large-page reference (a promotion
-            # shot down the chunk's small pages, so the small probe
-            # cannot hit) and on every small-page full miss.
-            reprobes = large_total + (misses - large_misses)
-        else:
-            reprobes = 0
-        results.append(
-            TwoSizeCounts(
-                misses=misses,
-                large_misses=large_misses,
-                reprobes=reprobes,
-                invalidations=invalidations,
-            )
-        )
-    return results
+    return _flat_counts(_key_stream(blocks, blocks_shift, decisions), configs)
 
 
 # -- the split organisation --------------------------------------------
 
 
 def _component_counts(
-    pages: np.ndarray,
-    member: np.ndarray,
-    config: TLBConfig,
-    plan: _EventPlan,
-    span: np.int64,
+    stream: _KeyStream, member: np.ndarray, config: TLBConfig
 ) -> Tuple[int, int, int]:
     """(misses, invalidations, end occupancy) of one split component.
 
     A component only ever sees one page size, so it behaves as a plain
     single-size TLB over its sub-stream regardless of its configured
     indexing scheme: block and chunk coincide, both candidate sets are
-    the same set.  ``pages`` is the per-reference page stream at the
-    component's size and ``member`` its references; promotions shoot
-    small pages out of the small component, demotions the large page
-    out of the large one.
+    the same set, indexed by the reference's page at its assigned size.
+    ``member`` marks the component's references; promotions shoot small
+    pages out of the small component, demotions the large page out of
+    the large one.
     """
-    keys = pages * span + plan.epoch
-    if config.fully_associative:
-        capacity = config.entries
-        sets_arr = np.zeros(pages.size, dtype=np.int64)
-    else:
-        capacity = config.associativity
-        num_sets = config.entries // config.associativity
-        sets_arr = pages & np.int64(num_sets - 1)
+    capacity = config.ways
+    sets_arr = stream.page & np.int64(config.sets - 1)
     refs = np.flatnonzero(member)
     family = _SetFamilyAnalysis(
-        keys[refs], sets_arr[refs], refs, np.zeros(refs.size, dtype=bool), [capacity]
+        stream.keys[refs],
+        sets_arr[refs],
+        refs,
+        np.zeros(refs.size, dtype=bool),
+        [capacity],
     )
-    family.attach_tombstones(*_event_tombstones(plan, sets_arr, keys, member))
+    family.attach_tombstones(
+        *_event_tombstones(stream.plan, sets_arr, stream.keys, member)
+    )
     misses, _, invalidations = family.counts(capacity)
     return misses, invalidations, family.occupancy(capacity)
 
@@ -850,27 +906,16 @@ def split_two_size_counts(
     its assigned size, so the kernel is two independent single-size
     analyses over the small/large sub-streams — promotions invalidate
     in the small component, demotions in the large one — sharing the
-    unified kernel's epoch tags (exact per component: a component's
+    unified kernel's key stream (exact per component: a component's
     references only occur in its own parity of epochs).
     """
     _require_lru((small_config, large_config))
-    blocks = np.asarray(blocks, dtype=np.int64)
-    n = int(blocks.size)
-    if int(decisions.large.size) != n:
-        raise ConfigurationError(
-            f"decision stream covers {decisions.large.size} references, "
-            f"trace has {n}"
-        )
-    chunks = blocks >> np.int64(blocks_shift)
-    large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(chunks, decisions)
-    span = np.int64(plan.num_events + 1)
-
+    stream = _key_stream(blocks, blocks_shift, decisions)
     small_misses, small_inv, small_occ = _component_counts(
-        blocks, ~large, small_config, plan, span
+        stream, ~stream.large, small_config
     )
     large_misses, large_inv, large_occ = _component_counts(
-        chunks, large, large_config, plan, span
+        stream, stream.large, large_config
     )
     return SplitCounts(
         misses=small_misses + large_misses,

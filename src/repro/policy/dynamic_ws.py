@@ -26,7 +26,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, resolve_kernel
+from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.window import SlidingBlockWindow
 from repro.trace import derived
@@ -86,7 +86,7 @@ def dynamic_average_working_set(
         promote_fraction=promote_fraction,
         demote_fraction=demote_fraction,
     )
-    kernel = resolve_kernel(kernel)
+    kernel = choose_kernel(kernel).kernel
     return derived.derive(
         lambda: _measure(trace, policy, kernel),
         "dynamic_working_set",

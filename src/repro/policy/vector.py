@@ -68,6 +68,16 @@ class PolicyDecisions:
     promotions: int
     demotions: int
 
+    @classmethod
+    def fixed(cls, large: np.ndarray) -> "PolicyDecisions":
+        """A stream without transitions: each reference keeps ``large``.
+
+        ``fixed(np.zeros(n, dtype=bool))`` is the degenerate single-size
+        stream, everything small.
+        """
+        none = np.full(large.size, -1, dtype=np.int64)
+        return cls(large, none, none.copy(), 0, 0)
+
 
 @dataclass(frozen=True)
 class _EventState:
@@ -280,7 +290,6 @@ def policy_decisions(
     """
     blocks = np.ascontiguousarray(np.asarray(blocks), dtype=np.int64)
     count = blocks.size
-    none = np.full(count, -1, dtype=np.int64)
     if isinstance(policy, DynamicPromotionPolicy):
         if not _policy_is_fresh(policy):
             raise ConfigurationError(
@@ -295,16 +304,15 @@ def policy_decisions(
             policy.demote_blocks,
         )
     if isinstance(policy, StaticSmallPolicy):
-        return PolicyDecisions(np.zeros(count, dtype=bool), none, none, 0, 0)
+        return PolicyDecisions.fixed(np.zeros(count, dtype=bool))
     if isinstance(policy, StaticLargePolicy):
-        return PolicyDecisions(np.ones(count, dtype=bool), none, none, 0, 0)
+        return PolicyDecisions.fixed(np.ones(count, dtype=bool))
     if isinstance(policy, ExplicitAssignmentPolicy):
         chunks = blocks // policy.pair.blocks_per_chunk
-        large = np.isin(chunks, np.fromiter(
+        return PolicyDecisions.fixed(np.isin(chunks, np.fromiter(
             policy._large_chunks, dtype=np.int64,
             count=len(policy._large_chunks),
-        ))
-        return PolicyDecisions(large, none, none, 0, 0)
+        )))
     raise ConfigurationError(
         f"no vector decision kernel for {type(policy).__name__}"
     )

@@ -61,6 +61,35 @@ class TLBConfig:
         return self.associativity is None or self.associativity == self.entries
 
     @property
+    def sets(self) -> int:
+        """Set count: 1 when fully associative."""
+        return 1 if self.fully_associative else self.entries // self.associativity
+
+    @property
+    def ways(self) -> int:
+        """Ways per set: every entry when fully associative."""
+        return self.entries if self.fully_associative else self.associativity
+
+    def reprobes(self, misses: int, large_refs: int = 0, large_misses: int = 0) -> int:
+        """Reprobes of a run with these counts (Section 2.2, option b).
+
+        A sequential EXACT_INDEX lookup probes with the small-page index
+        first and reprobes with the large-page index whenever that
+        probe misses: on every large-page reference (a promotion shot
+        down the chunk's small pages, so the small probe cannot hit) and
+        on every small-page full miss.  With one page size there are no
+        large references, so every miss costs exactly one reprobe.
+        Every other shape resolves in one probe.
+        """
+        if (
+            self.fully_associative
+            or self.scheme is not IndexingScheme.EXACT_INDEX
+            or self.probe_strategy is not ProbeStrategy.SEQUENTIAL
+        ):
+            return 0
+        return large_refs + misses - large_misses
+
+    @property
     def label(self) -> str:
         """Short human-readable name, e.g. ``"16e-FA"`` or ``"32e-2way-exact"``."""
         if self.fully_associative:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +48,9 @@ from repro.perf.kernels import (
     stack_depths,
 )
 from repro.perf.sampled import SAMPLED_REPLACEMENTS, sampled_replacement_counts
-from repro.perf.twolevel import two_level_counts
+from repro.perf.twolevel import TwoLevelCounts, two_level_counts
 from repro.perf.twosize import (
+    SplitCounts,
     TwoSizeCounts,
     split_two_size_counts,
     two_size_counts,
@@ -68,7 +69,7 @@ from repro.sim.config import (
 )
 from repro.sim import kinds
 from repro.sim.kinds import CachedResult
-from repro.tlb.indexing import IndexingScheme, ProbeStrategy
+from repro.tlb.base import TLB
 from repro.tlb.split import SplitTLB
 from repro.trace import derived
 from repro.trace.record import Trace
@@ -206,21 +207,6 @@ def _sample_seed(trace: Trace, scheme: SingleSizeScheme, config: TLBConfig) -> i
     )
 
 
-def single_size_reprobes(config: TLBConfig, misses: int) -> int:
-    """Reprobes of a single-page-size run that missed ``misses`` times.
-
-    A sequential EXACT_INDEX lookup reprobes with the large-page index
-    after a small-page miss; with one page size that probe never hits,
-    so every miss costs exactly one reprobe and no hit costs any.
-    """
-    sequential_exact = (
-        not config.fully_associative
-        and config.scheme is IndexingScheme.EXACT_INDEX
-        and config.probe_strategy is ProbeStrategy.SEQUENTIAL
-    )
-    return misses if sequential_exact else 0
-
-
 def _run_single_size_uncached(
     trace: Trace,
     scheme: SingleSizeScheme,
@@ -234,12 +220,45 @@ def _run_single_size_uncached(
     # what the cache key records, so "auto" and an explicit request
     # share entries.
     kernel = choice.kernel
-    common = dict(
+    pages = trace.addresses >> np.uint32(log2_exact(scheme.page_size))
+    sampling: Optional[Dict[str, Any]] = None
+    if kernel == KERNEL_VECTOR:
+        pages = np.asarray(pages, dtype=np.int64)
+        groups = None if config.fully_associative else pages & (config.sets - 1)
+        misses = stack_depths(pages, groups=groups).misses(config.ways)
+        reprobes = config.reprobes(misses)
+    elif kernel == KERNEL_SAMPLED:
+        counts = sampled_replacement_counts(
+            np.asarray(pages, dtype=np.int64),
+            config,
+            sample_seed=_sample_seed(trace, scheme, config),
+            replacement_seed=config.replacement_seed(),
+            exact=exact,
+        )
+        misses = counts.misses
+        reprobes = config.reprobes(misses)
+        sampling = {
+            "exact": counts.exact,
+            "sampled_sets": counts.sampled_sets,
+            "total_sets": counts.total_sets,
+            "stderr": counts.stderr,
+            "ci_low": counts.ci_low,
+            "ci_high": counts.ci_high,
+        }
+    else:
+        tlb = config.build()
+        access = tlb.access_single
+        for page in pages.tolist():
+            access(page)
+        misses, reprobes = tlb.stats.misses, tlb.stats.reprobes
+    return RunResult(
         trace_name=trace.name,
         scheme_label=scheme.label,
         config=config,
         references=len(trace),
+        misses=misses,
         large_misses=0,
+        reprobes=reprobes,
         invalidations=0,
         promotions=0,
         demotions=0,
@@ -247,59 +266,7 @@ def _run_single_size_uncached(
         miss_penalty_cycles=base_penalty,
         resolved_kernel=kernel,
         fallback_reason=choice.fallback_reason,
-    )
-    if kernel == KERNEL_VECTOR:
-        pages = np.asarray(
-            trace.addresses >> np.uint32(log2_exact(scheme.page_size)),
-            dtype=np.int64,
-        )
-        if config.fully_associative:
-            depths = stack_depths(pages)
-            capacity = config.entries
-        else:
-            sets = config.entries // config.associativity
-            depths = stack_depths(pages, groups=pages & (sets - 1))
-            capacity = config.associativity
-        misses = depths.misses(capacity)
-        return RunResult(
-            misses=misses,
-            reprobes=single_size_reprobes(config, misses),
-            **common,
-        )
-    if kernel == KERNEL_SAMPLED:
-        pages = np.asarray(
-            trace.addresses >> np.uint32(log2_exact(scheme.page_size)),
-            dtype=np.int64,
-        )
-        counts = sampled_replacement_counts(
-            pages,
-            config,
-            sample_seed=_sample_seed(trace, scheme, config),
-            replacement_seed=config.replacement_seed(),
-            exact=exact,
-        )
-        return RunResult(
-            misses=counts.misses,
-            reprobes=single_size_reprobes(config, counts.misses),
-            sampling={
-                "exact": counts.exact,
-                "sampled_sets": counts.sampled_sets,
-                "total_sets": counts.total_sets,
-                "stderr": counts.stderr,
-                "ci_low": counts.ci_low,
-                "ci_high": counts.ci_high,
-            },
-            **common,
-        )
-    tlb = config.build()
-    pages = (trace.addresses >> np.uint32(log2_exact(scheme.page_size))).tolist()
-    access = tlb.access_single
-    for page in pages:
-        access(page)
-    return RunResult(
-        misses=tlb.stats.misses,
-        reprobes=tlb.stats.reprobes,
-        **common,
+        sampling=sampling,
     )
 
 
@@ -401,66 +368,22 @@ def _resolve_two_size_kernel(
     return choose_kernel(kernel, vector_supported=False, reason=reason)
 
 
-def _run_with_policy_uncached(
-    trace: Trace,
+def _walk_policy(
+    block_array: np.ndarray,
     policy: PageSizeAssignmentPolicy,
-    configs: Sequence[TLBConfig],
-    *,
-    base_penalty: float,
-    penalty_factor: float,
-    choice: KernelChoice,
-) -> List[RunResult]:
-    pair = policy.pair
-    blocks_shift = log2_exact(pair.blocks_per_chunk)
-    block_array = trace.addresses >> np.uint32(pair.small_shift)
-    penalty = base_penalty * penalty_factor
+    tlbs: Sequence[TLB],
+) -> Tuple[int, int]:
+    """The scalar oracle: drive stateful TLB models reference by reference.
 
-    # ``choice`` arrives resolved (see ``_resolve_two_size_kernel``).
-    if choice.kernel == KERNEL_VECTOR:
-        decisions = trace_decisions(trace, policy)
-
-        def count(missing: List[TLBConfig]) -> List[TwoSizeCounts]:
-            return two_size_counts(
-                np.asarray(block_array, dtype=np.int64),
-                blocks_shift,
-                decisions.unpack(),
-                missing,
-            )
-
-        counts = derived.derive_each(
-            count,
-            configs,
-            "two_size_counts",
-            trace,
-            policy.cache_token(),
-            choice.kernel,
-        )
-        return [
-            RunResult(
-                trace_name=trace.name,
-                scheme_label=str(pair),
-                config=config,
-                references=len(trace),
-                misses=result.misses,
-                large_misses=result.large_misses,
-                reprobes=result.reprobes,
-                invalidations=result.invalidations,
-                promotions=decisions.promotions,
-                demotions=decisions.demotions,
-                refs_per_instruction=trace.refs_per_instruction,
-                miss_penalty_cycles=penalty,
-                resolved_kernel=choice.kernel,
-                fallback_reason=choice.fallback_reason,
-            )
-            for config, result in zip(configs, counts)
-        ]
-
-    # Scalar oracle: stateful TLB objects walked per reference.
-    tlbs = [config.build() for config in configs]
-    blocks = block_array.tolist()
-    blocks_per_chunk = pair.blocks_per_chunk
+    Per reference the policy decides, then every model drops the demoted
+    chunk's large page, then the promoted chunk's small pages, then
+    looks the reference up.  Returns the policy's (promotions,
+    demotions).
+    """
+    blocks_per_chunk = policy.pair.blocks_per_chunk
+    blocks_shift = log2_exact(blocks_per_chunk)
     decide = policy.access_block
-    for block in blocks:
+    for block in block_array.tolist():
         decision = decide(block)
         promoted = decision.promoted_chunk
         demoted = decision.demoted_chunk
@@ -476,26 +399,72 @@ def _run_with_policy_uncached(
         large = decision.large
         for tlb in tlbs:
             tlb.access(block, chunk, large)
-    promotions = getattr(policy, "promotions", 0)
-    demotions = getattr(policy, "demotions", 0)
+    return getattr(policy, "promotions", 0), getattr(policy, "demotions", 0)
+
+
+def _run_with_policy_uncached(
+    trace: Trace,
+    policy: PageSizeAssignmentPolicy,
+    configs: Sequence[TLBConfig],
+    *,
+    base_penalty: float,
+    penalty_factor: float,
+    choice: KernelChoice,
+) -> List[RunResult]:
+    pair = policy.pair
+    block_array = trace.addresses >> np.uint32(pair.small_shift)
+
+    # ``choice`` arrives resolved (see ``_resolve_two_size_kernel``).
+    if choice.kernel == KERNEL_VECTOR:
+        decisions = trace_decisions(trace, policy)
+
+        def count(missing: List[TLBConfig]) -> List[TwoSizeCounts]:
+            return two_size_counts(
+                np.asarray(block_array, dtype=np.int64),
+                log2_exact(pair.blocks_per_chunk),
+                decisions.unpack(),
+                missing,
+            )
+
+        counts = derived.derive_each(
+            count,
+            configs,
+            "two_size_counts",
+            trace,
+            policy.cache_token(),
+            choice.kernel,
+        )
+        promotions, demotions = decisions.promotions, decisions.demotions
+    else:
+        tlbs = [config.build() for config in configs]
+        promotions, demotions = _walk_policy(block_array, policy, tlbs)
+        counts = [
+            TwoSizeCounts(
+                misses=tlb.stats.misses,
+                large_misses=tlb.stats.large_misses,
+                reprobes=tlb.stats.reprobes,
+                invalidations=tlb.stats.invalidations,
+            )
+            for tlb in tlbs
+        ]
     return [
         RunResult(
             trace_name=trace.name,
             scheme_label=str(pair),
             config=config,
             references=len(trace),
-            misses=tlb.stats.misses,
-            large_misses=tlb.stats.large_misses,
-            reprobes=tlb.stats.reprobes,
-            invalidations=tlb.stats.invalidations,
+            misses=result.misses,
+            large_misses=result.large_misses,
+            reprobes=result.reprobes,
+            invalidations=result.invalidations,
             promotions=promotions,
             demotions=demotions,
             refs_per_instruction=trace.refs_per_instruction,
-            miss_penalty_cycles=penalty,
+            miss_penalty_cycles=base_penalty * penalty_factor,
             resolved_kernel=choice.kernel,
             fallback_reason=choice.fallback_reason,
         )
-        for config, tlb in zip(configs, tlbs)
+        for config, result in zip(configs, counts)
     ]
 
 
@@ -631,65 +600,43 @@ def _run_split_two_sizes_uncached(
     kernel: str,
 ) -> SplitRunResult:
     pair = policy.pair
-    blocks_shift = log2_exact(pair.blocks_per_chunk)
     block_array = trace.addresses >> np.uint32(pair.small_shift)
-    penalty = base_penalty * penalty_factor
-    scheme_label = f"{pair} split"
 
     if kernel == KERNEL_VECTOR:
         decisions = trace_decisions(trace, policy).unpack()
         counts = split_two_size_counts(
             np.asarray(block_array, dtype=np.int64),
-            blocks_shift,
+            log2_exact(pair.blocks_per_chunk),
             decisions,
             small_config,
             large_config,
         )
-        return SplitRunResult(
-            trace_name=trace.name,
-            scheme_label=scheme_label,
-            small_config=small_config,
-            large_config=large_config,
-            references=len(trace),
-            misses=counts.misses,
-            large_misses=counts.large_misses,
-            invalidations=counts.invalidations,
-            promotions=decisions.promotions,
-            demotions=decisions.demotions,
-            small_occupancy=counts.small_occupancy,
-            large_occupancy=counts.large_occupancy,
-            refs_per_instruction=trace.refs_per_instruction,
-            miss_penalty_cycles=penalty,
+        promotions, demotions = decisions.promotions, decisions.demotions
+    else:
+        split = SplitTLB(small_config.build(), large_config.build())
+        promotions, demotions = _walk_policy(block_array, policy, [split])
+        counts = SplitCounts(
+            misses=split.stats.misses,
+            large_misses=split.stats.large_misses,
+            invalidations=split.stats.invalidations,
+            small_occupancy=split.small_tlb.occupancy(),
+            large_occupancy=split.large_tlb.occupancy(),
         )
-
-    # Scalar oracle: a stateful SplitTLB walked per reference.
-    split = SplitTLB(small_config.build(), large_config.build())
-    blocks_per_chunk = pair.blocks_per_chunk
-    decide = policy.access_block
-    for block in block_array.tolist():
-        decision = decide(block)
-        if decision.demoted_chunk is not None:
-            split.invalidate_large_page(decision.demoted_chunk)
-        if decision.promoted_chunk is not None:
-            split.invalidate_small_pages_of_chunk(
-                decision.promoted_chunk, blocks_per_chunk
-            )
-        split.access(block, block >> blocks_shift, decision.large)
     return SplitRunResult(
         trace_name=trace.name,
-        scheme_label=scheme_label,
+        scheme_label=f"{pair} split",
         small_config=small_config,
         large_config=large_config,
         references=len(trace),
-        misses=split.stats.misses,
-        large_misses=split.stats.large_misses,
-        invalidations=split.stats.invalidations,
-        promotions=getattr(policy, "promotions", 0),
-        demotions=getattr(policy, "demotions", 0),
-        small_occupancy=split.small_tlb.occupancy(),
-        large_occupancy=split.large_tlb.occupancy(),
+        misses=counts.misses,
+        large_misses=counts.large_misses,
+        invalidations=counts.invalidations,
+        promotions=promotions,
+        demotions=demotions,
+        small_occupancy=counts.small_occupancy,
+        large_occupancy=counts.large_occupancy,
         refs_per_instruction=trace.refs_per_instruction,
-        miss_penalty_cycles=penalty,
+        miss_penalty_cycles=base_penalty * penalty_factor,
     )
 
 
@@ -727,18 +674,6 @@ class TwoLevelRunResult(CachedResult):
     def extra_cycles(self) -> float:
         """L2-hit stalls, charged on top of the full-miss walks."""
         return self.l2_hits * self.config.l2_hit_cycles
-
-
-def _all_small_decisions(n: int) -> PolicyDecisions:
-    """The degenerate single-size decision stream: everything small."""
-    none = np.full(n, -1, dtype=np.int64)
-    return PolicyDecisions(
-        large=np.zeros(n, dtype=bool),
-        promoted=none,
-        demoted=none.copy(),
-        promotions=0,
-        demotions=0,
-    )
 
 
 def run_two_level(
@@ -876,91 +811,59 @@ def _sweep_two_level_uncached(
 ) -> List[TwoLevelRunResult]:
     two_size = scheme.two_page_sizes
     if two_size:
-        pair = policy.pair
-        blocks_shift = log2_exact(pair.blocks_per_chunk)
-        block_array = trace.addresses >> np.uint32(pair.small_shift)
-        scheme_label = str(pair)
+        page_shift = policy.pair.small_shift
+        scheme_label = str(policy.pair)
     else:
-        blocks_shift = 0
-        block_array = trace.addresses >> np.uint32(
-            log2_exact(scheme.page_size)
-        )
+        page_shift = log2_exact(scheme.page_size)
         scheme_label = scheme.label
+    block_array = trace.addresses >> np.uint32(page_shift)
 
     if choice.kernel == KERNEL_VECTOR:
         blocks = np.asarray(block_array, dtype=np.int64)
         if two_size:
+            blocks_shift = log2_exact(policy.pair.blocks_per_chunk)
             decisions = trace_decisions(trace, policy).unpack()
         else:
-            decisions = _all_small_decisions(int(blocks.size))
-        level1 = configs[0].level1
+            blocks_shift = 0
+            decisions = PolicyDecisions.fixed(np.zeros(blocks.size, dtype=bool))
         counts = two_level_counts(
             blocks,
             blocks_shift,
             decisions,
-            level1,
+            configs[0].level1,
             [config.level2 for config in configs],
         )
-        return [
-            TwoLevelRunResult(
-                trace_name=trace.name,
-                scheme_label=scheme_label,
-                config=config,
-                references=len(trace),
-                misses=result.misses,
-                large_misses=result.large_misses,
-                l2_hits=result.l2_hits,
-                invalidations=result.invalidations,
-                promotions=decisions.promotions,
-                demotions=decisions.demotions,
-                refs_per_instruction=trace.refs_per_instruction,
-                miss_penalty_cycles=penalty,
-                resolved_kernel=choice.kernel,
-                fallback_reason=choice.fallback_reason,
-            )
-            for config, result in zip(configs, counts)
-        ]
-
-    # Scalar oracle: composite TwoLevelTLB models walked per reference.
-    tlbs = [config.build() for config in configs]
-    if two_size:
-        blocks_per_chunk = policy.pair.blocks_per_chunk
-        decide = policy.access_block
-        for block in block_array.tolist():
-            decision = decide(block)
-            promoted = decision.promoted_chunk
-            demoted = decision.demoted_chunk
-            if promoted is not None or demoted is not None:
-                for tlb in tlbs:
-                    if demoted is not None:
-                        tlb.invalidate_large_page(demoted)
-                    if promoted is not None:
-                        tlb.invalidate_small_pages_of_chunk(
-                            promoted, blocks_per_chunk
-                        )
-            chunk = block >> blocks_shift
-            large = decision.large
-            for tlb in tlbs:
-                tlb.access(block, chunk, large)
-        promotions = getattr(policy, "promotions", 0)
-        demotions = getattr(policy, "demotions", 0)
+        promotions, demotions = decisions.promotions, decisions.demotions
     else:
-        pages = block_array.tolist()
-        for tlb in tlbs:
-            access = tlb.access_single
-            for page in pages:
-                access(page)
-        promotions = demotions = 0
+        tlbs = [config.build() for config in configs]
+        if two_size:
+            promotions, demotions = _walk_policy(block_array, policy, tlbs)
+        else:
+            pages = block_array.tolist()
+            for tlb in tlbs:
+                access = tlb.access_single
+                for page in pages:
+                    access(page)
+            promotions = demotions = 0
+        counts = [
+            TwoLevelCounts(
+                misses=tlb.stats.misses,
+                large_misses=tlb.stats.large_misses,
+                l2_hits=tlb.l2_hits,
+                invalidations=tlb.stats.invalidations,
+            )
+            for tlb in tlbs
+        ]
     return [
         TwoLevelRunResult(
             trace_name=trace.name,
             scheme_label=scheme_label,
             config=config,
             references=len(trace),
-            misses=tlb.stats.misses,
-            large_misses=tlb.stats.large_misses,
-            l2_hits=tlb.l2_hits,
-            invalidations=tlb.stats.invalidations,
+            misses=result.misses,
+            large_misses=result.large_misses,
+            l2_hits=result.l2_hits,
+            invalidations=result.invalidations,
             promotions=promotions,
             demotions=demotions,
             refs_per_instruction=trace.refs_per_instruction,
@@ -968,5 +871,5 @@ def _sweep_two_level_uncached(
             resolved_kernel=choice.kernel,
             fallback_reason=choice.fallback_reason,
         )
-        for config, tlb in zip(configs, tlbs)
+        for config, result in zip(configs, counts)
     ]

@@ -31,7 +31,7 @@ from repro.perf.kernels import KERNEL_AUTO, choose_kernel
 from repro.robustness import faultinject
 from repro.sim import kinds
 from repro.sim.config import SingleSizeScheme, TLBConfig
-from repro.sim.driver import RunResult, single_size_reprobes
+from repro.sim.driver import RunResult
 from repro.stacksim.lru_stack import (
     MissCurve,
     lru_miss_curve,
@@ -69,18 +69,8 @@ def _group_by_sets(configs: Sequence[TLBConfig]) -> Dict[int, List[TLBConfig]]:
     """Group TLB shapes by set count; each group shares one stack pass."""
     by_sets: Dict[int, List[TLBConfig]] = {}
     for config in configs:
-        sets = 1 if config.fully_associative else (
-            config.entries // config.associativity
-        )
-        by_sets.setdefault(sets, []).append(config)
+        by_sets.setdefault(config.sets, []).append(config)
     return by_sets
-
-
-def _family_depth(sets: int, group: Sequence[TLBConfig]) -> int:
-    return max(
-        config.entries if sets == 1 else config.entries // sets
-        for config in group
-    )
 
 
 def _family_curve(
@@ -179,11 +169,10 @@ def sweep_single_size(
     for page_size, remaining, keys in pending:
         faultinject.check("sim.sweep")
         for sets, group in _group_by_sets(remaining).items():
-            depth = _family_depth(sets, group)
+            depth = max(config.ways for config in group)
             curve = _family_curve(trace, page_size, index_shift, sets, depth, kernel)
             for config in group:
-                ways = config.entries if sets == 1 else config.entries // sets
-                misses = curve.misses(ways)
+                misses = curve.misses(config.ways)
                 result = RunResult(
                     trace_name=trace.name,
                     scheme_label=SingleSizeScheme(page_size).label,
@@ -191,7 +180,7 @@ def sweep_single_size(
                     references=len(trace),
                     misses=misses,
                     large_misses=0,
-                    reprobes=single_size_reprobes(config, misses),
+                    reprobes=config.reprobes(misses),
                     invalidations=0,
                     promotions=0,
                     demotions=0,

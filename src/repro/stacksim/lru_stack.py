@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, resolve_kernel, stack_depths
+from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel, stack_depths
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def lru_miss_curve(
         raise ConfigurationError(
             f"max_capacity must be positive, got {max_capacity}"
         )
-    if resolve_kernel(kernel) == KERNEL_VECTOR:
+    if choose_kernel(kernel).kernel == KERNEL_VECTOR:
         result = stack_depths(np.asarray(keys, dtype=np.int64))
         depth_hits, cold, beyond = result.depth_histogram(max_capacity)
         return MissCurve(depth_hits, cold, beyond, result.total)
@@ -168,7 +168,7 @@ def per_set_miss_curve(
         )
     if len(set_indices) != len(tags):
         raise SimulationError("set_indices and tags must have equal length")
-    if resolve_kernel(kernel) == KERNEL_VECTOR:
+    if choose_kernel(kernel).kernel == KERNEL_VECTOR:
         result = stack_depths(
             np.asarray(tags, dtype=np.int64),
             groups=np.asarray(set_indices, dtype=np.int64),

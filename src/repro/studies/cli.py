@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-study",
         description=(
             "Compile and run a declarative study: expand its factor "
-            "lattice, dedupe against the result cache, schedule the "
-            "rest through the parallel engine."
+            "lattice, dedupe against the result cache, run the rest "
+            "serially or across --jobs worker processes."
         ),
     )
     parser.add_argument(

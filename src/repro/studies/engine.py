@@ -59,7 +59,7 @@ class StudyUnit:
     ``point`` is the declarative coordinate (workload + factor levels);
     ``params`` the resolved parameters its kind consumes; ``run_id``
     the content-derived identity; ``label`` the stable human-readable
-    name used for journal records and the parallel engine.
+    name used for journal records and the unit executor.
     """
 
     index: int

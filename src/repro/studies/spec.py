@@ -4,8 +4,8 @@ A :class:`Study` names *what* to measure — workloads, a lattice of
 factors and levels, the metrics to collect — and nothing about *how*:
 the compiler (:mod:`repro.studies.engine`) expands the lattice into
 simulation units with stable content-derived run IDs, dedupes them
-against the result cache, and schedules the remainder through the
-parallel engine.
+against the result cache, and runs the remainder through
+:func:`repro.robustness.executor.run_units`.
 
 Studies can be written in Python (the migrated ablations in
 :mod:`repro.studies.registry`) or loaded from a TOML/JSON file::

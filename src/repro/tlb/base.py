@@ -20,7 +20,7 @@ the page number as both block and chunk.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.tlb.entry import decode_tag, encode_tag
@@ -150,35 +150,6 @@ class TLB(ABC):
     def occupancy(self) -> int:
         """Number of valid entries currently held."""
         return sum(len(entries) for entries in self._sets)
-
-    def occupancy_by_size(self) -> Tuple[int, int]:
-        """``(small, large)`` resident entry counts.
-
-        Built on :meth:`resident`, so it is correct for every model —
-        including :class:`~repro.tlb.split.SplitTLB`, whose components
-        store bare page numbers and normalise the size in
-        ``resident()``.  Used by the utilisation ablation and by the
-        vector-kernel equivalence tests to compare end-of-trace state.
-        """
-        small = 0
-        large = 0
-        for _page, is_large in self.resident():
-            if is_large:
-                large += 1
-            else:
-                small += 1
-        return small, large
-
-    def resident_pages(self, large: bool) -> FrozenSet[int]:
-        """The distinct page numbers currently resident at one size.
-
-        Large pages can be resident as several copies under small-page
-        indexing; the set collapses them, which is what an exactness
-        check against another model wants.
-        """
-        return frozenset(
-            page for page, is_large in self.resident() if is_large == large
-        )
 
     def __repr__(self) -> str:
         return (

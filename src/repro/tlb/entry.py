@@ -24,12 +24,3 @@ def decode_tag(tag: int) -> Tuple[int, bool]:
     """Unpack an encoded tag into ``(page_number, is_large)``."""
     return tag >> 1, bool(tag & 1)
 
-
-def tag_is_large(tag: int) -> bool:
-    """Return the page-size flag of an encoded tag."""
-    return bool(tag & 1)
-
-
-def tag_page(tag: int) -> int:
-    """Return the page number of an encoded tag."""
-    return tag >> 1

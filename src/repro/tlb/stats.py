@@ -44,13 +44,6 @@ class TLBStatistics:
             return 0.0
         return self.misses / self.accesses
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits per access; 0.0 before any access."""
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
     def record_hit(self, large: bool) -> None:
         """Count one hit (``large`` if the matching entry was a large page)."""
         self.accesses += 1

@@ -30,7 +30,6 @@ KIND_LOAD = 1
 KIND_STORE = 2
 
 _KIND_NAMES = {KIND_IFETCH: "ifetch", KIND_LOAD: "load", KIND_STORE: "store"}
-_KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,6 @@ class Reference:
     def kind_name(self) -> str:
         """Human-readable kind (``"ifetch"``, ``"load"`` or ``"store"``)."""
         return _KIND_NAMES[self.kind]
-
-
-def kind_code(name: str) -> int:
-    """Map a kind name to its uint8 code (inverse of ``Reference.kind_name``)."""
-    try:
-        return _KIND_CODES[name]
-    except KeyError:
-        raise TraceError(f"unknown reference kind name {name!r}") from None
 
 
 class Trace:

@@ -76,13 +76,13 @@ def write_trace(path: PathLike, trace: Trace) -> None:
 
     The payload checksum is computed before any byte hits the disk and
     the file is renamed into place atomically, so readers never observe
-    a torn or checksum-less file under ``path``.
+    a torn or checksum-less file under ``path``.  The temporary file is
+    named per process, so concurrent writers of one path never share it.
     """
     body = _encode_body(trace)
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    temporary = Path(os.fspath(path)).with_name(
-        Path(os.fspath(path)).name + ".tmp"
-    )
+    path = Path(os.fspath(path))
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(temporary, "wb") as stream:
         stream.write(MAGIC_RPT2)
         stream.write(np.uint32(crc).tobytes())

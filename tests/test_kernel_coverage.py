@@ -41,6 +41,7 @@ from repro.sim import (
     run_single_size,
     run_two_level,
     run_two_sizes,
+    sweep_multiprogrammed,
     sweep_multiprogrammed_two_sizes,
     sweep_two_level,
 )
@@ -256,7 +257,9 @@ class TestTombstoneProperty:
     Small windows over a few chunks keep promotions and demotions
     constant, so every kernel that runs the tombstone correction — flat,
     split (occupancies included), two-level and multiprogrammed — is
-    checked against its scalar oracle on shootdown-heavy streams.
+    checked against its scalar oracle on shootdown-heavy streams, with a
+    sequential-probe shape for the reprobe rule.  The single-size
+    multiprogrammed and two-level kernels run on the same streams.
     """
 
     @settings(
@@ -276,11 +279,14 @@ class TestTombstoneProperty:
         trace = Trace(raw << np.uint32(12), name=f"dense{seed}")
         scheme = TwoSizeScheme(window=window)
         caps = sorted(capacities)
+        sequential = TLBConfig(
+            2 * caps[0], associativity=2, probe_strategy=ProbeStrategy.SEQUENTIAL
+        )
         configs = [TLBConfig(c) for c in caps] + [
             TLBConfig(2 * c, associativity=2, scheme=scheme_)
             for c in caps
             for scheme_ in IndexingScheme
-        ]
+        ] + [sequential]
 
         def both(run, *args, **kwargs):
             vector = run(*args, kernel="vector", **kwargs)
@@ -299,20 +305,28 @@ class TestTombstoneProperty:
             TLBConfig(caps[0]),
         )
         l1 = TLBConfig(caps[0])
-        both(
-            sweep_two_level,
-            trace,
-            scheme,
-            [TwoLevelConfig(l1, TLBConfig(4 * c)) for c in caps]
-            + [TwoLevelConfig(l1, TLBConfig(8 * c, associativity=2)) for c in caps],
-        )
+        hierarchies = [TwoLevelConfig(l1, TLBConfig(4 * c)) for c in caps] + [
+            TwoLevelConfig(l1, TLBConfig(8 * c, associativity=2)) for c in caps
+        ]
+        both(sweep_two_level, trace, scheme, hierarchies)
+        both(sweep_two_level, trace, SMALL, hierarchies)
         third = len(trace) // 3
         programs = [trace[k * third : (k + 1) * third] for k in range(3)]
         both(
             sweep_multiprogrammed_two_sizes,
             programs,
-            [TLBConfig(c) for c in caps],
+            [TLBConfig(c) for c in caps] + [sequential],
             scheme=scheme,
+            quanta=(25, 90),
+        )
+        both(
+            sweep_multiprogrammed,
+            programs,
+            [TLBConfig(c) for c in caps]
+            + [
+                TLBConfig(2 * c, associativity=2, scheme=IndexingScheme.SMALL_INDEX)
+                for c in caps
+            ],
             quanta=(25, 90),
         )
 

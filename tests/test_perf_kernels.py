@@ -15,8 +15,8 @@ from repro.perf.kernels import (
     KERNEL_SCALAR,
     KERNEL_VECTOR,
     _count_greater_preceding,
+    choose_kernel,
     previous_occurrences,
-    resolve_kernel,
     stack_depths,
     window_events,
 )
@@ -72,18 +72,18 @@ def _curves_equal(a, b):
 
 class TestKernelResolution:
     def test_auto_prefers_vector(self):
-        assert resolve_kernel("auto") == KERNEL_VECTOR
+        assert choose_kernel("auto").kernel == KERNEL_VECTOR
 
     def test_auto_falls_back_when_unsupported(self):
-        assert resolve_kernel("auto", vector_supported=False) == KERNEL_SCALAR
+        assert choose_kernel("auto", vector_supported=False).kernel == KERNEL_SCALAR
 
     def test_explicit_vector_unsupported_raises(self):
         with pytest.raises(ConfigurationError):
-            resolve_kernel("vector", vector_supported=False)
+            choose_kernel("vector", vector_supported=False)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_kernel("simd")
+            choose_kernel("simd")
 
 
 class TestPrimitives:

@@ -1,11 +1,14 @@
 """Tests for the trace substrate: records, IO round-trips, stats, mixing."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError, TraceFormatError, TraceIntegrityError
+from repro.parallel.pool import fork_available
 from repro.trace import (
     KIND_IFETCH,
     KIND_LOAD,
@@ -186,6 +189,29 @@ class TestBinaryIO:
         trace = Trace(addresses, name="prop", refs_per_instruction=rpi)
         path = tmp_path_factory.mktemp("io") / "t.rpt"
         write_trace(path, trace)
+        assert read_trace(path) == trace
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        # Two processes caching the same trace at once: a shared
+        # temporary file would make one writer's rename find it gone.
+        trace = Trace(
+            np.arange(5_000, dtype=np.uint32) * np.uint32(4096), name="shared"
+        )
+        path = tmp_path / "shared.rpt"
+
+        def write_repeatedly():
+            for _ in range(100):
+                write_trace(path, trace)
+
+        context = multiprocessing.get_context("fork")
+        writers = [context.Process(target=write_repeatedly) for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert [writer.is_alive() for writer in writers] == [False, False]
+        assert [writer.exitcode for writer in writers] == [0, 0]
         assert read_trace(path) == trace
 
 
