@@ -193,9 +193,15 @@ def advise(
         raise ConfigurationError("TLB capacities must be positive")
     capacities = tuple(sorted({*capacities, reference_entries}))
 
-    baseline_ws = average_working_set_bytes(trace, PAGE_4KB, [window])[window]
-    large_ws = average_working_set_bytes(trace, PAGE_32KB, [window])[window]
-    dynamic = dynamic_average_working_set(trace, PAIR_4KB_32KB, window)
+    baseline_ws = average_working_set_bytes(
+        trace, PAGE_4KB, [window], cache=cache
+    )[window]
+    large_ws = average_working_set_bytes(
+        trace, PAGE_32KB, [window], cache=cache
+    )[window]
+    dynamic = dynamic_average_working_set(
+        trace, PAIR_4KB_32KB, window, cache=cache
+    )
     inflation = {
         "32KB": large_ws / baseline_ws if baseline_ws else 1.0,
         "4KB/32KB": (

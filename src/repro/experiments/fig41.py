@@ -98,13 +98,14 @@ def run_fig41(
     from repro.workloads.registry import workload_names
 
     all_sizes = [PAGE_4KB] + list(page_sizes)
+    cache = scale.sim_cache()
 
     def measure(name: str) -> Dict[int, float]:
         trace = scale.trace(name)
         return {
-            size: average_working_set_bytes(trace, size, [scale.window])[
-                scale.window
-            ]
+            size: average_working_set_bytes(
+                trace, size, [scale.window], cache=cache
+            )[scale.window]
             for size in all_sizes
         }
 

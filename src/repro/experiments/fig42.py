@@ -112,18 +112,22 @@ def run_fig42(
     from repro.experiments.scale import map_workloads
     from repro.workloads.registry import workload_names
 
+    cache = scale.sim_cache()
+
     def measure(name: str):
         trace = scale.trace(name)
-        baseline = average_working_set_bytes(trace, PAGE_4KB, [scale.window])[
-            scale.window
-        ]
+        baseline = average_working_set_bytes(
+            trace, PAGE_4KB, [scale.window], cache=cache
+        )[scale.window]
         normalized = {}
         for size in page_sizes:
-            measured = average_working_set_bytes(trace, size, [scale.window])[
-                scale.window
-            ]
+            measured = average_working_set_bytes(
+                trace, size, [scale.window], cache=cache
+            )[scale.window]
             normalized[size] = measured / baseline if baseline else 1.0
-        dynamic = dynamic_average_working_set(trace, pair, scale.window)
+        dynamic = dynamic_average_working_set(
+            trace, pair, scale.window, cache=cache
+        )
         ratio = dynamic.average_bytes / baseline if baseline else 1.0
         return normalized, ratio, dynamic.promotions
 

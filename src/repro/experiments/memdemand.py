@@ -83,13 +83,15 @@ def run_memdemand(
         scale = default_scale()
     from repro.experiments.scale import map_workloads
 
+    cache = scale.sim_cache()
+
     def measure(name: str) -> Dict[Tuple[str, str, int], float]:
         trace = scale.trace(name)
         curves = {
-            "4KB": fault_rate_curve(trace, PAGE_4KB, memory_sizes),
-            "32KB": fault_rate_curve(trace, PAGE_32KB, memory_sizes),
+            "4KB": fault_rate_curve(trace, PAGE_4KB, memory_sizes, cache=cache),
+            "32KB": fault_rate_curve(trace, PAGE_32KB, memory_sizes, cache=cache),
             "4KB/32KB": two_size_fault_rate_curve(
-                trace, PAIR_4KB_32KB, scale.window, memory_sizes
+                trace, PAIR_4KB_32KB, scale.window, memory_sizes, cache=cache
             ),
         }
         return {

@@ -88,7 +88,7 @@ def run_pairs(
     def measure(name: str):
         trace = scale.trace(name)
         baseline_ws = average_working_set_bytes(
-            trace, PAGE_4KB, [scale.window]
+            trace, PAGE_4KB, [scale.window], cache=cache
         )[scale.window]
         swept = sweep_single_size(trace, [PAGE_4KB], [config], cache=cache)
         baseline = swept[(PAGE_4KB, config.label)].cpi_tlb
@@ -98,7 +98,9 @@ def run_pairs(
             scheme = TwoSizeScheme(pair=pair, window=scale.window)
             (result,) = run_two_sizes(trace, scheme, [config], cache=cache)
             pair_cpi[pair] = result
-            dynamic = dynamic_average_working_set(trace, pair, scale.window)
+            dynamic = dynamic_average_working_set(
+                trace, pair, scale.window, cache=cache
+            )
             pair_ws[pair] = (
                 dynamic.average_bytes / baseline_ws if baseline_ws else 1.0
             )

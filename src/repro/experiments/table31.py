@@ -74,12 +74,14 @@ def run_table31(scale: ExperimentScale = None) -> Table31Result:
     from repro.experiments.scale import map_workloads
     from repro.workloads.registry import get_workload, workload_names
 
+    cache = scale.sim_cache()
+
     def measure(name: str) -> WorkloadRow:
         workload = get_workload(name)
         trace = scale.trace(name)
-        ws = average_working_set_bytes(trace, PAGE_4KB, [scale.window])[
-            scale.window
-        ]
+        ws = average_working_set_bytes(
+            trace, PAGE_4KB, [scale.window], cache=cache
+        )[scale.window]
         return WorkloadRow(
             name=workload.name,
             description=workload.description,

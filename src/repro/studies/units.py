@@ -198,7 +198,7 @@ def _run_two_size(
 
         window = params["window"]
         baseline_ws = average_working_set_bytes(
-            trace, PAGE_4KB, [window]
+            trace, PAGE_4KB, [window], cache=cache
         )[window]
         ws_kwargs: Dict[str, Any] = {
             "promote_fraction": params["promote_fraction"],
@@ -206,7 +206,7 @@ def _run_two_size(
         if params["demote_fraction"] is not None:
             ws_kwargs["demote_fraction"] = params["demote_fraction"]
         dynamic = dynamic_average_working_set(
-            trace, PAIR_4KB_32KB, window, **ws_kwargs
+            trace, PAIR_4KB_32KB, window, cache=cache, **ws_kwargs
         )
         metrics["ws_normalized"] = (
             dynamic.average_bytes / baseline_ws if baseline_ws else 1.0

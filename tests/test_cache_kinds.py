@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.scale import ExperimentScale
+from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
+from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.sim import (
     SingleSizeScheme,
     TLBConfig,
@@ -28,9 +30,11 @@ from repro.sim import (
     sweep_two_level,
 )
 from repro.sim.driver import run_split_two_sizes
+from repro.stacksim.working_set import average_working_set_bytes
 from repro.studies import Factor, Study, run_study
 from repro.tlb.context import ContextSwitchPolicy
 from repro.trace import Trace
+from repro.types import PAIR_4KB_16KB, PAIR_4KB_32KB
 
 SCHEME = TwoSizeScheme(window=400)
 GRID = dict(quanta=(700,), policies=tuple(ContextSwitchPolicy))
@@ -136,6 +140,35 @@ def run_study_units(cache):
     return [Metrics(unit.metrics) for unit in result.units]
 
 
+def run_working_set(cache):
+    trace = hand_built_trace("t")
+    return [
+        Metrics({"average_bytes": size})
+        for page_size in (4096, 32768)
+        for size in average_working_set_bytes(
+            trace, page_size, [100, 400], cache=cache
+        ).values()
+    ]
+
+
+def run_dynamic_ws(cache):
+    trace = hand_built_trace("t")
+    return [
+        dynamic_average_working_set(trace, pair, 400, cache=cache)
+        for pair in (PAIR_4KB_16KB, PAIR_4KB_32KB)
+    ]
+
+
+def run_paging(cache):
+    trace = hand_built_trace("t")
+    budgets = [64 * 1024, 256 * 1024]
+    single = fault_rate_curve(trace, 4096, budgets, cache=cache)
+    two_size = two_size_fault_rate_curve(
+        trace, PAIR_4KB_32KB, 400, budgets, cache=cache
+    )
+    return [*single.values(), *two_size.values()]
+
+
 CASES = {
     "single": run_single,
     "policy": run_policy,
@@ -145,6 +178,9 @@ CASES = {
     "multiprog": run_multiprog,
     "multiprog2": run_multiprog2,
     "study": run_study_units,
+    "working_set": run_working_set,
+    "dynamic_ws": run_dynamic_ws,
+    "paging": run_paging,
 }
 
 #: Sorted entry file names each case writes, recorded before the cache
@@ -189,6 +225,23 @@ PINNED = {
         "0b6ed7dd418c744fa0ebb9945f0bbc8ba2f0677c1f651bf65327f471726dbd70.json",
         "17ab48de27c7503b4271e80632fc06f1b20308711442e7e20ca1f46abbf43352.json",
         "5edc4fa1cf4171042af0a646af551d749051459202d52bb18271cb8758ea699e.json",
+    ],
+    # The three kinds below were recorded when they joined the cache.
+    "working_set": [
+        "13f69d2be330b819fb18a4301428d66d5231c6d4a4dd2b81f8a0c4e4fdd1d166.json",
+        "27314ff0002cc8cacf5858e206c5dd93fcb2ee8e57effe9940d9ee060dc9ca5c.json",
+        "f53aed55fe29fe3f8a81493a41210f7523137407d52677f83c35abf05ce9703e.json",
+        "f57f46b661895fff8d38c0537eb7f54d89b18b88f4ca16a3f295d0296a1f5f73.json",
+    ],
+    "dynamic_ws": [
+        "44cd97226b9ff66c3e8c1a46de68d25a53e0ae73deb4e08becc91332c382ee77.json",
+        "bac5d70d6db4c951ab59e7e837f8e88f433ea6c3e3ab9eb66852086462fe6690.json",
+    ],
+    "paging": [
+        "4ab97fc7b49243df6250999971310e7947ecbc5c251d7898348fe3c69cb83313.json",
+        "5c9496f31f107f571f74bdacc59165ecca7c520621fa96848d6fcc66b497231f.json",
+        "848aa3f1c9d3600250c069bfb4efb904106741f7e4715ca89825c2627d620c0f.json",
+        "a081661c0a17eaae63afa2d3d56602a7b4b9fa95a5ad385cf20cb785076a7f4b.json",
     ],
 }
 

@@ -8,6 +8,7 @@ content (same-name traces never share an entry, a scalar request never
 reads a vector answer).
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from repro.experiments import smoke_scale
 from repro.experiments.runner import EXPERIMENTS
+from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
+from repro.parallel.cache import SimulationCache
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
@@ -196,3 +199,45 @@ def test_uncacheable_policies_are_never_stored(monkeypatch):
             policy = Opaque(PAIR_4KB_32KB, 500)
             driver.run_with_policy(trace, policy, CONFIGS, kernel="vector")
     assert len(decisions) == len(counts) == 2
+
+
+def _inside_or_outside(inside):
+    return derived.run() if inside else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_numpy_integer_windows_act_like_ints(inside):
+    trace = _trace(7)
+    expected = average_working_set_bytes(trace, 4096, [100])
+    with _inside_or_outside(inside):
+        sizes = average_working_set_bytes(trace, np.int64(4096), np.array([100]))
+    assert sizes == expected
+    assert [type(window) for window in sizes] == [int]
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_numpy_integer_page_sizes_act_like_ints(inside):
+    trace = _trace(8)
+    budgets = [64 * 1024, 128 * 1024]
+    expected = fault_rate_curve(trace, 4096, budgets)
+    with _inside_or_outside(inside):
+        curve = fault_rate_curve(trace, np.int64(4096), np.array(budgets))
+    assert curve == expected
+    assert [type(memory) for memory in curve] == [int, int]
+
+
+def test_numpy_integers_address_the_entries_ints_do(tmp_path):
+    trace = _trace(9)
+    cache = SimulationCache.open(tmp_path)
+    budgets = [64 * 1024, 128 * 1024]
+    for page_size, window, memory in (
+        (np.int64(4096), np.int64(100), np.array(budgets)),
+        (4096, 100, budgets),
+    ):
+        average_working_set_bytes(trace, page_size, [window], cache=cache)
+        fault_rate_curve(trace, page_size, memory, cache=cache)
+        dynamic_average_working_set(trace, PAIR_4KB_32KB, window, cache=cache)
+        two_size_fault_rate_curve(
+            trace, PAIR_4KB_32KB, window, memory, cache=cache
+        )
+    assert (cache.stats.hits, cache.stats.stores) == (6, 6)
