@@ -9,7 +9,8 @@
   run.
 * :mod:`repro.parallel.cache` — a content-addressed on-disk result cache
   keyed by SHA-256 of (trace fingerprint, config, kernel, penalty
-  model), consulted before any simulation.
+  model), consulted before any simulation, with the key, payload codec
+  and lookup rules every cached kind shares.
 """
 
 from repro.parallel.cache import SimulationCache, canonical_key

@@ -33,7 +33,8 @@ from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
-from repro.parallel.cache import SimulationCache
+from repro.parallel.cache import SimulationCache, lookup
+from repro.parallel.cache import key as cache_key
 from repro.perf.kernels import (
     KERNEL_AUTO,
     KERNEL_VECTOR,
@@ -54,7 +55,6 @@ from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.retry import NO_RETRY
-from repro.sim import kinds
 from repro.sim.config import TLBConfig, TwoSizeScheme
 from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
@@ -267,7 +267,7 @@ def _sweep_grid(
             for config in configs:
                 key: Optional[str] = None
                 if cache is not None:
-                    key = kinds.key(
+                    key = cache_key(
                         kind,
                         traces=[trace.fingerprint for trace in traces],
                         quantum=quantum,
@@ -275,7 +275,7 @@ def _sweep_grid(
                         config=config.cache_parts(),
                         **key_parts,
                     )
-                    hit = kinds.lookup(cache, key, decode, config)
+                    hit = lookup(cache, key, decode, config)
                     if hit is not None:
                         results[(policy.value, quantum, config.label)] = hit
                         continue

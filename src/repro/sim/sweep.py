@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
-from repro.parallel.cache import SimulationCache
+from repro.parallel.cache import SimulationCache, lookup
+from repro.parallel.cache import key as cache_key
 from repro.perf.kernels import KERNEL_AUTO, choose_kernel
 from repro.robustness import faultinject
-from repro.sim import kinds
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
 from repro.stacksim.lru_stack import (
@@ -149,7 +149,7 @@ def sweep_single_size(
         keys: Dict[TLBConfig, str] = {}
         for config in configs:
             if cache is not None:
-                key = keys[config] = kinds.key(
+                key = keys[config] = cache_key(
                     "sweep",
                     trace=trace.fingerprint,
                     page_size=page_size,
@@ -158,7 +158,7 @@ def sweep_single_size(
                     base_penalty=base_penalty,
                     kernel=kernel,
                 )
-                hit = kinds.lookup(cache, key, RunResult.from_payload, config)
+                hit = lookup(cache, key, RunResult.from_payload, config)
                 if hit is not None:
                     results[(page_size, config.label)] = hit
                     continue

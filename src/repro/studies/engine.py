@@ -34,11 +34,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.errors import StudyError
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.parallel.cache import SimulationCache
+from repro.parallel.cache import key as cache_key
 from repro.report.table import TextTable
 from repro.robustness.executor import UnitSpec, run_units
 from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
-from repro.sim.kinds import key as cache_key
 from repro.studies.spec import Study
 from repro.studies.units import UnitKind, get_kind
 from repro.trace.record import Trace
