@@ -43,7 +43,7 @@ from repro.experiments.fig52 import run_fig52
 from repro.experiments.headline import run_headline
 from repro.experiments.memdemand import run_memdemand
 from repro.experiments.pairs import run_pairs
-from repro.experiments.scale import ExperimentScale, default_scale
+from repro.experiments.scale import ExperimentScale, scale_settings
 from repro.experiments.table31 import run_table31
 from repro.experiments.table51 import run_table51
 from repro.robustness.executor import UnitSpec, run_units
@@ -201,13 +201,7 @@ def _run_suite(args: argparse.Namespace) -> int:
             f"unknown experiment(s) {', '.join(unknown)}; "
             f"known: {', '.join([*EXPERIMENTS, 'all'])}"
         )
-    base = default_scale()
-    scale = ExperimentScale(
-        trace_length=args.trace_length or base.trace_length,
-        window=args.window or base.window,
-        use_cache=not args.no_cache,
-        jobs=args.jobs if args.jobs is not None else base.jobs,
-    )
+    scale = ExperimentScale(**scale_settings(args))
 
     journal: Optional[RunJournal] = None
     journal_path = args.journal

@@ -12,14 +12,17 @@ harness uses :func:`default_scale`, tests use :func:`smoke_scale`.
 ``REPRO_TRACE_LENGTH`` / ``REPRO_WINDOW`` environment variables override
 the defaults for users with more patience; ``REPRO_JOBS`` spreads
 per-workload measurement across worker processes and ``REPRO_CACHE=0``
-disables the content-addressed simulation result cache.
+disables the content-addressed simulation result cache.  The command
+lines' ``--trace-length``/``--window``/``--jobs`` flags override the
+variables (:func:`scale_settings`).
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache
@@ -104,14 +107,48 @@ def map_workloads(
     return parallel_map([lambda n=n: fn(n) for n in names], jobs=jobs)
 
 
+#: (setting, environment variable, default) of each overridable knob.
+_OVERRIDABLE = (
+    ("trace_length", "REPRO_TRACE_LENGTH", 400_000),
+    ("window", "REPRO_WINDOW", 50_000),
+    ("jobs", "REPRO_JOBS", None),
+)
+
+
+def scale_settings(
+    args: Optional[argparse.Namespace] = None,
+) -> Dict[str, Any]:
+    """:class:`ExperimentScale` keywords from ``args`` and the environment.
+
+    A command line's ``--trace-length``, ``--window`` or ``--jobs`` wins
+    over its ``REPRO_*`` variable, which wins over the default; with
+    ``args``, ``--no-cache`` sets ``use_cache``.  A variable that is not
+    an integer, or a trace length or window that is not positive,
+    raises :class:`~repro.errors.ConfigurationError` naming the
+    variable or flag.
+    """
+    settings: Dict[str, Any] = {}
+    for name, variable, default in _OVERRIDABLE:
+        value, source = getattr(args, name, None), "--" + name.replace("_", "-")
+        if value is None:
+            text, source = os.environ.get(variable, "").strip(), variable
+            try:
+                value = int(text) if text else default
+            except ValueError:
+                raise ConfigurationError(
+                    f"{variable} must be an integer, got {text!r}"
+                ) from None
+        if name != "jobs" and value <= 0:
+            raise ConfigurationError(f"{source} must be positive, got {value}")
+        settings[name] = value
+    if args is not None:
+        settings["use_cache"] = not args.no_cache
+    return settings
+
+
 def default_scale() -> ExperimentScale:
     """The benchmark-harness scale, overridable via environment."""
-    jobs_text = os.environ.get("REPRO_JOBS", "").strip()
-    return ExperimentScale(
-        trace_length=int(os.environ.get("REPRO_TRACE_LENGTH", 400_000)),
-        window=int(os.environ.get("REPRO_WINDOW", 50_000)),
-        jobs=int(jobs_text) if jobs_text else None,
-    )
+    return ExperimentScale(**scale_settings())
 
 
 def smoke_scale(trace_length: int = 60_000, window: int = 8_000,

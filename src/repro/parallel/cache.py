@@ -26,15 +26,15 @@ sits below every layer that caches, so the working sets, the paging
 curves and the TLB drivers all share it without an upward import:
 
 * **Keys.**  :func:`key` hashes ``{"version": CACHE_KEY_VERSION,
-  "kind": kind, **parts}`` with :func:`canonical_key`.  The kinds are
-  ``single``, ``policy``, ``split`` and ``twolevel``
+  "kind": kind, **parts}`` with :func:`canonical_key`.  The ten kinds
+  are ``single``, ``policy``, ``split`` and ``twolevel``
   (:mod:`repro.sim.driver`), ``sweep`` (:mod:`repro.sim.sweep`),
   ``multiprog`` and ``multiprog2`` (:mod:`repro.sim.multiprog`),
-  ``study`` (the run IDs of :mod:`repro.studies.engine`),
   ``working_set`` (:mod:`repro.stacksim.working_set`), ``dynamic_ws``
   (:mod:`repro.policy.dynamic_ws`) and ``paging``
   (:mod:`repro.mem.pageout`); see ``docs/performance.md`` for the
-  parts of each.
+  parts of each.  A study (:mod:`repro.studies`) keeps no entries of
+  its own: its units call the drivers with the cache.
 * **Payloads.**  Cached dataclasses derive from :class:`CachedValue`,
   whose codec follows the declared field types: ints and floats are
   cast to their type, enums are stored by value, sequences as lists and

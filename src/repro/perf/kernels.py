@@ -62,7 +62,7 @@ _BASE_BLOCK = 16
 
 
 class KernelFallbackWarning(UserWarning):
-    """Emitted when ``kernel="auto"`` has to resolve to the scalar walk.
+    """Emitted when ``kernel="auto"`` resolved to a scalar walk that runs.
 
     The scalar per-reference loop is 4-25x slower than the array
     kernels, so a sweep that silently leaks onto it is a performance
@@ -79,6 +79,22 @@ class KernelChoice:
     kernel: str
     fallback_reason: Optional[str] = None
 
+    def announce_fallback(self) -> None:
+        """Warn if ``auto`` fell back; called where the scalar walk runs.
+
+        A choice is resolved before the result-cache lookup, so the
+        warning waits for a walk that actually runs: a call that only
+        replays cached entries stays quiet (its results still carry
+        ``fallback_reason``).
+        """
+        if self.fallback_reason is not None:
+            warnings.warn(
+                f"kernel='auto' fell back to the scalar walk: "
+                f"{self.fallback_reason}",
+                KernelFallbackWarning,
+                stacklevel=2,
+            )
+
 
 def choose_kernel(
     kernel: str,
@@ -87,15 +103,16 @@ def choose_kernel(
     sampled_supported: bool = False,
     reason: str = "configuration not supported by an array kernel",
 ) -> KernelChoice:
-    """Resolve a ``kernel=`` argument to a concrete kernel, loudly.
+    """Resolve a ``kernel=`` argument to a concrete kernel.
 
     ``"auto"`` prefers the exact vector kernel, then the sampled-set
     kernel (statistical, for FIFO/random replacement), and only then
-    the scalar walk — in which case a :class:`KernelFallbackWarning`
-    is emitted carrying ``reason`` so no sweep silently runs 4-25x
-    slower than it should.  Requesting ``"vector"`` or ``"sampled"``
-    explicitly when unsupported is an error, so a benchmark or test
-    never silently measures the wrong kernel.
+    the scalar walk — in which case the choice carries ``reason``, and
+    :meth:`KernelChoice.announce_fallback` emits a
+    :class:`KernelFallbackWarning` when the walk runs, so no sweep
+    silently runs 4-25x slower than it should.  Requesting ``"vector"``
+    or ``"sampled"`` explicitly when unsupported is an error, so a
+    benchmark or test never silently measures the wrong kernel.
     """
     if kernel not in _KERNELS:
         raise ConfigurationError(
@@ -106,11 +123,6 @@ def choose_kernel(
             return KernelChoice(KERNEL_VECTOR)
         if sampled_supported:
             return KernelChoice(KERNEL_SAMPLED)
-        warnings.warn(
-            f"kernel='auto' fell back to the scalar walk: {reason}",
-            KernelFallbackWarning,
-            stacklevel=3,
-        )
         return KernelChoice(KERNEL_SCALAR, fallback_reason=reason)
     if kernel == KERNEL_VECTOR and not vector_supported:
         raise ConfigurationError(

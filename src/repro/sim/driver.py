@@ -145,7 +145,8 @@ def run_single_size(
     error bounds (``result.sampling``); ``exact=True`` walks every set
     and reproduces the scalar model bit-exactly.  Only PLRU remains on
     the scalar walk, and ``kernel="auto"`` announces that fallback with
-    a :class:`~repro.perf.kernels.KernelFallbackWarning`.
+    a :class:`~repro.perf.kernels.KernelFallbackWarning` when the walk
+    runs (a cache hit replays the entry without one).
 
     With a ``cache``, the result is looked up by content address (trace
     fingerprint + config + kernel + penalty) before simulating, and
@@ -246,6 +247,7 @@ def _run_single_size_uncached(
             "ci_high": counts.ci_high,
         }
     else:
+        choice.announce_fallback()
         tlb = config.build()
         access = tlb.access_single
         for page in pages.tolist():
@@ -436,6 +438,7 @@ def _run_with_policy_uncached(
         )
         promotions, demotions = decisions.promotions, decisions.demotions
     else:
+        choice.announce_fallback()
         tlbs = [config.build() for config in configs]
         promotions, demotions = _walk_policy(block_array, policy, tlbs)
         counts = [
@@ -582,7 +585,7 @@ def run_split_two_sizes(
                 large_config,
                 base_penalty=base_penalty,
                 penalty_factor=penalty_factor,
-                kernel=choice.kernel,
+                choice=choice,
             )
         ],
     )
@@ -597,12 +600,12 @@ def _run_split_two_sizes_uncached(
     *,
     base_penalty: float,
     penalty_factor: float,
-    kernel: str,
+    choice: KernelChoice,
 ) -> SplitRunResult:
     pair = policy.pair
     block_array = trace.addresses >> np.uint32(pair.small_shift)
 
-    if kernel == KERNEL_VECTOR:
+    if choice.kernel == KERNEL_VECTOR:
         decisions = trace_decisions(trace, policy).unpack()
         counts = split_two_size_counts(
             np.asarray(block_array, dtype=np.int64),
@@ -613,6 +616,7 @@ def _run_split_two_sizes_uncached(
         )
         promotions, demotions = decisions.promotions, decisions.demotions
     else:
+        choice.announce_fallback()
         split = SplitTLB(small_config.build(), large_config.build())
         promotions, demotions = _walk_policy(block_array, policy, [split])
         counts = SplitCounts(
@@ -674,6 +678,12 @@ class TwoLevelRunResult(CachedResult):
     def extra_cycles(self) -> float:
         """L2-hit stalls, charged on top of the full-miss walks."""
         return self.l2_hits * self.config.l2_hit_cycles
+
+    @property
+    def l2_catch_rate(self) -> float:
+        """Share of L1 misses the L2 absorbed (0.0 with no L1 miss)."""
+        l1_misses = self.l2_hits + self.misses
+        return self.l2_hits / l1_misses if l1_misses else 0.0
 
 
 def run_two_level(
@@ -835,6 +845,7 @@ def _sweep_two_level_uncached(
         )
         promotions, demotions = decisions.promotions, decisions.demotions
     else:
+        choice.announce_fallback()
         tlbs = [config.build() for config in configs]
         if two_size:
             promotions, demotions = _walk_policy(block_array, policy, tlbs)

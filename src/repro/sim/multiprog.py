@@ -177,6 +177,7 @@ def sweep_multiprogrammed(
         if choice.kernel == KERNEL_VECTOR:
             counts = multiprog_counts(pages, contexts, policy, cell_configs)
         else:
+            choice.announce_fallback()
             counts = _scalar_counts(pages, contexts, policy, cell_configs)
         return [
             MultiprogramResult(
@@ -506,6 +507,7 @@ def sweep_multiprogrammed_two_sizes(
                 blocks, contexts, blocks_shift, decisions, policy, cell_configs
             )
         else:
+            choice.announce_fallback()
             counts = _scalar_two_size_counts(
                 blocks, contexts, scheme, policy, cell_configs
             )

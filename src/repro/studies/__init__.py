@@ -3,9 +3,9 @@
 * :mod:`repro.studies.spec` — the :class:`Study`/:class:`Factor` schema
   and TOML/JSON loading.
 * :mod:`repro.studies.units` — unit kinds: how one lattice point maps
-  to one simulation.
+  to one driver call.
 * :mod:`repro.studies.engine` — the compiler (lattice → run IDs →
-  cache dedupe → parallel schedule) and result aggregation.
+  dedupe → serial or parallel schedule) and result aggregation.
 * :mod:`repro.studies.registry` — registered declarations, including
   the migrated ablations.
 * :mod:`repro.studies.cli` — the ``repro-study`` entry point.

@@ -7,14 +7,14 @@ declaration file::
     repro-study examples/studies/geometry.toml --jobs 4 --json report.json
     repro-study --list
 
-The study compiles into content-addressed simulation units, dedupes
-against the result cache before anything is dispatched, and schedules
-the remainder across worker processes (``--jobs``), with
-``--journal``/``--resume`` checkpointing inherited from the robustness
-layer.  ``--expect-cached`` turns the dedupe guarantee into an
-assertion: the run exits non-zero if any simulation was dispatched —
-CI's ``study-smoke`` step runs a study twice and holds the second run
-to zero.
+The study compiles into one driver call per distinct lattice point,
+run serially or across worker processes (``--jobs``).  With the result
+cache on (the default), every call goes through the drivers' entries,
+so a rerun — of a finished study or of an interrupted one — replays
+what is already on disk.
+``--expect-cached`` turns that into an assertion: the run exits 3 if
+any unit simulated — CI's ``study-smoke`` step runs a study twice and
+holds the second run to zero simulations and zero cache writes.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from repro.errors import ReproError
-from repro.experiments.scale import ExperimentScale, default_scale
-from repro.robustness.journal import RunJournal
+from repro.experiments.scale import ExperimentScale, scale_settings
 from repro.robustness.retry import RetryPolicy
 from repro.studies.engine import run_study
 from repro.studies.registry import get_study, study_names
 from repro.studies.spec import Study, load_study
-from repro.workloads.registry import GENERATOR_VERSION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-study",
         description=(
             "Compile and run a declarative study: expand its factor "
-            "lattice, dedupe against the result cache, run the rest "
-            "serially or across --jobs worker processes."
+            "lattice and run each distinct point through the drivers' "
+            "result cache, serially or across --jobs worker processes."
         ),
     )
     parser.add_argument(
@@ -87,17 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="checkpoint each completed unit to this JSONL journal",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay units already recorded as complete in the journal",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=1,
@@ -114,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--expect-cached",
         action="store_true",
         help=(
-            "fail (exit 3) if any simulation was dispatched — every "
-            "unit must resolve from the result cache or the journal"
+            "fail (exit 3) if any unit simulated — every unit must "
+            "replay from the result cache"
         ),
     )
     return parser
@@ -126,29 +112,6 @@ def _resolve_study(name_or_path: str) -> Study:
     if path.suffix.lower() in (".toml", ".json") or path.exists():
         return load_study(path)
     return get_study(name_or_path)
-
-
-def _journal(path: Optional[str], scale: ExperimentScale,
-             study: Study) -> Optional[RunJournal]:
-    if path is None:
-        return None
-    journal = RunJournal(
-        path,
-        fingerprint={
-            "study": study.name,
-            "trace_length": scale.trace_length,
-            "window": scale.window,
-            "seed": scale.seed,
-            "generator_version": GENERATOR_VERSION,
-        },
-    )
-    if journal.dropped_torn_line:
-        print(
-            "repro-study: journal had a torn final line (crash "
-            "mid-write?); its unit will re-run",
-            file=sys.stderr,
-        )
-    return journal
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -164,18 +127,9 @@ def _run(args: argparse.Namespace) -> int:
         )
         return 2
     study = _resolve_study(args.study)
-    base = default_scale()
-    scale = ExperimentScale(
-        trace_length=args.trace_length or base.trace_length,
-        window=args.window or base.window,
-        use_cache=not args.no_cache,
-        jobs=args.jobs if args.jobs is not None else base.jobs,
-    )
     result = run_study(
         study,
-        scale=scale,
-        journal=_journal(args.journal, scale, study),
-        resume=args.resume,
+        scale=ExperimentScale(**scale_settings(args)),
         retry_policy=RetryPolicy(max_attempts=max(1, args.retries + 1)),
         strict=False,
     )

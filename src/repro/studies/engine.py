@@ -3,22 +3,23 @@
 :func:`compile_study` expands a :class:`~repro.studies.spec.Study`'s
 factor lattice (workloads × every factor-level combination) into
 :class:`StudyUnit`\\ s, each with a **stable content-derived run ID**:
-the SHA-256 of (cache-key version, unit kind, trace fingerprint,
-consumed parameters).  The ID is independent of the study's name, its
-factor ordering, and any parameter the unit kind does not consume — two
-studies asking the same question share results.
+the SHA-256 of (unit kind, trace fingerprint, consumed parameters).
+The ID is independent of the study's name, its factor ordering, and
+any parameter the unit kind does not consume.  It is an identity, not
+a cache address: the drivers' own entries are the only cache.
 
 :func:`run_study` then:
 
 1. **dedupes** — identical units inside the lattice collapse to one
-   run, and units whose run ID is already in the
-   :class:`~repro.parallel.cache.SimulationCache` (under the
-   ``"study"`` kind) are resolved without dispatching anything;
-2. **schedules** the remainder through
+   run;
+2. **schedules** each distinct unit through
    :func:`repro.robustness.executor.run_units` — and therefore, with
-   ``jobs > 1``, across forked worker processes, with journaled
-   checkpoints and failure isolation inherited unchanged;
-3. **aggregates** the per-unit metric payloads into a
+   ``jobs > 1``, across forked worker processes, with retries and
+   failure isolation inherited unchanged.  Each unit calls its driver
+   with the :class:`~repro.parallel.cache.SimulationCache`, which
+   replays every answer already on disk, and counts as *from cache*
+   when all its lookups hit;
+3. **aggregates** the per-unit metrics into a
    :class:`StudyResult` with per-factor importance rankings: for every
    factor, the main-effect delta — the spread between the best and
    worst level mean of the primary metric — ranked largest first.
@@ -31,13 +32,11 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import StudyError
+from repro.errors import ReproError, StudyError
 from repro.experiments.scale import ExperimentScale, default_scale
-from repro.parallel.cache import SimulationCache
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import SimulationCache, canonical_key
 from repro.report.table import TextTable
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.studies.spec import Study
 from repro.studies.units import UnitKind, get_kind
@@ -46,7 +45,6 @@ from repro.trace.record import Trace
 #: ``source`` values a resolved unit can carry.
 SOURCE_RUN = "run"
 SOURCE_CACHE = "cache"
-SOURCE_JOURNAL = "journal"
 SOURCE_DEDUP = "dedup"
 
 _UNSET = object()
@@ -59,7 +57,7 @@ class StudyUnit:
     ``point`` is the declarative coordinate (workload + factor levels);
     ``params`` the resolved parameters its kind consumes; ``run_id``
     the content-derived identity; ``label`` the stable human-readable
-    name used for journal records and the unit executor.
+    name the unit executor reports it under.
     """
 
     index: int
@@ -220,7 +218,6 @@ class StudyResult:
             f"units: {c.get('planned', 0)} planned, "
             f"{c.get('unique', 0)} unique, "
             f"{c.get('from_cache', 0)} from cache, "
-            f"{c.get('resumed', 0)} resumed, "
             f"{c.get('simulated', 0)} simulated"
             + (f", {c.get('failed', 0)} FAILED" if c.get("failed") else "")
         )
@@ -248,7 +245,7 @@ class StudyResult:
     def to_json(self) -> Dict[str, Any]:
         """Machine-readable form (the ``repro-study --json`` artifact)."""
         return {
-            "schema": "repro-study/1",
+            "schema": "repro-study/2",
             "study": self.study.name,
             "scale": {
                 "trace_length": self.scale.trace_length,
@@ -288,16 +285,15 @@ def _level_text(value: Any) -> Optional[str]:
     return str(value)
 
 
-def _point_label(unit_kind: str, workload: str, point: Mapping[str, Any],
-                 run_id: str) -> str:
+def _point_label(unit_kind: str, point: Mapping[str, Any]) -> str:
     knobs = ",".join(
         f"{key}={_level_text(value)}"
         for key, value in point.items()
         if key not in ("workload", "kind")
     )
-    return f"study:{unit_kind}:{workload}" + (
-        f":{knobs}" if knobs else ""
-    ) + f"#{run_id[:12]}"
+    return ":".join(
+        part for part in (unit_kind, point.get("workload"), knobs) if part
+    )
 
 
 def compile_study(
@@ -307,9 +303,10 @@ def compile_study(
 
     Validates the declaration against the unit-kind schemas: workload
     names must exist in the registry, every metric must be produced by
-    at least one kind in the lattice, and every factor and fixed
-    parameter must be consumed by at least one kind (catching typos in
-    TOML declarations before anything runs).
+    at least one kind in the lattice, every factor and fixed parameter
+    must be consumed by at least one kind, and every lattice point's
+    values must build its driver's configuration (catching typos in
+    TOML declarations before any trace is generated).
     """
     from repro.workloads.registry import workload_names
 
@@ -332,15 +329,13 @@ def compile_study(
     kinds: Dict[str, UnitKind] = {name: get_kind(name) for name in kind_names}
 
     # Every requested metric must come from somewhere in the lattice.
-    available = set().union(*(k.metrics for k in kinds.values()))
+    available = set().union(*(k.metric_names for k in kinds.values()))
     missing = set(study.metrics) - available
     if missing:
         raise StudyError(
             f"no unit kind in study {study.name!r} produces metric(s) "
             f"{', '.join(sorted(missing))}"
         )
-    if len(kinds) == 1:
-        next(iter(kinds.values())).check_metrics(study.metrics)
 
     # Every declared name must be consumed by at least one kind.
     consumable = set().union(*(k.params.keys() for k in kinds.values()))
@@ -359,22 +354,34 @@ def compile_study(
                 f"kind in study {study.name!r}"
             )
 
+    # Each point's values must build its driver's configuration.
+    lattice: List[Tuple[Dict[str, Any], UnitKind, Dict[str, Any]]] = []
+    for combo in itertools.product(*(f.levels for f in study.factors)):
+        levels = dict(zip((f.name for f in study.factors), combo))
+        kind = kinds[levels.get("kind", study.kind)]
+        params = kind.resolve_params(
+            {**study.fixed, **levels}, window=scale.window
+        )
+        try:
+            kind.configure(params)
+        except (ReproError, TypeError, ValueError) as error:
+            raise StudyError(
+                f"study {study.name!r} unit "
+                f"{_point_label(kind.name, levels)}: {error}"
+            ) from error
+        lattice.append((levels, kind, params))
+
     traces = {name: scale.trace(name) for name in study.workloads}
     units: List[StudyUnit] = []
-    level_axes = [factor.levels for factor in study.factors]
     for workload in study.workloads:
-        trace = traces[workload]
-        for combo in itertools.product(*level_axes):
-            point: Dict[str, Any] = {"workload": workload}
-            point.update(zip((f.name for f in study.factors), combo))
-            kind = kinds[point.get("kind", study.kind)]
-            merged = {**study.fixed, **point}
-            params = kind.resolve_params(merged, window=scale.window)
-            run_id = cache_key(
-                "study",
-                unit_kind=kind.name,
-                trace=trace.fingerprint,
-                params=params,
+        for levels, kind, params in lattice:
+            point = {"workload": workload, **levels}
+            run_id = canonical_key(
+                {
+                    "unit_kind": kind.name,
+                    "trace": traces[workload].fingerprint,
+                    "params": params,
+                }
             )
             units.append(
                 StudyUnit(
@@ -384,16 +391,30 @@ def compile_study(
                     point=point,
                     params=params,
                     run_id=run_id,
-                    label=_point_label(kind.name, workload, point, run_id),
+                    label=f"study:{_point_label(kind.name, point)}#{run_id[:12]}",
                 )
             )
     return StudyPlan(study=study, scale=scale, units=tuple(units),
                      traces=traces)
 
 
-def _required_metrics(study: Study, kind: UnitKind) -> List[str]:
-    """The study metrics this kind is expected to provide."""
-    return [m for m in study.metrics if m in kind.metrics]
+def _run_unit(
+    kind: UnitKind,
+    trace: Trace,
+    params: Mapping[str, Any],
+    cache: Optional[SimulationCache],
+    wanted: Tuple[str, ...],
+) -> Tuple[Dict[str, Any], bool]:
+    """A unit's metrics, and whether its cache lookups all hit.
+
+    Read from the cache's own counters around the call, so a unit run
+    in a worker process reports it too.
+    """
+    if cache is None:
+        return kind.run(trace, params, None, wanted), False
+    hits, misses = cache.stats.hits, cache.stats.misses
+    metrics = kind.run(trace, params, cache, wanted)
+    return metrics, cache.stats.misses == misses and cache.stats.hits > hits
 
 
 def run_study(
@@ -402,22 +423,21 @@ def run_study(
     scale: Optional[ExperimentScale] = None,
     jobs: Optional[int] = _UNSET,
     cache: Optional[SimulationCache] = _UNSET,
-    journal: Optional[RunJournal] = None,
-    resume: bool = False,
     retry_policy: RetryPolicy = RetryPolicy(),
     strict: bool = True,
 ) -> StudyResult:
-    """Compile ``study`` and execute every unit not already answered.
+    """Compile ``study`` and run each distinct unit through its driver.
 
-    Dedupe happens in two layers before any simulation: lattice points
-    with identical run IDs collapse, and the
+    Lattice points with identical run IDs collapse to one unit.  Each
+    unit calls its driver with the
     :class:`~repro.parallel.cache.SimulationCache` (``scale.sim_cache()``
-    unless ``cache`` is given) is probed per run ID so a repeated run
-    dispatches **zero** simulations.  The remainder is scheduled through
-    :func:`~repro.robustness.executor.run_units`; with ``jobs > 1``
-    the units run in forked worker processes, and with a ``journal`` each
-    completed unit is checkpointed (``resume=True`` replays completed
-    units from it).
+    unless ``cache`` is given), which replays what is already on disk;
+    a unit whose lookups all hit counts as ``from_cache``, so a
+    repeated run reports **zero** simulated.  Units are scheduled
+    through :func:`~repro.robustness.executor.run_units`; with
+    ``jobs > 1`` they run in forked worker processes.  An interrupted
+    study resumes by running again: its finished units replay from the
+    cache.
 
     ``strict=True`` (default) raises :class:`~repro.errors.StudyError`
     if any unit ultimately fails; ``strict=False`` returns the partial
@@ -432,81 +452,38 @@ def run_study(
 
     plan = compile_study(study, scale)
     unique = plan.unique_units
+    wanted = tuple(study.metrics)
+
+    def make_spec(unit: StudyUnit) -> UnitSpec:
+        kind = get_kind(unit.kind)
+        trace = plan.traces[unit.workload]
+        return UnitSpec(
+            name=unit.label,
+            run=lambda: _run_unit(kind, trace, unit.params, cache, wanted),
+        )
+
+    report = run_units(
+        [make_spec(unit) for unit in unique],
+        retry_policy=retry_policy,
+        jobs=jobs,
+    )
     resolved: Dict[str, UnitResult] = {}
+    failures: List[Tuple[str, str]] = []
     counters = {
         "planned": len(plan.units),
         "unique": len(unique),
         "from_cache": 0,
-        "resumed": 0,
         "simulated": 0,
         "failed": 0,
     }
-
-    pending: List[StudyUnit] = []
-    for unit in unique:
-        kind = get_kind(unit.kind)
-        required = _required_metrics(study, kind)
-        payload = cache.get(unit.run_id) if cache is not None else None
-        if payload is not None and all(m in payload for m in required):
-            resolved[unit.run_id] = UnitResult(unit, payload, SOURCE_CACHE)
-            counters["from_cache"] += 1
-        else:
-            pending.append(unit)
-
-    failures: List[Tuple[str, str]] = []
-    if pending:
-        wanted = tuple(study.metrics)
-
-        def make_spec(unit: StudyUnit) -> UnitSpec:
-            kind = get_kind(unit.kind)
-            trace = plan.traces[unit.workload]
-
-            def run(
-                _kind=kind, _trace=trace, _unit=unit
-            ) -> Dict[str, Any]:
-                payload = _kind.run(_trace, _unit.params, cache, wanted)
-                if cache is not None:
-                    cache.put(_unit.run_id, payload)
-                return payload
-
-            return UnitSpec(name=unit.label, run=run)
-
-        by_label = {unit.label: unit for unit in pending}
-        report = run_units(
-            [make_spec(unit) for unit in pending],
-            journal=journal,
-            resume=resume,
-            retry_policy=retry_policy,
-            journal_payload=lambda spec, result: result,
-            jobs=jobs,
-        )
-        for outcome in report.outcomes:
-            unit = by_label[outcome.name]
-            if outcome.status == "ok":
-                resolved[unit.run_id] = UnitResult(
-                    unit, outcome.result, SOURCE_RUN
-                )
-                counters["simulated"] += 1
-            elif outcome.status == "skipped":
-                record = journal.get(unit.label) if journal else None
-                payload = record.payload if record else None
-                if payload is None:
-                    failures.append(
-                        (unit.label,
-                         "journal record carries no payload; delete the "
-                         "journal or rerun without --resume")
-                    )
-                    continue
-                resolved[unit.run_id] = UnitResult(
-                    unit, payload, SOURCE_JOURNAL
-                )
-                counters["resumed"] += 1
-                # A journal-replayed unit still back-fills the shared
-                # cache so later runs resolve without the journal.
-                if cache is not None and cache.get(unit.run_id) is None:
-                    cache.put(unit.run_id, dict(payload))
-            else:
-                failures.append((unit.label, outcome.error or "failed"))
+    for unit, outcome in zip(unique, report.outcomes):
+        if outcome.failed:
+            failures.append((unit.label, outcome.error or "failed"))
+            continue
+        metrics, from_cache = outcome.result
+        source = SOURCE_CACHE if from_cache else SOURCE_RUN
+        resolved[unit.run_id] = UnitResult(unit, metrics, source)
+        counters["from_cache" if from_cache else "simulated"] += 1
 
     counters["failed"] = len(failures)
     if failures and strict:
@@ -537,7 +514,6 @@ __all__ = [
     "FactorEffect",
     "SOURCE_CACHE",
     "SOURCE_DEDUP",
-    "SOURCE_JOURNAL",
     "SOURCE_RUN",
     "StudyPlan",
     "StudyResult",

@@ -19,8 +19,8 @@ from repro.errors import StudyError
 from repro.studies.spec import Factor, Study
 
 #: Workloads used by the migrated ablations: a strong improver, a
-#: degrader and a mixed case (kept in lockstep with
-#: :data:`repro.experiments.ablations.ABLATION_WORKLOADS`).
+#: degrader and a mixed case (:mod:`repro.experiments.ablations`
+#: imports this tuple).
 ABLATION_WORKLOADS = ("matrix300", "espresso", "doduc")
 
 

@@ -63,7 +63,7 @@ class Study:
     """A declarative study: factors, levels, metrics, workloads.
 
     Attributes:
-        name: study identifier (journal keys, CLI lookup, reports).
+        name: study identifier (CLI lookup, reports).
         workloads: workload names; always the outermost lattice axis.
         metrics: metric names to collect, first is the primary one used
             for factor-importance ranking.  Each unit kind documents the

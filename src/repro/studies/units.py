@@ -1,4 +1,4 @@
-"""Unit kinds: how one lattice point becomes one simulation.
+"""Unit kinds: how one lattice point becomes one driver call.
 
 A :class:`UnitKind` is the bridge between a study's declarative
 parameters and the simulation drivers in :mod:`repro.sim.driver`.  Each
@@ -6,16 +6,19 @@ kind declares:
 
 * its **parameter schema** — which merged (fixed + factor) values it
   consumes, with defaults; the consumed parameters are exactly what the
-  unit's content-derived run ID covers, so two studies asking the same
-  question share cache entries even if their declarations differ in
-  irrelevant ways;
-* its **metrics** — the names its runner can produce.  Expensive
-  metrics (currently ``ws_normalized``) are computed only when the
-  study requests them;
-* its **runner** — a pure function from (trace, parameters) to a JSON
-  payload ``{metric: value}``, threading the shared
-  :class:`~repro.parallel.cache.SimulationCache` into the drivers so
-  the study layer's dedupe is backed by the drivers' own.
+  unit's content-derived run ID covers, so two lattice points asking
+  the same question collapse to one unit;
+* its **driver call** — the :mod:`repro.sim.driver` entry point, and
+  the configuration arguments (page-size scheme, TLB shapes) it builds
+  from the parameters.  The compiler builds them too, so a bad value
+  fails before any unit runs;
+* its **metrics** — attribute names read off the driver's result.  A
+  metric no result carries (currently ``ws_normalized``) is measured
+  beside the call, and only when the study requests it.
+
+Every call takes the shared :class:`~repro.parallel.cache.SimulationCache`,
+so a repeated unit replays the drivers' own entries; the study layer
+keeps no cache of its own.
 
 The ``window`` parameter of policy-driven kinds defaults to the study
 scale's window at compile time, so run IDs always record the effective
@@ -24,7 +27,7 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import StudyError
@@ -33,13 +36,16 @@ from repro.mem.misshandler import (
     TWO_SIZE_PENALTY_FACTOR,
 )
 from repro.parallel.cache import SimulationCache
+from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.robustness import faultinject
+from repro.sim import driver as sim_driver
 from repro.sim.config import (
     SingleSizeScheme,
     TLBConfig,
     TwoLevelConfig,
     TwoSizeScheme,
 )
+from repro.stacksim.working_set import average_working_set_bytes
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.trace.record import Trace
 from repro.types import PAGE_4KB, PAIR_4KB_32KB
@@ -51,25 +57,39 @@ REQUIRED = object()
 #: compile time (never baked into the schema).
 SCALE_DEFAULTS = ("window",)
 
-Runner = Callable[
-    [Trace, Mapping[str, Any], Optional[SimulationCache], Tuple[str, ...]],
-    Dict[str, Any],
-]
+Params = Mapping[str, Any]
 
 
 @dataclass(frozen=True)
 class UnitKind:
-    """One unit shape: parameter schema, metric names, runner."""
+    """One unit shape: parameter schema, driver call, metric names.
+
+    A unit calls the :mod:`repro.sim.driver` function named ``driver``
+    as ``driver(trace, *configure(params), cache=cache, **{k: params[k]
+    for k in keywords})`` and reads ``metrics`` off its result; each of
+    ``measured`` is computed by its function, only when wanted.  The
+    driver is looked up when the unit runs, so a wrapper installed on
+    the driver module (a profiler, the e2e benchmark's tracer) sees
+    the call.
+    """
 
     name: str
-    params: Mapping[str, Any]
+    params: Params
     metrics: Tuple[str, ...]
-    run: Runner
-    #: Metrics computed only when requested (all others always are).
-    lazy_metrics: Tuple[str, ...] = ()
+    driver: str
+    configure: Callable[[Params], Tuple[Any, ...]]
+    keywords: Tuple[str, ...] = ("base_penalty", "penalty_factor")
+    measured: Mapping[
+        str, Callable[[Trace, Params, Optional[SimulationCache]], float]
+    ] = field(default_factory=dict)
+
+    @property
+    def metric_names(self) -> Tuple[str, ...]:
+        """Every metric this kind can report."""
+        return self.metrics + tuple(self.measured)
 
     def resolve_params(
-        self, merged: Mapping[str, Any], *, window: int
+        self, merged: Params, *, window: int
     ) -> Dict[str, Any]:
         """The parameters this kind consumes, defaults filled in.
 
@@ -94,16 +114,39 @@ class UnitKind:
 
     def check_metrics(self, metrics: Tuple[str, ...]) -> None:
         """Raise unless every name in ``metrics`` is one this kind has."""
-        unknown = set(metrics) - set(self.metrics)
+        unknown = set(metrics) - set(self.metric_names)
         if unknown:
             raise StudyError(
                 f"unit kind {self.name!r} has no metric "
                 f"{', '.join(sorted(unknown))}; available: "
-                f"{', '.join(self.metrics)}"
+                f"{', '.join(self.metric_names)}"
             )
 
+    def run(
+        self,
+        trace: Trace,
+        params: Params,
+        cache: Optional[SimulationCache],
+        wanted: Tuple[str, ...],
+    ) -> Dict[str, Any]:
+        """One driver call: ``{metric: value}`` for this unit."""
+        faultinject.check("studies.unit")
+        result = getattr(sim_driver, self.driver)(
+            trace,
+            *self.configure(params),
+            cache=cache,
+            **{key: params[key] for key in self.keywords},
+        )
+        if isinstance(result, list):  # one result per configuration
+            (result,) = result
+        metrics = {name: getattr(result, name) for name in self.metrics}
+        for name, measure in self.measured.items():
+            if name in wanted:
+                metrics[name] = measure(trace, params, cache)
+        return metrics
 
-def _tlb_config(params: Mapping[str, Any]) -> TLBConfig:
+
+def _tlb_config(params: Params) -> TLBConfig:
     return TLBConfig(
         entries=params["entries"],
         associativity=params["associativity"],
@@ -113,13 +156,32 @@ def _tlb_config(params: Mapping[str, Any]) -> TLBConfig:
     )
 
 
-def _two_size_scheme(params: Mapping[str, Any]) -> TwoSizeScheme:
+def _two_size_scheme(params: Params) -> TwoSizeScheme:
     return TwoSizeScheme(
         pair=PAIR_4KB_32KB,
         window=params["window"],
         promote_fraction=params["promote_fraction"],
         demote_fraction=params["demote_fraction"],
     )
+
+
+def _ws_normalized(
+    trace: Trace, params: Params, cache: Optional[SimulationCache]
+) -> float:
+    """The 4KB/32KB working set over the 4KB one, at the unit's policy."""
+    window = params["window"]
+    baseline = average_working_set_bytes(
+        trace, PAGE_4KB, [window], cache=cache
+    )[window]
+    dynamic = dynamic_average_working_set(
+        trace,
+        PAIR_4KB_32KB,
+        window,
+        promote_fraction=params["promote_fraction"],
+        demote_fraction=params["demote_fraction"],
+        cache=cache,
+    )
+    return dynamic.average_bytes / baseline if baseline else 1.0
 
 
 _GEOMETRY_PARAMS = {
@@ -139,140 +201,6 @@ _POLICY_PARAMS = {
 }
 
 
-def _run_single(
-    trace: Trace,
-    params: Mapping[str, Any],
-    cache: Optional[SimulationCache],
-    wanted: Tuple[str, ...],
-) -> Dict[str, Any]:
-    from repro.sim.driver import run_single_size
-
-    faultinject.check("studies.unit")
-    result = run_single_size(
-        trace,
-        SingleSizeScheme(params["page_size"]),
-        _tlb_config(params),
-        base_penalty=params["base_penalty"],
-        cache=cache,
-    )
-    return {
-        "cpi_tlb": result.cpi_tlb,
-        "miss_ratio": result.miss_ratio,
-        "misses": result.misses,
-        "reprobes": result.reprobes,
-        "references": result.references,
-    }
-
-
-def _run_two_size(
-    trace: Trace,
-    params: Mapping[str, Any],
-    cache: Optional[SimulationCache],
-    wanted: Tuple[str, ...],
-) -> Dict[str, Any]:
-    from repro.sim.driver import run_two_sizes
-
-    faultinject.check("studies.unit")
-    (result,) = run_two_sizes(
-        trace,
-        _two_size_scheme(params),
-        [_tlb_config(params)],
-        base_penalty=params["base_penalty"],
-        penalty_factor=params["penalty_factor"],
-        cache=cache,
-    )
-    metrics: Dict[str, Any] = {
-        "cpi_tlb": result.cpi_tlb,
-        "miss_ratio": result.miss_ratio,
-        "misses": result.misses,
-        "large_misses": result.large_misses,
-        "reprobes": result.reprobes,
-        "invalidations": result.invalidations,
-        "promotions": result.promotions,
-        "demotions": result.demotions,
-        "references": result.references,
-    }
-    if "ws_normalized" in wanted:
-        from repro.policy.dynamic_ws import dynamic_average_working_set
-        from repro.stacksim.working_set import average_working_set_bytes
-
-        window = params["window"]
-        baseline_ws = average_working_set_bytes(
-            trace, PAGE_4KB, [window], cache=cache
-        )[window]
-        ws_kwargs: Dict[str, Any] = {
-            "promote_fraction": params["promote_fraction"],
-        }
-        if params["demote_fraction"] is not None:
-            ws_kwargs["demote_fraction"] = params["demote_fraction"]
-        dynamic = dynamic_average_working_set(
-            trace, PAIR_4KB_32KB, window, cache=cache, **ws_kwargs
-        )
-        metrics["ws_normalized"] = (
-            dynamic.average_bytes / baseline_ws if baseline_ws else 1.0
-        )
-    return metrics
-
-
-def _run_split(
-    trace: Trace,
-    params: Mapping[str, Any],
-    cache: Optional[SimulationCache],
-    wanted: Tuple[str, ...],
-) -> Dict[str, Any]:
-    from repro.sim.driver import run_split_two_sizes
-
-    faultinject.check("studies.unit")
-    result = run_split_two_sizes(
-        trace,
-        _two_size_scheme(params),
-        TLBConfig(params["small_entries"]),
-        TLBConfig(params["large_entries"]),
-        base_penalty=params["base_penalty"],
-        penalty_factor=params["penalty_factor"],
-        cache=cache,
-    )
-    return {
-        "cpi_tlb": result.cpi_tlb,
-        "misses": result.misses,
-        "large_misses": result.large_misses,
-        "small_occupancy": result.small_occupancy,
-        "large_occupancy": result.large_occupancy,
-        "references": result.references,
-    }
-
-
-def _run_twolevel(
-    trace: Trace,
-    params: Mapping[str, Any],
-    cache: Optional[SimulationCache],
-    wanted: Tuple[str, ...],
-) -> Dict[str, Any]:
-    from repro.sim.driver import run_two_level
-
-    faultinject.check("studies.unit")
-    result = run_two_level(
-        trace,
-        _two_size_scheme(params),
-        TwoLevelConfig(
-            level1=TLBConfig(params["l1_entries"]),
-            level2=TLBConfig(params["l2_entries"]),
-            l2_hit_cycles=params["l2_hit_cycles"],
-        ),
-        base_penalty=params["base_penalty"],
-        penalty_factor=params["penalty_factor"],
-        cache=cache,
-    )
-    l1_misses = result.l2_hits + result.misses
-    return {
-        "cpi_tlb": result.cpi_tlb,
-        "misses": result.misses,
-        "l2_hits": result.l2_hits,
-        "l2_catch_rate": result.l2_hits / l1_misses if l1_misses else 0.0,
-        "references": result.references,
-    }
-
-
 #: Every unit shape the compiler can schedule, by name.
 UNIT_KINDS: Dict[str, UnitKind] = {
     kind.name: kind
@@ -287,7 +215,9 @@ UNIT_KINDS: Dict[str, UnitKind] = {
             metrics=(
                 "cpi_tlb", "miss_ratio", "misses", "reprobes", "references",
             ),
-            run=_run_single,
+            driver="run_single_size",
+            configure=lambda p: (SingleSizeScheme(p["page_size"]), _tlb_config(p)),
+            keywords=("base_penalty",),
         ),
         UnitKind(
             name="two_size",
@@ -295,10 +225,11 @@ UNIT_KINDS: Dict[str, UnitKind] = {
             metrics=(
                 "cpi_tlb", "miss_ratio", "misses", "large_misses",
                 "reprobes", "invalidations", "promotions", "demotions",
-                "references", "ws_normalized",
+                "references",
             ),
-            lazy_metrics=("ws_normalized",),
-            run=_run_two_size,
+            driver="run_two_sizes",
+            configure=lambda p: (_two_size_scheme(p), [_tlb_config(p)]),
+            measured={"ws_normalized": _ws_normalized},
         ),
         UnitKind(
             name="split",
@@ -311,7 +242,12 @@ UNIT_KINDS: Dict[str, UnitKind] = {
                 "cpi_tlb", "misses", "large_misses", "small_occupancy",
                 "large_occupancy", "references",
             ),
-            run=_run_split,
+            driver="run_split_two_sizes",
+            configure=lambda p: (
+                _two_size_scheme(p),
+                TLBConfig(p["small_entries"]),
+                TLBConfig(p["large_entries"]),
+            ),
         ),
         UnitKind(
             name="twolevel",
@@ -325,7 +261,15 @@ UNIT_KINDS: Dict[str, UnitKind] = {
                 "cpi_tlb", "misses", "l2_hits", "l2_catch_rate",
                 "references",
             ),
-            run=_run_twolevel,
+            driver="run_two_level",
+            configure=lambda p: (
+                _two_size_scheme(p),
+                TwoLevelConfig(
+                    level1=TLBConfig(p["l1_entries"]),
+                    level2=TLBConfig(p["l2_entries"]),
+                    l2_hit_cycles=p["l2_hit_cycles"],
+                ),
+            ),
         ),
     )
 }

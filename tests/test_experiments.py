@@ -257,3 +257,22 @@ class TestHeadlineAndRunner:
         assert code == 0
         output = capsys.readouterr().out
         assert "Table 3.1" in output
+
+    @pytest.mark.parametrize(
+        "variable", ["REPRO_TRACE_LENGTH", "REPRO_WINDOW", "REPRO_JOBS"]
+    )
+    def test_runner_non_integer_variable_exits_2(
+        self, monkeypatch, capsys, variable
+    ):
+        # Exit 1 means "suite completed with failures"; bad input is 2.
+        monkeypatch.setenv(variable, "abc")
+        assert main(["table31", "--no-cache"]) == 2
+        assert f"{variable} must be an integer, got 'abc'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag", ["--trace-length", "--window"])
+    def test_runner_zero_scale_flag_exits_2(self, capsys, flag):
+        # 0 is not "not given": it must not fall back to the default.
+        assert main(["fig41", flag, "0", "--no-cache"]) == 2
+        assert f"{flag} must be positive, got 0" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.parallel.cache import SimulationCache
 from repro.perf.kernels import (
     KERNEL_SAMPLED,
     KERNEL_SCALAR,
@@ -158,6 +159,21 @@ class TestNoSilentFallback:
             result = run_single_size(trace, SMALL, config)
         fired = _no_fallback_warnings(record)
         assert fired and "fell back" in str(fired[0].message)
+        assert result.resolved_kernel == KERNEL_SCALAR
+        assert result.fallback_reason
+
+    def test_cached_replay_of_a_fallback_is_quiet(self, trace, tmp_path):
+        # The warning marks a scalar walk that runs, not a resolution:
+        # a call that only replays its cache entry walks nothing.
+        cache = SimulationCache.open(tmp_path)
+        config = TLBConfig(16, replacement="plru")
+        with pytest.warns(KernelFallbackWarning):
+            run_single_size(trace, SMALL, config, cache=cache)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = run_single_size(trace, SMALL, config, cache=cache)
+        assert cache.stats.hits == 1
+        assert not _no_fallback_warnings(record)
         assert result.resolved_kernel == KERNEL_SCALAR
         assert result.fallback_reason
 

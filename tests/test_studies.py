@@ -1,11 +1,12 @@
 """Tests for the declarative study layer (:mod:`repro.studies`).
 
 Covers the schema (validation, TOML/JSON loading), the compiler
-(lattice expansion, content-derived run IDs, within-plan and
-cache-level dedupe), execution (journal resume, failure containment,
-importance ranking), the ``repro-study`` CLI, and — the migration
-contract — byte-identical equivalence between each migrated ablation
-declaration and the hand-written loop it replaced.
+(lattice expansion, content-derived run IDs, within-plan dedupe,
+parameter values checked before anything runs), execution on the
+drivers' result cache (failure containment, importance ranking), the
+``repro-study`` CLI, and — the migration contract — byte-identical
+equivalence between each migrated ablation declaration and the
+hand-written loop it replaced.
 """
 
 import dataclasses
@@ -17,7 +18,6 @@ from repro.errors import StudyError
 from repro.experiments.scale import ExperimentScale
 from repro.parallel.cache import SimulationCache
 from repro.robustness import faultinject
-from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.studies.engine import compile_study, run_study
 from repro.studies.registry import (
@@ -191,6 +191,48 @@ class TestCompile:
                 SCALE,
             )
 
+    def test_bad_parameter_value_fails_before_traces(self, monkeypatch):
+        def no_traces(scale, name):
+            raise AssertionError("a trace was generated")
+
+        monkeypatch.setattr(ExperimentScale, "trace", no_traces)
+        study = Study(
+            name="s", kind="two_size", workloads=("li", "matrix300"),
+            metrics=("cpi_tlb",), factors=(Factor("entries", (8, 16)),),
+            fixed={"indexing": "bogus"},
+        )
+        with pytest.raises(
+            StudyError, match="unit two_size:entries=8: 'bogus' is not a valid"
+        ):
+            compile_study(study, SCALE)
+
+    def test_bad_parameter_value_exits_2_before_any_unit(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.studies.cli import main
+
+        monkeypatch.setenv("REPRO_TRACE_LENGTH", "30000")
+        monkeypatch.setenv("REPRO_WINDOW", "5000")
+        declaration = tmp_path / "bogus.json"
+        declaration.write_text(
+            json.dumps(
+                {
+                    "name": "bogus", "kind": "single", "workloads": ["li"],
+                    "metrics": ["cpi_tlb"],
+                    "factors": [{"name": "entries", "levels": [8, 12]}],
+                    "fixed": {"associativity": 8},
+                }
+            )
+        )
+        with faultinject.inject(
+            faultinject.FaultPlan(times=99, sites=("studies.unit",))
+        ) as plan:
+            assert main([str(declaration), "--retries", "1"]) == 2
+        assert plan.visits == 0
+        err = capsys.readouterr().err
+        assert "unit single:entries=12" in err
+        assert "does not divide 12 entries" in err
+
     def test_window_resolved_from_scale_into_run_id(self):
         study = Study(
             name="s", kind="two_size", workloads=("li",),
@@ -277,27 +319,6 @@ class TestRunStudy:
         assert again.counters["simulated"] == 0
         assert again.units[0].metrics["ws_normalized"] > 0
 
-    def test_journal_resume_replays_without_simulating(self, tmp_path):
-        study = single_study()
-        journal_path = tmp_path / "journal.jsonl"
-        first = run_study(
-            study, scale=SCALE, jobs=1, cache=None,
-            journal=RunJournal(journal_path, fingerprint={"s": 1}),
-        )
-        resumed = run_study(
-            study, scale=SCALE, jobs=1, cache=None,
-            journal=RunJournal(journal_path, fingerprint={"s": 1}),
-            resume=True,
-        )
-        assert resumed.counters["simulated"] == 0
-        assert resumed.counters["resumed"] == 2
-        assert [r.metrics for r in resumed.units] == [
-            r.metrics for r in first.units
-        ]
-        assert _sans_counters(first.render()) == _sans_counters(
-            resumed.render()
-        )
-
     def test_transient_fault_is_retried(self):
         with faultinject.inject(
             faultinject.FaultPlan(times=1, sites=("studies.unit",))
@@ -365,7 +386,7 @@ class TestRunStudy:
     def test_to_json_shape(self):
         result = run_study(single_study(), scale=SCALE, jobs=1, cache=None)
         document = result.to_json()
-        assert document["schema"] == "repro-study/1"
+        assert document["schema"] == "repro-study/2"
         assert document["counters"]["planned"] == 2
         assert len(document["units"]) == 2
         assert {u["source"] for u in document["units"]} == {"run"}
@@ -667,14 +688,48 @@ class TestCLI:
         assert main(["probe", "--expect-cached"]) == 0
         assert "0 simulated" in capsys.readouterr().out
 
-    def test_journal_resume_passthrough(self, monkeypatch, tmp_path, capsys):
+    def test_run_on_a_cache_filled_by_direct_driver_calls(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # The study keeps no entries of its own: the driver calls the
+        # probe ablation makes by hand fill every entry its units read.
         from repro.studies.cli import main
 
         self._tiny_env(monkeypatch)
-        journal = tmp_path / "journal.jsonl"
-        assert main(["probe", "--journal", str(journal)]) == 0
-        assert main(
-            ["probe", "--journal", str(journal), "--resume",
-             "--expect-cached"]
-        ) == 0
-        assert "3 resumed" in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        _hand_probe(dataclasses.replace(SCALE, use_result_cache=True))
+
+        def entries():
+            return {
+                path.name: path.stat().st_mtime_ns
+                for path in (tmp_path / "cache").rglob("*.json")
+            }
+
+        filled = entries()
+        assert len(filled) == 3
+        cache = SimulationCache.from_environment()
+        stores = cache.stats.stores
+        assert main(["probe", "--expect-cached"]) == 0
+        assert "3 from cache, 0 simulated" in capsys.readouterr().out
+        assert cache.stats.stores == stores
+        assert entries() == filled
+
+    @pytest.mark.parametrize(
+        "variable", ["REPRO_TRACE_LENGTH", "REPRO_WINDOW", "REPRO_JOBS"]
+    )
+    def test_non_integer_variable_exits_2(self, monkeypatch, capsys, variable):
+        from repro.studies.cli import main
+
+        self._tiny_env(monkeypatch)
+        monkeypatch.setenv(variable, "x")
+        assert main(["probe"]) == 2
+        assert f"{variable} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trace-length", "--window"])
+    def test_zero_scale_flag_exits_2(self, monkeypatch, capsys, flag):
+        from repro.studies.cli import main
+
+        self._tiny_env(monkeypatch)
+        assert main(["probe", flag, "0"]) == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
