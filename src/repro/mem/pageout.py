@@ -23,9 +23,10 @@ pass (:func:`repro.perf.kernels._count_greater_preceding` with page
 sizes as weights) serves every budget.  ``_simulate_weighted_lru``
 stays as the scalar oracle the tests pin the pass to.
 
-Given a ``cache``, each (trace, scheme, budget) result is stored under
-the result-cache kind ``paging``; a budget list that extends a cached
-one runs the pass for the new budgets only.
+Each (trace, scheme, budget) result is found by
+:func:`repro.trace.derived.answers` under the result-cache kind
+``paging`` (the open run's store, then a given ``cache``); a budget
+list that extends a held one runs the pass for the new budgets only.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel.cache import CachedValue, SimulationCache, lookup_all
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import CachedValue, SimulationCache
 from repro.perf.kernels import _count_greater_preceding, previous_occurrences
 from repro.policy.promotion import DynamicPromotionPolicy
-from repro.policy.vector import policy_decisions
+from repro.policy.vector import trace_decisions
+from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import PageSizePair, validate_page_size
 
@@ -178,25 +179,26 @@ def _cached_curve(
     curve: Callable[[List[int]], Dict[int, PagingResult]],
     cache: Optional[SimulationCache],
 ) -> Dict[int, PagingResult]:
-    """Results at ``budgets``: the cache's, then one pass for the rest.
+    """Results at ``budgets``: the run's, the cache's, then one pass.
 
     ``scheme`` is the key part naming the page sizes (``page_size`` or
-    the policy token as ``policy``); ``curve(missing)`` runs the pass.
+    the policy token as ``policy``); ``curve(missing)`` runs the pass
+    for the budgets neither holds.
     """
-    keys = None
-    if cache is not None:
-        keys = [
-            cache_key("paging", trace=trace.fingerprint, memory_bytes=memory, **scheme)
-            for memory in budgets
-        ]
 
-    def run(indices: List[int]) -> List[PagingResult]:
-        missing = [budgets[i] for i in indices]
+    def run(missing: List[int]) -> List[PagingResult]:
         computed = curve(missing)
         return [computed[memory] for memory in missing]
 
-    results = lookup_all(
-        cache, keys, PagingResult.from_payload, [()] * len(budgets), run
+    results = derived.answers(
+        run,
+        budgets,
+        "paging",
+        item="memory_bytes",
+        cache=cache,
+        decode=PagingResult.from_payload,
+        trace=trace,
+        **scheme,
     )
     return dict(zip(budgets, results))
 
@@ -257,7 +259,7 @@ def two_size_fault_rate_curve(
 
     def curve(missing: List[int]) -> Dict[int, PagingResult]:
         blocks = (trace.addresses >> np.uint32(pair.small_shift)).astype(np.int64)
-        large = policy_decisions(policy, blocks).large
+        large = trace_decisions(trace, policy).unpack().large
         chunk_keys = ((blocks // pair.blocks_per_chunk) << 1) | 1
         keys = np.where(large, chunk_keys, blocks << 1)
         ratio = pair.blocks_per_chunk

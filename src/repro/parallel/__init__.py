@@ -9,8 +9,9 @@
   run.
 * :mod:`repro.parallel.cache` — a content-addressed on-disk result cache
   keyed by SHA-256 of (trace fingerprint, config, kernel, penalty
-  model), consulted before any simulation, with the key, payload codec
-  and lookup rules every cached kind shares.
+  model), with the key and payload codec every cached kind shares; it
+  is read and written only through :func:`repro.trace.derived.answers`,
+  before any simulation runs.
 """
 
 from repro.parallel.cache import SimulationCache, canonical_key

@@ -20,10 +20,14 @@ deleted best-effort and the caller recomputes — the cache can only make
 runs faster, never wrong.  Only an unusable cache *root* raises
 (:class:`~repro.errors.CacheError`); see :meth:`SimulationCache.open`.
 
-Every cached operation addresses its entries and stores its results
-through the format here; no other module builds a key or a payload.  It
-sits below every layer that caches, so the working sets, the paging
-curves and the TLB drivers all share it without an upward import:
+Every cached answer is addressed and stored through the format here,
+and only :mod:`repro.trace.derived` reads or writes it: its
+:func:`~repro.trace.derived.answers` is the one lookup rule (the open
+run's store, then this cache, then a pass for the missing answers
+only), so no other module builds a key or calls :meth:`SimulationCache.get`
+or :meth:`SimulationCache.put`.  The format sits below every layer that
+caches, so the working sets, the paging curves and the TLB drivers all
+share it without an upward import:
 
 * **Keys.**  :func:`key` hashes ``{"version": CACHE_KEY_VERSION,
   "kind": kind, **parts}`` with :func:`canonical_key`.  The ten kinds
@@ -43,13 +47,6 @@ curves and the TLB drivers all share it without an upward import:
   of rebuilding them.  TLB results derive from
   :class:`repro.sim.kinds.CachedResult`, which adds the paper's
   metrics.
-* **Lookup rules.**  The drivers, the working sets and the paging
-  curves use :func:`lookup_all`: the keys that hit are replayed, and
-  one pass simulates and stores only the missing ones (the vector
-  two-size path builds only the families those configurations need; a
-  paging curve runs only the missing budgets).  The sweep and the
-  multiprogrammed grids group their misses themselves, so they look up
-  each entry with :func:`lookup`.
 """
 
 from __future__ import annotations
@@ -66,22 +63,10 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import CacheError
 
-R = TypeVar("R")
 Payload = Dict[str, Any]
 
 
@@ -226,7 +211,12 @@ def default_cache_root() -> Path:
 
 @dataclass
 class CacheStats:
-    """Counters for one cache instance (reset per process)."""
+    """Counters for one cache instance (reset per process).
+
+    ``hits`` also counts answers the open derivation run already held
+    (:mod:`repro.trace.derived`), so a lookup served from memory reads
+    as replayed, as one served from disk does.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -357,46 +347,6 @@ class SimulationCache:
         self.stats.stores += 1
 
 
-def lookup(
-    cache: SimulationCache,
-    entry_key: str,
-    decode: Callable[..., R],
-    *configs: Any,
-) -> Optional[R]:
-    """Per-entry rule: the decoded entry under ``entry_key``, or None."""
-    payload = cache.get(entry_key)
-    return None if payload is None else decode(payload, *configs)
-
-
-def lookup_all(
-    cache: Optional[SimulationCache],
-    keys: Optional[Sequence[str]],
-    decode: Callable[..., R],
-    configs: Sequence[Tuple[Any, ...]],
-    run: Callable[[List[int]], List[R]],
-) -> List[R]:
-    """Replay the keys that hit; simulate and store only the rest.
-
-    ``keys`` is None when the run is not cacheable (no cache, or a
-    policy without a cache token): ``run`` then simulates every entry.
-    Otherwise a hit ``i`` is decoded with ``configs[i]`` handed back,
-    and ``run(missing)`` simulates the missing indices, in order.
-    """
-    if keys is None:
-        return run(list(range(len(configs))))
-    payloads = [cache.get(entry_key) for entry_key in keys]
-    results = [
-        None if payload is None else decode(payload, *given)
-        for payload, given in zip(payloads, configs)
-    ]
-    missing = [i for i, payload in enumerate(payloads) if payload is None]
-    if missing:
-        for i, result in zip(missing, run(missing)):
-            results[i] = result
-            cache.put(keys[i], result.to_payload())
-    return results
-
-
 __all__ = [
     "CACHE_KEY_VERSION",
     "CACHE_SCHEMA",
@@ -408,6 +358,4 @@ __all__ = [
     "corrupt_discarded_total",
     "default_cache_root",
     "key",
-    "lookup",
-    "lookup_all",
 ]

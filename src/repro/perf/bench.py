@@ -77,7 +77,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import BenchmarkError, ReproError
+from repro.errors import BenchmarkError, ConfigurationError, ReproError
 from repro.mem.pageout import _simulate_weighted_lru, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
 from repro.perf.baseline import (
@@ -743,7 +743,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs = args.jobs
         if jobs is None:
             jobs_text = os.environ.get("REPRO_JOBS", "").strip()
-            jobs = int(jobs_text) if jobs_text else 2
+            try:
+                jobs = int(jobs_text) if jobs_text else 2
+            except ValueError:
+                raise ConfigurationError(
+                    f"REPRO_JOBS must be an integer, got {jobs_text!r}"
+                ) from None
         report = run_suite(
             quick=args.quick,
             seed=args.seed,

@@ -27,8 +27,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.parallel.cache import CachedValue, SimulationCache, lookup_all
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import CachedValue, SimulationCache
 from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.window import SlidingBlockWindow
@@ -82,9 +81,10 @@ def dynamic_average_working_set(
             measuring, and filled after.
 
     The thresholds are the promotion policy's own
-    (:class:`~repro.policy.promotion.DynamicPromotionPolicy`), and
-    inside a :func:`repro.trace.derived.run` the result is derived once
-    per (trace, policy token, kernel).
+    (:class:`~repro.policy.promotion.DynamicPromotionPolicy`), and the
+    result is found by :func:`repro.trace.derived.answer` under
+    (trace, policy token, kernel): the open run's store, then the
+    ``cache``, then one measurement.
     """
     policy = DynamicPromotionPolicy(
         pair,
@@ -92,30 +92,16 @@ def dynamic_average_working_set(
         promote_fraction=promote_fraction,
         demote_fraction=demote_fraction,
     )
-    token = policy.cache_token()
     kernel = choose_kernel(kernel).kernel
-
-    def cached() -> DynamicWorkingSetResult:
-        keys = None
-        if cache is not None:
-            keys = [
-                cache_key(
-                    "dynamic_ws",
-                    trace=trace.fingerprint,
-                    policy=token,
-                    kernel=kernel,
-                )
-            ]
-        (result,) = lookup_all(
-            cache,
-            keys,
-            DynamicWorkingSetResult.from_payload,
-            [()],
-            lambda missing: [_measure(trace, policy, kernel)],
-        )
-        return result
-
-    return derived.derive(cached, "dynamic_working_set", trace, token, kernel)
+    return derived.answer(
+        lambda: _measure(trace, policy, kernel),
+        "dynamic_ws",
+        cache=cache,
+        decode=DynamicWorkingSetResult.from_payload,
+        trace=trace,
+        policy=policy.cache_token(),
+        kernel=kernel,
+    )
 
 
 def _measure(

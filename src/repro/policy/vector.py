@@ -112,7 +112,9 @@ def _shared_window_events(
     def packed() -> Tuple[np.ndarray, ...]:
         return tuple(np.packbits(events) for events in window_events(blocks, window))
 
-    entered, left = derived.derive(packed, "window_events", blocks, window)
+    entered, left = derived.answer(
+        packed, "window_events", blocks=blocks, window=window
+    )
     return (
         np.unpackbits(entered, count=blocks.size).view(bool),
         np.unpackbits(left, count=blocks.size).view(bool),
@@ -398,8 +400,12 @@ def trace_decisions(trace: Trace, policy: PageSizeAssignmentPolicy) -> PackedDec
         blocks = trace.addresses >> np.uint32(policy.pair.small_shift)
         return PackedDecisions.pack(policy_decisions(policy, blocks))
 
-    return derived.derive(
-        replay, "decisions", trace, policy.cache_token(), KERNEL_VECTOR
+    return derived.answer(
+        replay,
+        "decisions",
+        trace=trace,
+        policy=policy.cache_token(),
+        kernel=KERNEL_VECTOR,
     )
 
 

@@ -27,7 +27,7 @@ import time
 import traceback as traceback_module
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlineExceededError, WorkerCrashError
 from repro.parallel.cache import corrupt_discarded_total
@@ -186,7 +186,6 @@ def _attempt(
     *,
     retry_policy: RetryPolicy,
     deadline_seconds: Optional[float],
-    retriable: Tuple[Type[BaseException], ...],
     clock: Callable[[], float],
     sleep: Callable[[float], None],
     on_retry: Callable[[int, BaseException, float], None],
@@ -205,7 +204,6 @@ def _attempt(
             spec.run,
             policy=retry_policy,
             deadline=deadline,
-            retriable=retriable,
             on_retry=notify,
             sleep=sleep,
             label=spec.name,
@@ -281,7 +279,6 @@ def run_units(
     retry_policy: RetryPolicy = RetryPolicy(),
     deadline_seconds: Optional[float] = None,
     fail_fast: bool = False,
-    retriable: Tuple[Type[BaseException], ...] = (Exception,),
     on_success: Optional[Callable[[UnitSpec, Any, float], None]] = None,
     on_skip: Optional[Callable[[UnitSpec], None]] = None,
     on_failure: Optional[Callable[[UnitSpec, BaseException], None]] = None,
@@ -329,7 +326,6 @@ def run_units(
         _attempt,
         retry_policy=retry_policy,
         deadline_seconds=deadline_seconds,
-        retriable=retriable,
         clock=clock,
         sleep=sleep,
     )

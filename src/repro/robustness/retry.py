@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Callable, Iterator, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigurationError, DeadlineExceededError
 
@@ -106,18 +106,18 @@ def call_with_retry(
     *,
     policy: RetryPolicy = RetryPolicy(),
     deadline: Optional[Deadline] = None,
-    retriable: Tuple[Type[BaseException], ...] = (Exception,),
     on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
     label: str = "work",
 ) -> Tuple[T, int]:
     """Call ``fn`` until it succeeds, retries are exhausted, or time is up.
 
-    Returns ``(result, attempts_used)``.  On exhaustion the last
-    exception propagates unchanged; on an expired deadline a
-    :class:`DeadlineExceededError` chains the last failure.  ``on_retry``
-    is invoked as ``(attempt_number, error, backoff_delay)`` before each
-    backoff sleep.
+    Returns ``(result, attempts_used)``.  Any :class:`Exception` is
+    retried (``KeyboardInterrupt`` and ``SystemExit`` propagate at
+    once).  On exhaustion the last exception propagates unchanged; on
+    an expired deadline a :class:`DeadlineExceededError` chains the last
+    failure.  ``on_retry`` is invoked as ``(attempt_number, error,
+    backoff_delay)`` before each backoff sleep.
     """
     delays = policy.delays()
     last_error: Optional[BaseException] = None
@@ -129,7 +129,7 @@ def call_with_retry(
             ) from last_error
         try:
             return fn(), attempt
-        except retriable as error:
+        except Exception as error:
             last_error = error
             if attempt == policy.max_attempts:
                 raise

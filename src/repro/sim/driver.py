@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel.cache import SimulationCache, canonical_key, lookup_all
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import SimulationCache, canonical_key
 from repro.robustness import faultinject
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
@@ -148,9 +147,10 @@ def run_single_size(
     a :class:`~repro.perf.kernels.KernelFallbackWarning` when the walk
     runs (a cache hit replays the entry without one).
 
-    With a ``cache``, the result is looked up by content address (trace
-    fingerprint + config + kernel + penalty) before simulating, and
-    stored after; see :mod:`repro.parallel.cache`.
+    The result is found by :func:`repro.trace.derived.answer` under its
+    content address (trace fingerprint + config + kernel + penalty):
+    the open run's store, then the ``cache`` if one is given, then one
+    simulation whose result goes into both.
     """
     faultinject.check("sim.driver.run_single_size")
     choice = choose_kernel(
@@ -162,37 +162,26 @@ def run_single_size(
             f"nor a sampled kernel"
         ),
     )
-    keys: Optional[List[str]] = None
-    if cache is not None:
-        sampled = {"exact": exact} if choice.kernel == KERNEL_SAMPLED else {}
-        keys = [
-            cache_key(
-                "single",
-                trace=trace.fingerprint,
-                page_size=scheme.page_size,
-                config=config.cache_parts(),
-                base_penalty=base_penalty,
-                kernel=choice.kernel,
-                **sampled,
-            )
-        ]
-    (result,) = lookup_all(
-        cache,
-        keys,
-        RunResult.from_payload,
-        [(config,)],
-        lambda missing: [
-            _run_single_size_uncached(
-                trace,
-                scheme,
-                config,
-                base_penalty=base_penalty,
-                choice=choice,
-                exact=exact,
-            )
-        ],
+    sampled = {"exact": exact} if choice.kernel == KERNEL_SAMPLED else {}
+    return derived.answer(
+        lambda: _run_single_size_uncached(
+            trace,
+            scheme,
+            config,
+            base_penalty=base_penalty,
+            choice=choice,
+            exact=exact,
+        ),
+        "single",
+        cache=cache,
+        decode=lambda payload: RunResult.from_payload(payload, config),
+        trace=trace,
+        page_size=scheme.page_size,
+        config=config,
+        base_penalty=base_penalty,
+        kernel=choice.kernel,
+        **sampled,
     )
-    return result
 
 
 def _sample_seed(trace: Trace, scheme: SingleSizeScheme, config: TLBConfig) -> int:
@@ -296,48 +285,39 @@ def run_with_policy(
     promotion/demotion counts.  ``kernel="auto"`` (default) falls back
     to the scalar pass otherwise; ``kernel="vector"`` raises.
 
-    Caching applies only when ``policy.cache_token()`` is non-None (a
-    fresh, parameter-determined policy): each config's result is
-    addressed by (trace fingerprint, policy token, config, penalties,
-    kernel), and one pass simulates only the configs that miss — the
-    vector path builds only the set families those configs need, and
-    inside a :func:`repro.trace.derived.run` it reuses the decision
-    stream and any counts already derived for this trace and token.
-    When every config hits, ``policy`` is left untouched, as the
-    vector kernel leaves it; read transition counts from the results.
+    Results are kept (in the open run's store and the ``cache``) only
+    when ``policy.cache_token()`` is non-None (a fresh,
+    parameter-determined policy): each config's result is addressed by
+    (trace fingerprint, policy token, config, penalties, kernel), and
+    one pass simulates only the configs neither tier holds — the vector
+    path builds only the set families those configs need, reusing the
+    run's decision stream and counts for this trace and token.  When
+    every config hits, ``policy`` is left untouched, as the vector
+    kernel leaves it; read transition counts from the results.
     """
     if not configs:
         raise ConfigurationError("run_with_policy needs at least one TLBConfig")
     faultinject.check("sim.driver.run_with_policy")
     choice = _resolve_two_size_kernel(policy, configs, kernel)
-    token = policy.cache_token() if cache is not None else None
-    keys: Optional[List[str]] = None
-    if token is not None:
-        keys = [
-            cache_key(
-                "policy",
-                trace=trace.fingerprint,
-                policy=token,
-                config=config.cache_parts(),
-                base_penalty=base_penalty,
-                penalty_factor=penalty_factor,
-                kernel=choice.kernel,
-            )
-            for config in configs
-        ]
-    return lookup_all(
-        cache,
-        keys,
-        RunResult.from_payload,
-        [(config,) for config in configs],
+    return derived.answers(
         lambda missing: _run_with_policy_uncached(
             trace,
             policy,
-            [configs[i] for i in missing],
+            missing,
             base_penalty=base_penalty,
             penalty_factor=penalty_factor,
             choice=choice,
         ),
+        configs,
+        "policy",
+        item="config",
+        cache=cache,
+        decode=RunResult.from_payload,
+        trace=trace,
+        policy=policy.cache_token(),
+        base_penalty=base_penalty,
+        penalty_factor=penalty_factor,
+        kernel=choice.kernel,
     )
 
 
@@ -428,13 +408,14 @@ def _run_with_policy_uncached(
                 missing,
             )
 
-        counts = derived.derive_each(
+        counts = derived.answers(
             count,
             configs,
             "two_size_counts",
-            trace,
-            policy.cache_token(),
-            choice.kernel,
+            item="config",
+            trace=trace,
+            policy=policy.cache_token(),
+            kernel=choice.kernel,
         )
         promotions, demotions = decisions.promotions, decisions.demotions
     else:
@@ -557,39 +538,29 @@ def run_split_two_sizes(
     choice = _resolve_two_size_kernel(
         policy, (small_config, large_config), kernel
     )
-    token = policy.cache_token() if cache is not None else None
-    keys: Optional[List[str]] = None
-    if token is not None:
-        keys = [
-            cache_key(
-                "split",
-                trace=trace.fingerprint,
-                policy=token,
-                small_config=small_config.cache_parts(),
-                large_config=large_config.cache_parts(),
-                base_penalty=base_penalty,
-                penalty_factor=penalty_factor,
-                kernel=choice.kernel,
-            )
-        ]
-    (result,) = lookup_all(
-        cache,
-        keys,
-        SplitRunResult.from_payload,
-        [(small_config, large_config)],
-        lambda missing: [
-            _run_split_two_sizes_uncached(
-                trace,
-                policy,
-                small_config,
-                large_config,
-                base_penalty=base_penalty,
-                penalty_factor=penalty_factor,
-                choice=choice,
-            )
-        ],
+    return derived.answer(
+        lambda: _run_split_two_sizes_uncached(
+            trace,
+            policy,
+            small_config,
+            large_config,
+            base_penalty=base_penalty,
+            penalty_factor=penalty_factor,
+            choice=choice,
+        ),
+        "split",
+        cache=cache,
+        decode=lambda payload: SplitRunResult.from_payload(
+            payload, small_config, large_config
+        ),
+        trace=trace,
+        policy=policy.cache_token(),
+        small_config=small_config,
+        large_config=large_config,
+        base_penalty=base_penalty,
+        penalty_factor=penalty_factor,
+        kernel=choice.kernel,
     )
-    return result
 
 
 def _run_split_two_sizes_uncached(
@@ -774,39 +745,30 @@ def sweep_two_level(
         choice = choose_kernel(kernel, vector_supported=True)
     penalty = base_penalty * (penalty_factor if two_size else 1.0)
 
-    keys: Optional[List[str]] = None
-    if cache is not None:
-        if two_size:
-            token = policy.cache_token()
-            scheme_part = None if token is None else {"policy": token}
-        else:
-            scheme_part = {"page_size": scheme.page_size}
-        if scheme_part is not None:
-            keys = [
-                cache_key(
-                    "twolevel",
-                    trace=trace.fingerprint,
-                    scheme=scheme_part,
-                    config=config.cache_parts(),
-                    base_penalty=base_penalty,
-                    penalty_factor=penalty_factor,
-                    kernel=choice.kernel,
-                )
-                for config in configs
-            ]
-    return lookup_all(
-        cache,
-        keys,
-        TwoLevelRunResult.from_payload,
-        [(config,) for config in configs],
+    if two_size:
+        token = policy.cache_token()
+        scheme_part = None if token is None else {"policy": token}
+    else:
+        scheme_part = {"page_size": scheme.page_size}
+    return derived.answers(
         lambda missing: _sweep_two_level_uncached(
             trace,
             scheme,
-            [configs[i] for i in missing],
+            missing,
             policy=policy,
             penalty=penalty,
             choice=choice,
         ),
+        configs,
+        "twolevel",
+        item="config",
+        cache=cache,
+        decode=TwoLevelRunResult.from_payload,
+        trace=trace,
+        scheme=scheme_part,
+        base_penalty=base_penalty,
+        penalty_factor=penalty_factor,
+        kernel=choice.kernel,
     )
 
 

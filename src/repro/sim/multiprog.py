@@ -8,13 +8,13 @@ could not support (Sections 3.1, 6); results are labelled beyond-paper.
 :func:`sweep_multiprogrammed` (one page size) and
 :func:`sweep_multiprogrammed_two_sizes` (each program under its own
 promotion policy) are the grid entry points, and both run on one grid
-loop: it builds each quantum's interleaving exactly once, then
-evaluates every requested geometry of a (quantum, policy) cell from one
-epoch-segmented stack-depth pass (:mod:`repro.perf.multiprog`,
-:mod:`repro.perf.multiprog_twosize`), with per-cell failure isolation,
-optional worker fan-out via :func:`repro.robustness.executor.run_units`
-and per-configuration results threaded through the content-addressed
-result cache (kinds ``"multiprog"`` and ``"multiprog2"``).
+loop: one :func:`~repro.parallel.pool.parallel_map` task per quantum
+(fanned out over ``jobs`` workers) builds that quantum's interleaving
+when a cell first needs it, and each (quantum, policy) cell finds its
+per-configuration results through :func:`repro.trace.derived.answers`
+(kinds ``"multiprog"`` and ``"multiprog2"``), evaluating every missing
+geometry from one epoch-segmented stack-depth pass
+(:mod:`repro.perf.multiprog`, :mod:`repro.perf.multiprog_twosize`).
 :func:`run_multiprogrammed` and :func:`run_multiprogrammed_two_sizes`
 are the single-cell special cases.  The scalar
 :class:`~repro.tlb.context.MultiprogrammedTLB` walk remains the
@@ -23,18 +23,19 @@ reference oracle behind ``kernel="scalar"``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
-from repro.parallel.cache import SimulationCache, lookup
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import SimulationCache
+from repro.parallel.pool import parallel_map
 from repro.perf.kernels import (
     KERNEL_AUTO,
     KERNEL_VECTOR,
@@ -53,11 +54,10 @@ from repro.perf.multiprog_twosize import (
 )
 from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.robustness import faultinject
-from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.retry import NO_RETRY
 from repro.sim.config import TLBConfig, TwoSizeScheme
 from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
+from repro.trace import derived
 from repro.trace.mix import interleave_with_contexts
 from repro.trace.record import Trace
 from repro.types import log2_exact
@@ -146,16 +146,14 @@ def sweep_multiprogrammed(
 ) -> Dict[SweepKey, MultiprogramResult]:
     """One-pass quantum x policy x geometry grid over a program mix.
 
-    Each quantum's interleaving is built exactly once (vectorized
+    Each quantum's interleaving is built at most once (vectorized
     round-robin mixer) and shared by both policies; each (quantum,
-    policy) cell is one executor unit that serves *every* geometry from
-    a single epoch-segmented kernel pass (or, under ``kernel="scalar"``,
-    one oracle walk driving all cell TLBs).  Cached cells are skipped
-    per configuration — entries share the ``"multiprog"`` cache kind
-    with :func:`run_multiprogrammed`.  ``jobs`` fans the cells out over
-    forked workers (the parent-built mixes are inherited through the
-    fork); a failed cell raises :class:`~repro.errors.SimulationError`
-    after the remaining cells have finished.
+    policy) cell serves *every* missing geometry from a single
+    epoch-segmented kernel pass (or, under ``kernel="scalar"``, one
+    oracle walk driving all cell TLBs).  Results already held are
+    skipped per configuration — entries share the ``"multiprog"`` cache
+    kind with :func:`run_multiprogrammed`.  ``jobs`` fans the quanta out
+    over forked workers; a failing cell raises its own exception.
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
@@ -206,7 +204,7 @@ def sweep_multiprogrammed(
             "base_penalty": base_penalty,
             "kernel": choice.kernel,
         },
-        decode=lambda payload, config: MultiprogramResult.from_payload(payload),
+        decode=MultiprogramResult.from_payload,
         prepare=prepare,
         cell=cell,
         cache=cache,
@@ -254,71 +252,48 @@ def _sweep_grid(
 ) -> Dict[SweepKey, Any]:
     """The quantum x policy x geometry loop behind both grid sweeps.
 
-    Every (quantum, policy, config) entry is looked up on its own under
-    ``kind``; only the missing configurations of each (quantum, policy)
-    cell run.  ``prepare`` turns a quantum's interleaving into the
-    cell input, built once in the parent so forked workers inherit it,
-    and ``cell`` returns one result per configuration.
+    One task per quantum, fanned out over ``jobs`` workers.  Each
+    (quantum, policy) cell finds its configurations' results under
+    ``kind``, and ``cell`` runs only the missing ones, one result per
+    configuration.  ``prepare`` turns the quantum's interleaving into
+    the cell input, built when a cell first needs it.
     """
-    results: Dict[SweepKey, Any] = {}
-    # (quantum, policy) -> [(config, cache key or None), ...] still to run.
-    pending: Dict[Tuple[int, ContextSwitchPolicy], List[Any]] = {}
-    for quantum in quanta:
+
+    def quantum_results(quantum: int) -> Dict[SweepKey, Any]:
+        mix = None
+
+        def simulate(
+            policy: ContextSwitchPolicy, missing: List[TLBConfig]
+        ) -> List[Any]:
+            nonlocal mix
+            if mix is None:
+                mix = prepare(*interleave_with_contexts(traces, quantum=quantum))
+            return cell(mix, quantum, policy, missing)
+
+        results: Dict[SweepKey, Any] = {}
         for policy in policies:
-            for config in configs:
-                key: Optional[str] = None
-                if cache is not None:
-                    key = cache_key(
-                        kind,
-                        traces=[trace.fingerprint for trace in traces],
-                        quantum=quantum,
-                        policy=policy.value,
-                        config=config.cache_parts(),
-                        **key_parts,
-                    )
-                    hit = lookup(cache, key, decode, config)
-                    if hit is not None:
-                        results[(policy.value, quantum, config.label)] = hit
-                        continue
-                pending.setdefault((quantum, policy), []).append((config, key))
-    if not pending:
+            found = derived.answers(
+                functools.partial(simulate, policy),
+                configs,
+                kind,
+                item="config",
+                cache=cache,
+                decode=decode,
+                traces=list(traces),
+                quantum=quantum,
+                policy=policy.value,
+                **key_parts,
+            )
+            for config, result in zip(configs, found):
+                results[(policy.value, quantum, config.label)] = result
         return results
 
-    mixes = {
-        quantum: prepare(*interleave_with_contexts(traces, quantum=quantum))
-        for quantum in {quantum for quantum, _ in pending}
-    }
-
-    def make_unit(quantum, policy, cell_configs) -> UnitSpec:
-        def run() -> List[Dict[str, Any]]:
-            return [
-                result.to_payload()
-                for result in cell(mixes[quantum], quantum, policy, cell_configs)
-            ]
-
-        return UnitSpec(name=f"{kind}/q{quantum}/{policy.value}", run=run)
-
-    cells = list(pending.items())
-    report = run_units(
-        [
-            make_unit(quantum, policy, [config for config, _ in entries])
-            for (quantum, policy), entries in cells
-        ],
-        retry_policy=NO_RETRY,
+    results: Dict[SweepKey, Any] = {}
+    for part in parallel_map(
+        [functools.partial(quantum_results, quantum) for quantum in quanta],
         jobs=jobs,
-    )
-    if report.failures:
-        failure = report.failures[0]
-        raise SimulationError(
-            f"multiprogrammed sweep cell {failure.name} failed: {failure.error}"
-        )
-    for outcome, ((quantum, policy), entries) in zip(report.outcomes, cells):
-        for payload, (config, key) in zip(outcome.result, entries):
-            if key is not None:
-                cache.put(key, payload)
-            results[(policy.value, quantum, config.label)] = decode(
-                payload, config
-            )
+    ):
+        results.update(part)
     return results
 
 
@@ -476,8 +451,8 @@ def sweep_multiprogrammed_two_sizes(
     (policy, geometry) cell to the composed kernel
     (:mod:`repro.perf.multiprog_twosize`); the scalar oracle walks
     :class:`~repro.tlb.context.MultiprogrammedTLB` wrappers with
-    per-program policy objects and forwarded shootdowns.  Cell fan-out,
-    failure isolation and caching (kind ``"multiprog2"``) are
+    per-program policy objects and forwarded shootdowns.  Quantum
+    fan-out and the result lookup (kind ``"multiprog2"``) are
     :func:`sweep_multiprogrammed`'s.
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.

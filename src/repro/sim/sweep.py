@@ -10,24 +10,25 @@ Set-index bits default to the low bits of the page number; an explicit
 bits — the degenerate "two-page-size hardware, no large pages allocated"
 case of Table 5.1's second column.
 
-A :class:`~repro.parallel.cache.SimulationCache` replays each (page
-size, config) result across runs (kind ``"sweep"``); only the missing
-results of a family are simulated.  Within one run, the derivation
-store (:mod:`repro.trace.derived`) keeps each family's miss curve, so a
+Each (page size, config) result is found by
+:func:`repro.trace.derived.answers` (kind ``"sweep"``): the open run's
+store, then a :class:`~repro.parallel.cache.SimulationCache` if one is
+given, and only the missing results of a family are simulated.  Within
+one run each family's miss curve is kept too, keyed by its depth, so a
 later sweep asking the same family reads the curve instead of
 repeating the stack pass.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
-from repro.parallel.cache import SimulationCache, lookup
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import SimulationCache
 from repro.perf.kernels import KERNEL_AUTO, choose_kernel
 from repro.robustness import faultinject
 from repro.sim.config import SingleSizeScheme, TLBConfig
@@ -84,25 +85,30 @@ def _family_curve(
     """One stack pass covering every shape with this set count.
 
     Inside a :func:`repro.trace.derived.run` the curve is derived once
-    per (trace, page size, index shift, set count, kernel) and reused
-    by any later sweep it is deep enough for.
+    per (trace, page size, index shift, set count, depth, kernel).
     """
     if sets == 1:
         index_shift = 0  # a single set ignores the index bits
-    parts = ("miss_curve", trace, page_size, index_shift, sets, kernel)
-    stored = derived.lookup(*parts)
-    if stored is not None and stored.max_capacity >= depth:
-        return stored
-    pages = trace.addresses >> np.uint32(log2_exact(page_size))
-    if sets == 1:
-        curve = lru_miss_curve(pages, max_capacity=depth, kernel=kernel)
-    else:
+
+    def measure() -> MissCurve:
+        pages = trace.addresses >> np.uint32(log2_exact(page_size))
+        if sets == 1:
+            return lru_miss_curve(pages, max_capacity=depth, kernel=kernel)
         indices = (pages >> np.uint32(index_shift)) & np.uint32(sets - 1)
-        curve = per_set_miss_curve(
+        return per_set_miss_curve(
             indices, pages, max_associativity=depth, kernel=kernel
         )
-    derived.store(curve, *parts)
-    return curve
+
+    return derived.answer(
+        measure,
+        "miss_curve",
+        trace=trace,
+        page_size=page_size,
+        index_shift=index_shift,
+        sets=sets,
+        depth=depth,
+        kernel=kernel,
+    )
 
 
 def sweep_single_size(
@@ -142,38 +148,16 @@ def sweep_single_size(
     # Resolved once: the keys, the stack passes and the results all
     # name the kernel that runs, so "auto" and "vector" share entries.
     kernel = choose_kernel(kernel, vector_supported=True).kernel
-    results: Dict[Tuple[int, str], RunResult] = {}
-    pending: List[Tuple[int, List[TLBConfig], Dict[TLBConfig, str]]] = []
-    for page_size in page_sizes:
-        remaining: List[TLBConfig] = []
-        keys: Dict[TLBConfig, str] = {}
-        for config in configs:
-            if cache is not None:
-                key = keys[config] = cache_key(
-                    "sweep",
-                    trace=trace.fingerprint,
-                    page_size=page_size,
-                    index_shift=index_shift,
-                    config=config.cache_parts(),
-                    base_penalty=base_penalty,
-                    kernel=kernel,
-                )
-                hit = lookup(cache, key, RunResult.from_payload, config)
-                if hit is not None:
-                    results[(page_size, config.label)] = hit
-                    continue
-            remaining.append(config)
-        if remaining:
-            pending.append((page_size, remaining, keys))
 
-    for page_size, remaining, keys in pending:
+    def simulate(page_size: int, missing: List[TLBConfig]) -> List[RunResult]:
         faultinject.check("sim.sweep")
-        for sets, group in _group_by_sets(remaining).items():
+        simulated: Dict[TLBConfig, RunResult] = {}
+        for sets, group in _group_by_sets(missing).items():
             depth = max(config.ways for config in group)
             curve = _family_curve(trace, page_size, index_shift, sets, depth, kernel)
             for config in group:
                 misses = curve.misses(config.ways)
-                result = RunResult(
+                simulated[config] = RunResult(
                     trace_name=trace.name,
                     scheme_label=SingleSizeScheme(page_size).label,
                     config=config,
@@ -188,7 +172,23 @@ def sweep_single_size(
                     miss_penalty_cycles=base_penalty,
                     resolved_kernel=kernel,
                 )
-                results[(page_size, config.label)] = result
-                if cache is not None:
-                    cache.put(keys[config], result.to_payload())
+        return [simulated[config] for config in missing]
+
+    results: Dict[Tuple[int, str], RunResult] = {}
+    for page_size in page_sizes:
+        found = derived.answers(
+            functools.partial(simulate, page_size),
+            configs,
+            "sweep",
+            item="config",
+            cache=cache,
+            decode=RunResult.from_payload,
+            trace=trace,
+            page_size=page_size,
+            index_shift=index_shift,
+            base_penalty=base_penalty,
+            kernel=kernel,
+        )
+        for config, result in zip(configs, found):
+            results[(page_size, config.label)] = result
     return results

@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mem.address import page_numbers_array
-from repro.parallel.cache import CachedValue, SimulationCache, lookup_all
-from repro.parallel.cache import key as cache_key
+from repro.parallel.cache import CachedValue, SimulationCache
 from repro.trace import derived
 from repro.trace.record import Trace
 
@@ -87,12 +86,12 @@ def average_working_set_bytes(
 ) -> Dict[int, float]:
     """Return {T: average working-set size in bytes} at ``page_size``.
 
-    Inside a :func:`repro.trace.derived.run` each (trace, page size, T)
-    average is derived once; a later request computes only the windows
-    it lacks.  With a ``cache``, an average the run lacks is looked up
-    on disk (kind ``working_set``) before one pass measures the rest.
-    ``page_size`` and the windows must be integers (NumPy ones too), so
-    the run store, the cache key and the pass all see the same T.
+    Each (trace, page size, T) average is found by
+    :func:`repro.trace.derived.answers` (kind ``working_set``): the
+    open run's store, then the ``cache`` if one is given, then one pass
+    that measures only the windows neither holds.  ``page_size`` and
+    the windows must be integers (NumPy ones too), so the run store,
+    the cache key and the pass all see the same T.
     """
     page_size = operator.index(page_size)
     windows = [operator.index(window) for window in windows]
@@ -102,29 +101,19 @@ def average_working_set_bytes(
         per_pages = average_working_set_pages(pages, missing)
         return [WorkingSetAverage(per_pages[window] * page_size) for window in missing]
 
-    def cached(missing: List[int]) -> List[float]:
-        keys = None
-        if cache is not None:
-            keys = [
-                cache_key(
-                    "working_set",
-                    trace=trace.fingerprint,
-                    page_size=page_size,
-                    window=window,
-                )
-                for window in missing
-            ]
-        averages = lookup_all(
-            cache,
-            keys,
-            WorkingSetAverage.from_payload,
-            [()] * len(missing),
-            lambda indices: measure([missing[i] for i in indices]),
-        )
-        return [average.average_bytes for average in averages]
-
-    sizes = derived.derive_each(cached, windows, "working_set", trace, page_size)
-    return dict(zip(windows, sizes))
+    averages = derived.answers(
+        measure,
+        windows,
+        "working_set",
+        item="window",
+        cache=cache,
+        decode=WorkingSetAverage.from_payload,
+        trace=trace,
+        page_size=page_size,
+    )
+    return {
+        window: average.average_bytes for window, average in zip(windows, averages)
+    }
 
 
 def naive_average_working_set_pages(pages: Sequence[int], window: int) -> float:

@@ -260,6 +260,17 @@ class TestCLI:
         assert main(["--output-dir", str(tmp_path), "--floor", "a"]) == 2
         assert main(["--output-dir", str(tmp_path), "--floor", "a=fast"]) == 2
 
+    def test_non_integer_repro_jobs_exits_two_before_any_unit(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def no_suite(**kwargs):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(bench, "run_suite", no_suite)
+        monkeypatch.setenv("REPRO_JOBS", "x")
+        assert main(["--quick", "--output-dir", str(tmp_path)]) == 2
+        assert "REPRO_JOBS must be an integer, got 'x'" in capsys.readouterr().err
+
     def test_list_units(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out

@@ -21,7 +21,14 @@ from repro.parallel.cache import SimulationCache
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
-from repro.sim import TLBConfig, TwoSizeScheme, run_two_sizes, sweep_single_size
+from repro.sim import (
+    SingleSizeScheme,
+    TLBConfig,
+    TwoSizeScheme,
+    run_single_size,
+    run_two_sizes,
+    sweep_single_size,
+)
 from repro.sim import driver
 from repro.stacksim.working_set import average_working_set_bytes
 from repro.tlb.indexing import IndexingScheme
@@ -145,6 +152,33 @@ def test_a_run_computes_only_the_missing_configs(monkeypatch):
         assert run_two_sizes(trace, scheme, CONFIGS) == expected
         assert run_two_sizes(trace, scheme, CONFIGS) == expected
     assert calls[1:] == [CONFIGS[:1], CONFIGS[1:]]
+
+
+def test_a_run_reads_each_cache_entry_once(monkeypatch, tmp_path):
+    cache = SimulationCache.open(tmp_path)
+    reads = _record(monkeypatch, cache, "get", lambda key: key)
+    trace = _trace(10)
+    scheme = TwoSizeScheme(window=500)
+    with derived.run():
+        results = [
+            run_two_sizes(trace, scheme, CONFIGS, cache=cache) for _ in range(3)
+        ]
+    assert results[0] == results[1] == results[2]
+    assert len(reads) == len(set(reads)) == len(CONFIGS)
+    # The two repeats were answered from memory and count as hits.
+    assert cache.stats.hits == 2 * len(CONFIGS)
+
+
+def test_a_run_simulates_each_single_size_result_once(monkeypatch):
+    passes = _record(monkeypatch, driver, "stack_depths", lambda *args, **kw: None)
+    trace = _trace(11)
+    with derived.run():
+        results = [
+            run_single_size(trace, SingleSizeScheme(4096), CONFIGS[1])
+            for _ in range(3)
+        ]
+    assert results[0] == results[1] == results[2]
+    assert len(passes) == 1
 
 
 def test_same_name_traces_never_share_an_entry():

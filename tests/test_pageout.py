@@ -271,7 +271,7 @@ class TestCurveEdges:
             raise AssertionError("paging work began before validation")
 
         monkeypatch.setattr(pageout, "previous_occurrences", no_work)
-        monkeypatch.setattr(pageout, "policy_decisions", no_work)
+        monkeypatch.setattr(pageout, "trace_decisions", no_work)
         with pytest.raises(ConfigurationError):
             curve_fn(page_trace([1, 2, 3]), [MB, smallest - PAGE_4KB // 2])
 

@@ -27,6 +27,7 @@ from repro.studies.registry import (
 )
 from repro.studies.spec import Factor, Study, load_study, study_from_mapping
 from repro.studies.units import UNIT_KINDS, get_kind
+from repro.trace import derived
 
 SCALE = ExperimentScale(
     trace_length=30_000, window=5_000, use_cache=False,
@@ -302,6 +303,18 @@ class TestRunStudy:
         assert _sans_counters(first.render()) == _sans_counters(
             second.render()
         )
+
+    @pytest.mark.parametrize("name", ["probe", "threshold"])
+    def test_second_run_inside_a_run_replays_from_memory(self, tmp_path, name):
+        cache = SimulationCache(tmp_path / "cache")
+        study = get_study(name)
+        with derived.run():
+            run_study(study, scale=SCALE, jobs=1, cache=cache)
+            stores = cache.stats.stores
+            second = run_study(study, scale=SCALE, jobs=1, cache=cache)
+        assert second.counters["simulated"] == 0
+        assert second.counters["from_cache"] == second.counters["unique"]
+        assert cache.stats.stores == stores
 
     def test_cache_entry_missing_a_wanted_metric_recomputes(self, tmp_path):
         cache = SimulationCache(tmp_path / "cache")
