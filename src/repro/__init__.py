@@ -14,62 +14,64 @@ The public API re-exports the pieces a downstream user composes:
 Start with ``examples/quickstart.py`` or DESIGN.md.
 """
 
-from repro.metrics import (
-    TLBPerformance,
-    critical_miss_penalty_increase,
-    speedup_over_baseline,
-)
-from repro.policy import (
-    DynamicPromotionPolicy,
-    ExplicitAssignmentPolicy,
-    StaticLargePolicy,
-    StaticSmallPolicy,
-    dynamic_average_working_set,
-)
-from repro.sim import (
-    RunResult,
-    SingleSizeScheme,
-    TLBConfig,
-    TwoSizeScheme,
-    run_single_size,
-    run_two_sizes,
-    run_with_policy,
-    sweep_single_size,
-)
-from repro.stacksim import (
-    average_working_set_bytes,
-    average_working_set_pages,
-    lru_miss_curve,
-    per_set_miss_curve,
-)
-from repro.tlb import (
-    FullyAssociativeTLB,
-    IndexingScheme,
-    ProbeStrategy,
-    SetAssociativeTLB,
-    SplitTLB,
-)
-from repro.trace import Trace, read_trace, write_trace
-from repro.types import (
-    KB,
-    MB,
-    PAGE_4KB,
-    PAGE_8KB,
-    PAGE_16KB,
-    PAGE_32KB,
-    PAGE_64KB,
-    PAIR_4KB_16KB,
-    PAIR_4KB_32KB,
-    PAIR_4KB_64KB,
-    PageSizePair,
-)
-from repro.workloads import (
-    SyntheticWorkload,
-    all_workloads,
-    cached_trace,
-    generate_trace,
-    get_workload,
-    workload_names,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "metrics.cpi": (
+            "TLBPerformance",
+            "critical_miss_penalty_increase",
+            "speedup_over_baseline",
+        ),
+        "policy.promotion": (
+            "DynamicPromotionPolicy",
+            "ExplicitAssignmentPolicy",
+            "StaticLargePolicy",
+            "StaticSmallPolicy",
+        ),
+        "policy.dynamic_ws": ("dynamic_average_working_set",),
+        "sim.config": ("SingleSizeScheme", "TLBConfig", "TwoSizeScheme"),
+        "sim.driver": (
+            "RunResult",
+            "run_single_size",
+            "run_two_sizes",
+            "run_with_policy",
+        ),
+        "sim.sweep": ("sweep_single_size",),
+        "stacksim.working_set": (
+            "average_working_set_bytes",
+            "average_working_set_pages",
+        ),
+        "stacksim.lru_stack": ("lru_miss_curve", "per_set_miss_curve"),
+        "tlb.fully_assoc": ("FullyAssociativeTLB",),
+        "tlb.indexing": ("IndexingScheme", "ProbeStrategy"),
+        "tlb.set_assoc": ("SetAssociativeTLB",),
+        "tlb.split": ("SplitTLB",),
+        "trace.record": ("Trace",),
+        "trace.trace_io": ("read_trace", "write_trace"),
+        "types": (
+            "KB",
+            "MB",
+            "PAGE_4KB",
+            "PAGE_8KB",
+            "PAGE_16KB",
+            "PAGE_32KB",
+            "PAGE_64KB",
+            "PAIR_4KB_16KB",
+            "PAIR_4KB_32KB",
+            "PAIR_4KB_64KB",
+            "PageSizePair",
+        ),
+        "workloads.base": ("SyntheticWorkload",),
+        "workloads.registry": (
+            "all_workloads",
+            "cached_trace",
+            "generate_trace",
+            "get_workload",
+            "workload_names",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

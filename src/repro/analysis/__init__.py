@@ -4,24 +4,27 @@ The questions an architect asks after reading the paper, answered for
 arbitrary traces with one or two stack passes each.
 """
 
-from repro.analysis.advisor import (
-    RECOMMEND_BASELINE,
-    RECOMMEND_SINGLE_LARGE,
-    RECOMMEND_TWO_SIZES,
-    AdvisorReport,
-    advise,
-)
-from repro.analysis.crossover import (
-    CrossoverResult,
-    scheme_ranking,
-    two_size_crossover,
-)
-from repro.analysis.sizing import (
-    SizingResult,
-    entries_required,
-    miss_ratio_curve,
-    reach_equivalent_entries,
-    working_set_entries,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "advisor": (
+            "RECOMMEND_BASELINE",
+            "RECOMMEND_SINGLE_LARGE",
+            "RECOMMEND_TWO_SIZES",
+            "AdvisorReport",
+            "advise",
+        ),
+        "crossover": ("CrossoverResult", "scheme_ranking", "two_size_crossover"),
+        "sizing": (
+            "SizingResult",
+            "entries_required",
+            "miss_ratio_curve",
+            "reach_equivalent_entries",
+            "working_set_entries",
+        ),
+    },
 )
 
 __all__ = [

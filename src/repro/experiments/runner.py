@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.ablations import (
@@ -47,10 +47,12 @@ from repro.experiments.scale import ExperimentScale, scale_settings
 from repro.experiments.table31 import run_table31
 from repro.experiments.table51 import run_table51
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.journal import RunJournal
 from repro.robustness.retry import RetryPolicy
 from repro.trace import derived
 from repro.workloads.registry import GENERATOR_VERSION
+
+if TYPE_CHECKING:
+    from repro.robustness.journal import RunJournal
 
 #: Experiment name -> runner; paper artifacts first, then extensions.
 EXPERIMENTS: Dict[str, Callable[[ExperimentScale], object]] = {
@@ -208,6 +210,8 @@ def _run_suite(args: argparse.Namespace) -> int:
     if journal_path is None and args.resume:
         journal_path = DEFAULT_JOURNAL
     if journal_path is not None:
+        from repro.robustness.journal import RunJournal
+
         journal = RunJournal(journal_path, fingerprint=_fingerprint(scale))
         if journal.dropped_torn_line:
             print(

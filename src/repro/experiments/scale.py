@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache
+from repro.trace import derived
 from repro.trace.record import Trace
 from repro.workloads.registry import cached_trace, generate_trace
 
@@ -68,10 +69,25 @@ class ExperimentScale:
             )
 
     def trace(self, name: str) -> Trace:
-        """Materialise the named workload's trace at this scale."""
-        if self.use_cache:
-            return cached_trace(name, self.trace_length, self.seed)
-        return generate_trace(name, self.trace_length, self.seed)
+        """Materialise the named workload's trace at this scale.
+
+        Inside a :func:`repro.trace.derived.run` block each trace is
+        read (or generated), checksummed and fingerprinted once, and
+        every experiment shares it; its arrays are read-only.
+        """
+
+        def load() -> Trace:
+            if self.use_cache:
+                return cached_trace(name, self.trace_length, self.seed)
+            return generate_trace(name, self.trace_length, self.seed)
+
+        return derived.answer(
+            load,
+            "trace",
+            workload=name,
+            length=self.trace_length,
+            seed=self.seed,
+        )
 
     def sim_cache(self) -> Optional[SimulationCache]:
         """The simulation result cache to pass into the sim layer.

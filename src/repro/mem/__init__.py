@@ -7,36 +7,43 @@ walks, the cycle costs it charges, and the physical-contiguity mechanics
 that make large pages possible.
 """
 
-from repro.mem.address import (
-    align_down,
-    align_up,
-    is_aligned,
-    page_base,
-    page_number,
-    page_numbers_array,
-    page_offset,
-    page_span,
-    translate,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "address": (
+            "align_down",
+            "align_up",
+            "is_aligned",
+            "page_base",
+            "page_number",
+            "page_numbers_array",
+            "page_offset",
+            "page_span",
+            "translate",
+        ),
+        "misshandler": (
+            "SINGLE_SIZE_PENALTY_CYCLES",
+            "TWO_SIZE_PENALTY_FACTOR",
+            "MissPenaltyModel",
+            "single_size_penalty",
+            "two_size_penalty",
+        ),
+        "hashed_table": ("HashedPageTable",),
+        "mmu": ("MemoryManagementUnit", "MMUStatistics", "TranslationOutcome"),
+        "page_table": ("Translation", "TwoPageSizePageTable"),
+        "pageout": (
+            "PagingResult",
+            "fault_rate_curve",
+            "single_size_paging",
+            "two_size_fault_rate_curve",
+            "two_size_paging",
+        ),
+        "physalloc": ("BuddyAllocator",),
+        "walkmodel": ("WalkCycleModel", "measure_walk_costs"),
+    },
 )
-from repro.mem.misshandler import (
-    SINGLE_SIZE_PENALTY_CYCLES,
-    TWO_SIZE_PENALTY_FACTOR,
-    MissPenaltyModel,
-    single_size_penalty,
-    two_size_penalty,
-)
-from repro.mem.hashed_table import HashedPageTable
-from repro.mem.mmu import MemoryManagementUnit, MMUStatistics, TranslationOutcome
-from repro.mem.page_table import Translation, TwoPageSizePageTable
-from repro.mem.pageout import (
-    PagingResult,
-    fault_rate_curve,
-    single_size_paging,
-    two_size_fault_rate_curve,
-    two_size_paging,
-)
-from repro.mem.physalloc import BuddyAllocator
-from repro.mem.walkmodel import WalkCycleModel, measure_walk_costs
 
 __all__ = [
     "BuddyAllocator",

@@ -18,9 +18,12 @@ blended cost of a handler that tries page sizes in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.mem.page_table import Translation, TwoPageSizePageTable
+
+if TYPE_CHECKING:
+    from repro.mem.page_table import Translation, TwoPageSizePageTable
 
 
 @dataclass(frozen=True)

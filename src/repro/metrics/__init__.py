@@ -1,17 +1,24 @@
 """The paper's metrics: CPI_TLB, MPI, miss ratio, WS_Normalized and the
 critical miss-penalty increase (Section 3.2)."""
 
-from repro.metrics.cpi import (
-    TLBPerformance,
-    critical_miss_penalty_increase,
-    performance_from_miss_count,
-    speedup_over_baseline,
-)
-from repro.metrics.wsnorm import (
-    NormalizedWorkingSet,
-    arithmetic_mean,
-    geometric_mean,
-    normalize_working_sets,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cpi": (
+            "TLBPerformance",
+            "critical_miss_penalty_increase",
+            "performance_from_miss_count",
+            "speedup_over_baseline",
+        ),
+        "wsnorm": (
+            "NormalizedWorkingSet",
+            "arithmetic_mean",
+            "geometric_mean",
+            "normalize_working_sets",
+        ),
+    },
 )
 
 __all__ = [

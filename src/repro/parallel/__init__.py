@@ -14,8 +14,15 @@
   before any simulation runs.
 """
 
-from repro.parallel.cache import SimulationCache, canonical_key
-from repro.parallel.pool import in_worker, parallel_map, resolve_jobs
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("SimulationCache", "canonical_key"),
+        "pool": ("in_worker", "parallel_map", "resolve_jobs"),
+    },
+)
 
 __all__ = [
     "SimulationCache",

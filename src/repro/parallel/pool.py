@@ -11,18 +11,21 @@ back pickled.
 Two callers use it: :func:`parallel_map` below, and
 ``repro.robustness.executor.run_units(jobs=N)``, which keeps the
 journal, publishing and failure isolation in the parent.
+:mod:`multiprocessing` and :mod:`concurrent.futures` are imported on the
+path that forks, so a serial run never loads them.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import signal
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ParallelError, WorkerCrashError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: True in a worker process; set by the pool initializer.
 _IN_WORKER = False
@@ -53,6 +56,8 @@ def in_worker() -> bool:
 
 def fork_available() -> bool:
     """Whether this platform supports the fork start method."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -110,6 +115,9 @@ class ForkPool:
     """
 
     def __init__(self, task: Callable[[int], Any], workers: int) -> None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self._key = next(_KEYS)
         _TASKS[self._key] = task
         self._futures: List[Future] = []
@@ -138,6 +146,8 @@ class ForkPool:
         Raises the task's own exception, or :class:`WorkerCrashError`
         with the exit code when the process dies without answering.
         """
+        import multiprocessing
+
         context = multiprocessing.get_context("fork")
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(target=_answer, args=(self._key, index, writer))

@@ -26,24 +26,27 @@ See ``docs/performance.md`` for the kernel-switch contract, the report
 schema and the CI regression gate.
 """
 
-from repro.perf.kernels import (
-    KERNEL_AUTO,
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
-    previous_occurrences,
-    stack_depths,
-    window_events,
-)
-from repro.perf.multiprog import (
-    MultiprogCounts,
-    count_switches,
-    multiprog_counts,
-)
-from repro.perf.twosize import (
-    SplitCounts,
-    TwoSizeCounts,
-    split_two_size_counts,
-    two_size_counts,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kernels": (
+            "KERNEL_AUTO",
+            "KERNEL_SCALAR",
+            "KERNEL_VECTOR",
+            "previous_occurrences",
+            "stack_depths",
+            "window_events",
+        ),
+        "multiprog": ("MultiprogCounts", "count_switches", "multiprog_counts"),
+        "twosize": (
+            "SplitCounts",
+            "TwoSizeCounts",
+            "split_two_size_counts",
+            "two_size_counts",
+        ),
+    },
 )
 
 __all__ = [

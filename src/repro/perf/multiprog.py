@@ -43,30 +43,27 @@ two-page-size system needs one assignment policy per address space,
 OS design space the paper leaves open — Section 6), so the reference
 stream carries one page number per reference and the only admissible
 set-index rules are the degenerate single-size ones:
-:func:`validate_multiprog_config` rejects anything else up front.
+:func:`repro.sim.config.validate_multiprog_config` rejects anything else
+up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.kernels import StackDepthResult, stack_depths
+from repro.sim.config import TLBConfig, validate_multiprog_config
 from repro.tlb.context import ASID_SHIFT, ContextSwitchPolicy
-from repro.tlb.indexing import IndexingScheme
-
-if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
-    from repro.sim.config import TLBConfig
 
 __all__ = [
     "MultiprogCounts",
     "count_switches",
     "multiprog_counts",
     "switch_boundaries",
-    "validate_multiprog_config",
 ]
 
 ArrayLike = Union[np.ndarray, Sequence[int]]
@@ -87,30 +84,6 @@ class MultiprogCounts:
 
     misses: int
     switches: int
-
-
-def validate_multiprog_config(config: "TLBConfig") -> None:
-    """Reject TLB shapes the single-page-size multiprogrammed run cannot index.
-
-    The multiprogrammed drivers feed one page number per reference as
-    both block and chunk (``access_single``).  Under LARGE_INDEX or
-    EXACT_INDEX a set-associative TLB would then derive set indices from
-    a bogus chunk number — the page number never shifted down to a
-    large-page number — so those schemes are two-page-size configurations
-    here, not single-size ones.  Fully associative shapes ignore the
-    scheme; set-associative shapes must use SMALL_INDEX (the degenerate
-    single-size scheme).
-    """
-    if config.fully_associative:
-        return
-    if config.scheme is not IndexingScheme.SMALL_INDEX:
-        raise ConfigurationError(
-            f"multiprogrammed runs are single-page-size: set-associative "
-            f"config {config.label!r} indexes by {config.scheme.value!r}, "
-            f"which would read set bits from a bogus chunk number; use "
-            f"SMALL_INDEX (the degenerate single-size scheme) or a fully "
-            f"associative shape"
-        )
 
 
 def switch_boundaries(contexts: ArrayLike) -> np.ndarray:
@@ -140,7 +113,7 @@ def multiprog_counts(
     pages: ArrayLike,
     contexts: ArrayLike,
     policy: ContextSwitchPolicy,
-    configs: Sequence["TLBConfig"],
+    configs: Sequence[TLBConfig],
 ) -> List[MultiprogCounts]:
     """Evaluate every configuration from one epoch-segmented pass.
 

@@ -36,7 +36,7 @@ vector-kernel precondition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -48,11 +48,9 @@ from repro.perf.twosize import (
     _require_lru,
     two_size_counts,
 )
+from repro.policy.vector import PolicyDecisions
+from repro.sim.config import TLBConfig
 from repro.tlb.context import ASID_SHIFT, ContextSwitchPolicy
-
-if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
-    from repro.policy.vector import PolicyDecisions
-    from repro.sim.config import TLBConfig
 
 __all__ = [
     "MultiprogTwoSizeCounts",
@@ -91,9 +89,9 @@ def multiprog_two_size_counts(
     blocks: np.ndarray,
     contexts: np.ndarray,
     blocks_shift: int,
-    decisions: "PolicyDecisions",
+    decisions: PolicyDecisions,
     switch_policy: ContextSwitchPolicy,
-    configs: Sequence["TLBConfig"],
+    configs: Sequence[TLBConfig],
 ) -> List[MultiprogTwoSizeCounts]:
     """Evaluate every configuration of one multiprogrammed two-size mix.
 

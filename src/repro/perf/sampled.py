@@ -40,14 +40,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import List
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
-    from repro.sim.config import TLBConfig
+from repro.sim.config import SAMPLED_REPLACEMENTS, TLBConfig
 
 __all__ = [
     "SampledCounts",
@@ -63,9 +61,6 @@ DEFAULT_SAMPLE_FRACTION = 0.25
 MIN_SAMPLED_SETS = 4
 
 _Z95 = 1.959963984540054
-
-#: Replacement policies served by this kernel.
-SAMPLED_REPLACEMENTS = ("fifo", "random")
 
 
 @dataclass(frozen=True)

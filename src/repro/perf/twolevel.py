@@ -30,15 +30,13 @@ levels (the vector-kernel precondition shared with the flat kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.perf.twosize import _families, _key_stream, _require_lru
-
-if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
-    from repro.policy.vector import PolicyDecisions
-    from repro.sim.config import TLBConfig
+from repro.policy.vector import PolicyDecisions
+from repro.sim.config import TLBConfig
 
 __all__ = ["TwoLevelCounts", "two_level_counts"]
 

@@ -97,7 +97,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -111,11 +110,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.perf.kernels import _count_greater_preceding, previous_occurrences
+from repro.policy.vector import PolicyDecisions
+from repro.sim.config import TLBConfig
 from repro.tlb.indexing import IndexingScheme
-
-if TYPE_CHECKING:  # import cycle: sim.config pulls in the driver package
-    from repro.policy.vector import PolicyDecisions
-    from repro.sim.config import TLBConfig
 
 __all__ = [
     "TwoSizeCounts",

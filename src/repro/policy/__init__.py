@@ -4,24 +4,28 @@ Implements Section 3.4 of the paper: the dynamic chunk-promotion policy,
 static baselines, and the dynamic two-page-size working-set calculator.
 """
 
-from repro.policy.dynamic_ws import (
-    DynamicWorkingSetResult,
-    dynamic_average_working_set,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dynamic_ws": ("DynamicWorkingSetResult", "dynamic_average_working_set"),
+        "promotion": (
+            "DynamicPromotionPolicy",
+            "ExplicitAssignmentPolicy",
+            "PageDecision",
+            "PageSizeAssignmentPolicy",
+            "StaticLargePolicy",
+            "StaticSmallPolicy",
+        ),
+        "vector": (
+            "PolicyDecisions",
+            "policy_decisions",
+            "supports_vector_decisions",
+        ),
+        "window": ("SlidingBlockWindow",),
+    },
 )
-from repro.policy.promotion import (
-    DynamicPromotionPolicy,
-    ExplicitAssignmentPolicy,
-    PageDecision,
-    PageSizeAssignmentPolicy,
-    StaticLargePolicy,
-    StaticSmallPolicy,
-)
-from repro.policy.vector import (
-    PolicyDecisions,
-    policy_decisions,
-    supports_vector_decisions,
-)
-from repro.policy.window import SlidingBlockWindow
 
 __all__ = [
     "DynamicPromotionPolicy",

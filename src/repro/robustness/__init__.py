@@ -16,18 +16,15 @@ the reproduction's execution layer:
   and transient exception injection used to *prove* the above works.
 """
 
-from repro.robustness.executor import (
-    SuiteReport,
-    UnitOutcome,
-    UnitSpec,
-    run_units,
-)
-from repro.robustness.journal import RunJournal, UnitRecord
-from repro.robustness.retry import (
-    NO_RETRY,
-    Deadline,
-    RetryPolicy,
-    call_with_retry,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "executor": ("SuiteReport", "UnitOutcome", "UnitSpec", "run_units"),
+        "journal": ("RunJournal", "UnitRecord"),
+        "retry": ("NO_RETRY", "Deadline", "RetryPolicy", "call_with_retry"),
+    },
 )
 
 __all__ = [

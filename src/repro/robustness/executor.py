@@ -25,15 +25,16 @@ import functools
 import sys
 import time
 import traceback as traceback_module
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlineExceededError, WorkerCrashError
 from repro.parallel.cache import corrupt_discarded_total
 from repro.parallel.pool import ForkPool, reconstruct_error, resolve_jobs
-from repro.robustness.journal import RunJournal
 from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
+
+if TYPE_CHECKING:
+    from repro.robustness.journal import RunJournal
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -235,6 +236,8 @@ class _Fanout:
         self.broken = False
 
     def take(self, index: int) -> _Ran:
+        from concurrent.futures.process import BrokenProcessPool
+
         future = self.futures[index]
         if self.broken and _lost(future):
             return self._rerun(index)
@@ -266,6 +269,8 @@ class _Fanout:
 
 def _lost(future: Any) -> bool:
     """Whether a settled future's unit went down with a broken pool."""
+    from concurrent.futures.process import BrokenProcessPool
+
     return future.cancelled() or isinstance(
         future.exception(), BrokenProcessPool
     )

@@ -12,17 +12,21 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.policy.promotion import DynamicPromotionPolicy
-from repro.tlb.base import TLB
-from repro.tlb.fully_assoc import FullyAssociativeTLB
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
-from repro.tlb.replacement import make_replacement_policy
-from repro.tlb.set_assoc import SetAssociativeTLB
-from repro.tlb.twolevel import TwoLevelTLB
+from repro.tlb.replacement import REPLACEMENT_POLICY_NAMES, make_replacement_policy
 from repro.types import PAIR_4KB_32KB, PageSizePair, format_size
+
+if TYPE_CHECKING:  # the TLB models load where a scalar walk builds one
+    from repro.tlb.base import TLB
+    from repro.tlb.twolevel import TwoLevelTLB
+
+#: Replacement policies the sampled-set kernel serves
+#: (:mod:`repro.perf.sampled`); LRU has the exact vector kernel.
+SAMPLED_REPLACEMENTS = ("fifo", "random")
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,8 @@ class TLBConfig:
         associativity: ways per set, or None for fully associative.
         scheme: set-index scheme (ignored when fully associative).
         probe_strategy: EXACT_INDEX probe style (parallel/sequential).
-        replacement: replacement policy name (``lru``/``fifo``/``random``).
+        replacement: replacement policy name (``lru``/``fifo``/``random``/
+            ``plru``).
     """
 
     entries: int
@@ -54,6 +59,11 @@ class TLBConfig:
                     f"associativity {self.associativity} does not divide "
                     f"{self.entries} entries"
                 )
+        if self.replacement not in REPLACEMENT_POLICY_NAMES:
+            raise ConfigurationError(
+                f"unknown replacement policy {self.replacement!r}; known: "
+                f"{', '.join(REPLACEMENT_POLICY_NAMES)}"
+            )
 
     @property
     def fully_associative(self) -> bool:
@@ -122,6 +132,9 @@ class TLBConfig:
 
     def build(self) -> TLB:
         """Construct a fresh TLB model for one simulation run."""
+        from repro.tlb.fully_assoc import FullyAssociativeTLB
+        from repro.tlb.set_assoc import SetAssociativeTLB
+
         replacement = make_replacement_policy(
             self.replacement, seed=self.replacement_seed()
         )
@@ -133,6 +146,30 @@ class TLBConfig:
             self.scheme,
             probe_strategy=self.probe_strategy,
             replacement=replacement,
+        )
+
+
+def validate_multiprog_config(config: TLBConfig) -> None:
+    """Reject TLB shapes the single-page-size multiprogrammed run cannot index.
+
+    The multiprogrammed drivers feed one page number per reference as
+    both block and chunk (``access_single``).  Under LARGE_INDEX or
+    EXACT_INDEX a set-associative TLB would then derive set indices from
+    a bogus chunk number — the page number never shifted down to a
+    large-page number — so those schemes are two-page-size configurations
+    here, not single-size ones.  Fully associative shapes ignore the
+    scheme; set-associative shapes must use SMALL_INDEX (the degenerate
+    single-size scheme).
+    """
+    if config.fully_associative:
+        return
+    if config.scheme is not IndexingScheme.SMALL_INDEX:
+        raise ConfigurationError(
+            f"multiprogrammed runs are single-page-size: set-associative "
+            f"config {config.label!r} indexes by {config.scheme.value!r}, "
+            f"which would read set bits from a bogus chunk number; use "
+            f"SMALL_INDEX (the degenerate single-size scheme) or a fully "
+            f"associative shape"
         )
 
 
@@ -169,6 +206,8 @@ class TwoLevelConfig:
 
     def build(self) -> TwoLevelTLB:
         """Construct a fresh two-level hierarchy for one simulation run."""
+        from repro.tlb.twolevel import TwoLevelTLB
+
         return TwoLevelTLB(
             self.level1.build(),
             self.level2.build(),

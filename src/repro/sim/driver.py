@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,14 +47,6 @@ from repro.perf.kernels import (
     choose_kernel,
     stack_depths,
 )
-from repro.perf.sampled import SAMPLED_REPLACEMENTS, sampled_replacement_counts
-from repro.perf.twolevel import TwoLevelCounts, two_level_counts
-from repro.perf.twosize import (
-    SplitCounts,
-    TwoSizeCounts,
-    split_two_size_counts,
-    two_size_counts,
-)
 from repro.policy.promotion import PageSizeAssignmentPolicy
 from repro.policy.vector import (
     PolicyDecisions,
@@ -62,17 +54,19 @@ from repro.policy.vector import (
     trace_decisions,
 )
 from repro.sim.config import (
+    SAMPLED_REPLACEMENTS,
     SingleSizeScheme,
     TLBConfig,
     TwoLevelConfig,
     TwoSizeScheme,
 )
 from repro.sim.kinds import CachedResult
-from repro.tlb.base import TLB
-from repro.tlb.split import SplitTLB
 from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import log2_exact
+
+if TYPE_CHECKING:
+    from repro.tlb.base import TLB
 
 
 @dataclass(frozen=True)
@@ -218,6 +212,8 @@ def _run_single_size_uncached(
         misses = stack_depths(pages, groups=groups).misses(config.ways)
         reprobes = config.reprobes(misses)
     elif kernel == KERNEL_SAMPLED:
+        from repro.perf.sampled import sampled_replacement_counts
+
         counts = sampled_replacement_counts(
             np.asarray(pages, dtype=np.int64),
             config,
@@ -393,6 +389,8 @@ def _run_with_policy_uncached(
     penalty_factor: float,
     choice: KernelChoice,
 ) -> List[RunResult]:
+    from repro.perf.twosize import TwoSizeCounts, two_size_counts
+
     pair = policy.pair
     block_array = trace.addresses >> np.uint32(pair.small_shift)
 
@@ -573,6 +571,9 @@ def _run_split_two_sizes_uncached(
     penalty_factor: float,
     choice: KernelChoice,
 ) -> SplitRunResult:
+    from repro.perf.twosize import SplitCounts, split_two_size_counts
+    from repro.tlb.split import SplitTLB
+
     pair = policy.pair
     block_array = trace.addresses >> np.uint32(pair.small_shift)
 
@@ -781,6 +782,8 @@ def _sweep_two_level_uncached(
     penalty: float,
     choice: KernelChoice,
 ) -> List[TwoLevelRunResult]:
+    from repro.perf.twolevel import TwoLevelCounts, two_level_counts
+
     two_size = scheme.two_page_sizes
     if two_size:
         page_shift = policy.pair.small_shift

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,25 +42,19 @@ from repro.perf.kernels import (
     KernelChoice,
     choose_kernel,
 )
-from repro.perf.multiprog import (
-    MultiprogCounts,
-    multiprog_counts,
-    validate_multiprog_config,
-)
-from repro.perf.multiprog_twosize import (
-    MultiprogTwoSizeCounts,
-    fold_event_chunks,
-    multiprog_two_size_counts,
-)
 from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.robustness import faultinject
-from repro.sim.config import TLBConfig, TwoSizeScheme
+from repro.sim.config import TLBConfig, TwoSizeScheme, validate_multiprog_config
 from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
 from repro.trace import derived
 from repro.trace.mix import interleave_with_contexts
 from repro.trace.record import Trace
 from repro.types import log2_exact
+
+if TYPE_CHECKING:
+    from repro.perf.multiprog import MultiprogCounts
+    from repro.perf.multiprog_twosize import MultiprogTwoSizeCounts
 
 #: Sweep result key: (policy value, quantum, config label).
 SweepKey = Tuple[str, int, str]
@@ -173,6 +167,8 @@ def sweep_multiprogrammed(
         faultinject.check("sim.multiprog.cell")
         pages, contexts, mixed = mix
         if choice.kernel == KERNEL_VECTOR:
+            from repro.perf.multiprog import multiprog_counts
+
             counts = multiprog_counts(pages, contexts, policy, cell_configs)
         else:
             choice.announce_fallback()
@@ -309,6 +305,8 @@ def _scalar_counts(
     stream, so one walk of the mix drives them all — the scalar analogue
     of the kernel's one-pass-many-geometries contract.
     """
+    from repro.perf.multiprog import MultiprogCounts
+
     tlbs = [MultiprogrammedTLB(config.build(), policy) for config in configs]
     current = -1
     for page, context in zip(pages.tolist(), contexts.tolist()):
@@ -372,6 +370,8 @@ def _composed_decisions(
     folded into the program's private namespace so the composed event
     plan keeps the state machines independent.
     """
+    from repro.perf.multiprog_twosize import fold_event_chunks
+
     n = int(blocks.size)
     large = np.zeros(n, dtype=bool)
     promoted = np.full(n, -1, dtype=np.int64)
@@ -478,6 +478,8 @@ def sweep_multiprogrammed_two_sizes(
         faultinject.check("sim.multiprog.cell_two_sizes")
         blocks, contexts, decisions, mixed = mix
         if choice.kernel == KERNEL_VECTOR:
+            from repro.perf.multiprog_twosize import multiprog_two_size_counts
+
             counts = multiprog_two_size_counts(
                 blocks, contexts, blocks_shift, decisions, policy, cell_configs
             )
@@ -542,6 +544,8 @@ def _scalar_two_size_counts(
     reference's context, apply the issuing program's shootdowns
     (demote, then promote), then access.
     """
+    from repro.perf.multiprog_twosize import MultiprogTwoSizeCounts
+
     pair = scheme.pair
     blocks_shift = log2_exact(pair.blocks_per_chunk)
     blocks_per_chunk = pair.blocks_per_chunk

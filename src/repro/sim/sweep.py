@@ -22,7 +22,7 @@ repeating the stack pass.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,12 @@ from repro.perf.kernels import KERNEL_AUTO, choose_kernel
 from repro.robustness import faultinject
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
-from repro.stacksim.lru_stack import (
-    MissCurve,
-    lru_miss_curve,
-    per_set_miss_curve,
-)
 from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import log2_exact
+
+if TYPE_CHECKING:
+    from repro.stacksim.lru_stack import MissCurve
 
 
 def _check_sweepable(configs: Sequence[TLBConfig]) -> None:
@@ -91,6 +89,8 @@ def _family_curve(
         index_shift = 0  # a single set ignores the index bits
 
     def measure() -> MissCurve:
+        from repro.stacksim.lru_stack import lru_miss_curve, per_set_miss_curve
+
         pages = trace.addresses >> np.uint32(log2_exact(page_size))
         if sets == 1:
             return lru_miss_curve(pages, max_capacity=depth, kernel=kernel)

@@ -7,12 +7,19 @@ These reproduce the paper's methodology machinery (Section 3.3): the
 algorithm that made 5.5 CPU-months of 1992 simulation tractable.
 """
 
-from repro.stacksim.lru_stack import MissCurve, lru_miss_curve, per_set_miss_curve
-from repro.stacksim.working_set import (
-    average_working_set_bytes,
-    average_working_set_pages,
-    forward_reference_gaps,
-    naive_average_working_set_pages,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "lru_stack": ("MissCurve", "lru_miss_curve", "per_set_miss_curve"),
+        "working_set": (
+            "average_working_set_bytes",
+            "average_working_set_pages",
+            "forward_reference_gaps",
+            "naive_average_working_set_pages",
+        ),
+    },
 )
 
 __all__ = [

@@ -11,18 +11,25 @@
 * :mod:`repro.studies.cli` — the ``repro-study`` entry point.
 """
 
-from repro.studies.engine import (
-    FactorEffect,
-    StudyPlan,
-    StudyResult,
-    StudyUnit,
-    UnitResult,
-    compile_study,
-    run_study,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "FactorEffect",
+            "StudyPlan",
+            "StudyResult",
+            "StudyUnit",
+            "UnitResult",
+            "compile_study",
+            "run_study",
+        ),
+        "registry": ("STUDIES", "get_study", "study_names"),
+        "spec": ("Factor", "Study", "load_study", "study_from_mapping"),
+        "units": ("UNIT_KINDS", "UnitKind", "get_kind"),
+    },
 )
-from repro.studies.registry import STUDIES, get_study, study_names
-from repro.studies.spec import Factor, Study, load_study, study_from_mapping
-from repro.studies.units import UNIT_KINDS, UnitKind, get_kind
 
 __all__ = [
     "Factor",

@@ -5,23 +5,30 @@ its three indexing schemes and two probe strategies (2.2), the split
 per-page-size composite (2.2 option c), and the replacement policies.
 """
 
-from repro.tlb.base import TLB
-from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
-from repro.tlb.entry import decode_tag, encode_tag
-from repro.tlb.fully_assoc import FullyAssociativeTLB
-from repro.tlb.indexing import IndexingScheme, ProbeStrategy
-from repro.tlb.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_replacement_policy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("TLB",),
+        "context": ("ContextSwitchPolicy", "MultiprogrammedTLB"),
+        "entry": ("decode_tag", "encode_tag"),
+        "fully_assoc": ("FullyAssociativeTLB",),
+        "indexing": ("IndexingScheme", "ProbeStrategy"),
+        "replacement": (
+            "FIFOReplacement",
+            "LRUReplacement",
+            "RandomReplacement",
+            "ReplacementPolicy",
+            "TreePLRUReplacement",
+            "make_replacement_policy",
+        ),
+        "set_assoc": ("SetAssociativeTLB",),
+        "split": ("SplitTLB",),
+        "stats": ("TLBStatistics",),
+        "twolevel": ("TwoLevelTLB",),
+    },
 )
-from repro.tlb.replacement import TreePLRUReplacement
-from repro.tlb.set_assoc import SetAssociativeTLB
-from repro.tlb.split import SplitTLB
-from repro.tlb.stats import TLBStatistics
-from repro.tlb.twolevel import TwoLevelTLB
 
 __all__ = [
     "ContextSwitchPolicy",

@@ -5,24 +5,25 @@ this package is the equivalent substrate.  See :mod:`repro.workloads` for
 the synthetic generators that stand in for the original SPEC'89 traces.
 """
 
-from repro.trace.mix import interleave_with_contexts, round_robin_mix
-from repro.trace.record import (
-    KIND_IFETCH,
-    KIND_LOAD,
-    KIND_STORE,
-    Reference,
-    Trace,
-)
-from repro.trace.stats import (
-    TraceStatistics,
-    compute_statistics,
-    page_reference_histogram,
-)
-from repro.trace.trace_io import (
-    read_text_trace,
-    read_trace,
-    write_text_trace,
-    write_trace,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "mix": ("interleave_with_contexts", "round_robin_mix"),
+        "record": ("KIND_IFETCH", "KIND_LOAD", "KIND_STORE", "Reference", "Trace"),
+        "stats": (
+            "TraceStatistics",
+            "compute_statistics",
+            "page_reference_histogram",
+        ),
+        "trace_io": (
+            "read_text_trace",
+            "read_trace",
+            "write_text_trace",
+            "write_trace",
+        ),
+    },
 )
 
 __all__ = [

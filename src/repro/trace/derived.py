@@ -30,8 +30,11 @@ reads or writes the result cache.
 * **Values** kept by a run are compact answers only — packed bits,
   transition indices, counters, miss curves, averages, results —
   never the per-reference working arrays a pass builds on the way
-  (family depth arrays, event plans, dense decision arrays), so a run
-  holds a small fraction of its traces' size.
+  (family depth arrays, event plans, dense decision arrays).  A run
+  also holds each trace it read (kind ``"trace"``, asked by
+  :meth:`~repro.experiments.scale.ExperimentScale.trace`), so every
+  trace is read, checksummed and fingerprinted once per run, at 5
+  bytes per reference.
 * **Lifetime** is the ``with run():`` block.  The store is
   process-local: pool workers forked inside the block start from the
   parent's store and each fills its own.  A store hit on a cached kind

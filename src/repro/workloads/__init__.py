@@ -7,32 +7,39 @@ the paper reports re-emerges from first principles.  See DESIGN.md for
 the trace-substitution rationale.
 """
 
-from repro.workloads.base import (
-    CATEGORY_LARGE,
-    CATEGORY_SMALL,
-    StreamMix,
-    SyntheticWorkload,
-)
-from repro.workloads.patterns import (
-    DenseZipf,
-    HotSpot,
-    LockstepSweep,
-    PhaseAlternator,
-    PointerChase,
-    SequentialRuns,
-    SequentialSweep,
-    SparseHot,
-    Stream,
-    StridedSweep,
-)
-from repro.workloads.regions import Region, staggered_base
-from repro.workloads.registry import (
-    WORKLOAD_ORDER,
-    all_workloads,
-    cached_trace,
-    generate_trace,
-    get_workload,
-    workload_names,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "CATEGORY_LARGE",
+            "CATEGORY_SMALL",
+            "StreamMix",
+            "SyntheticWorkload",
+        ),
+        "patterns": (
+            "DenseZipf",
+            "HotSpot",
+            "LockstepSweep",
+            "PhaseAlternator",
+            "PointerChase",
+            "SequentialRuns",
+            "SequentialSweep",
+            "SparseHot",
+            "Stream",
+            "StridedSweep",
+        ),
+        "regions": ("Region", "staggered_base"),
+        "registry": (
+            "WORKLOAD_ORDER",
+            "all_workloads",
+            "cached_trace",
+            "generate_trace",
+            "get_workload",
+            "workload_names",
+        ),
+    },
 )
 
 __all__ = [

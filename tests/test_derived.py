@@ -9,7 +9,9 @@ reads a vector answer).
 """
 
 import contextlib
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.experiments import smoke_scale
 from repro.experiments.runner import EXPERIMENTS
 from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
+from repro.perf import twosize
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
@@ -34,7 +37,7 @@ from repro.stacksim.working_set import average_working_set_bytes
 from repro.tlb.indexing import IndexingScheme
 from repro.trace import Trace, derived
 from repro.types import PAIR_4KB_32KB
-from repro.workloads import WORKLOAD_ORDER
+from repro.workloads import WORKLOAD_ORDER, registry
 
 RENDERED = (
     "fig41",
@@ -108,7 +111,7 @@ def test_each_pass_runs_once_per_input_inside_a_run(monkeypatch):
     )
     count_calls = _record(
         monkeypatch,
-        driver,
+        twosize,
         "two_size_counts",
         lambda blocks, shift, decisions, configs: [
             (*streams[-1], json.dumps(config.cache_parts(), sort_keys=True))
@@ -128,7 +131,7 @@ def test_each_pass_runs_once_per_input_inside_a_run(monkeypatch):
 
 
 def test_outside_a_run_every_call_computes(monkeypatch):
-    calls = _record(monkeypatch, driver, "two_size_counts", lambda *args: None)
+    calls = _record(monkeypatch, twosize, "two_size_counts", lambda *args: None)
     trace = _trace(1)
     scheme = TwoSizeScheme(window=500)
     first = run_two_sizes(trace, scheme, CONFIGS)
@@ -140,7 +143,7 @@ def test_outside_a_run_every_call_computes(monkeypatch):
 def test_a_run_computes_only_the_missing_configs(monkeypatch):
     calls = _record(
         monkeypatch,
-        driver,
+        twosize,
         "two_size_counts",
         lambda blocks, shift, decisions, configs: list(configs),
     )
@@ -167,6 +170,25 @@ def test_a_run_reads_each_cache_entry_once(monkeypatch, tmp_path):
     assert len(reads) == len(set(reads)) == len(CONFIGS)
     # The two repeats were answered from memory and count as hits.
     assert cache.stats.hits == 2 * len(CONFIGS)
+
+
+def test_a_run_reads_each_trace_once(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    scale = dataclasses.replace(
+        smoke_scale(trace_length=12_000, window=1_500), use_cache=True
+    )
+    for name in WORKLOAD_ORDER:  # fill the trace cache: generated, not read
+        scale.trace(name)
+    reads = _record(monkeypatch, registry, "read_trace", lambda path: Path(path))
+    with derived.run():
+        for name in ("table31", "fig41", "fig42"):
+            EXPERIMENTS[name](scale)
+    assert len(reads) == len(set(reads)) == len(WORKLOAD_ORDER)
+    del reads[:]
+    # Outside a run every call reads the file again.
+    scale.trace("li")
+    scale.trace("li")
+    assert len(reads) == 2
 
 
 def test_a_run_simulates_each_single_size_result_once(monkeypatch):
@@ -221,7 +243,7 @@ def test_scalar_requests_never_read_vector_answers():
 
 def test_uncacheable_policies_are_never_stored(monkeypatch):
     decisions = _record(monkeypatch, vector, "policy_decisions", lambda *args: None)
-    counts = _record(monkeypatch, driver, "two_size_counts", lambda *args: None)
+    counts = _record(monkeypatch, twosize, "two_size_counts", lambda *args: None)
 
     class Opaque(DynamicPromotionPolicy):
         def cache_token(self):

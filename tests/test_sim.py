@@ -52,6 +52,13 @@ class TestTLBConfig:
         with pytest.raises(ConfigurationError):
             TLBConfig(16, 3)
 
+    def test_unknown_replacement_rejected(self):
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown replacement policy 'bogus'; known: lru, fifo, random, plru",
+        ):
+            TLBConfig(16, replacement="bogus")
+
     def test_scheme_labels(self):
         assert SingleSizeScheme(PAGE_32KB).label == "32KB"
         assert not SingleSizeScheme(PAGE_4KB).two_page_sizes

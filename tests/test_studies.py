@@ -197,15 +197,17 @@ class TestCompile:
             raise AssertionError("a trace was generated")
 
         monkeypatch.setattr(ExperimentScale, "trace", no_traces)
-        study = Study(
-            name="s", kind="two_size", workloads=("li", "matrix300"),
-            metrics=("cpi_tlb",), factors=(Factor("entries", (8, 16)),),
-            fixed={"indexing": "bogus"},
-        )
-        with pytest.raises(
-            StudyError, match="unit two_size:entries=8: 'bogus' is not a valid"
+        for kind, fixed, message in (
+            ("two_size", {"indexing": "bogus"}, "'bogus' is not a valid"),
+            ("single", {"replacement": "bogus"}, "unknown replacement policy"),
         ):
-            compile_study(study, SCALE)
+            study = Study(
+                name="s", kind=kind, workloads=("li", "matrix300"),
+                metrics=("cpi_tlb",), factors=(Factor("entries", (8, 16)),),
+                fixed=fixed,
+            )
+            with pytest.raises(StudyError, match=f"unit {kind}:entries=8: {message}"):
+                compile_study(study, SCALE)
 
     def test_bad_parameter_value_exits_2_before_any_unit(
         self, monkeypatch, tmp_path, capsys
