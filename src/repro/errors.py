@@ -69,7 +69,7 @@ class StudyError(ExperimentError):
     Raised by :mod:`repro.studies` for schema violations (unknown unit
     kind, a factor naming no parameter, an unconsumed fixed parameter),
     for unreadable study declaration files, and — in strict runs — when
-    any compiled unit fails after retries.
+    any compiled unit fails.
     """
 
 
@@ -81,10 +81,6 @@ class BenchmarkError(ReproError):
     regression, which is reported through the comparison result (and a
     different exit code) rather than an exception.
     """
-
-
-class DeadlineExceededError(ExperimentError):
-    """A per-experiment wall-clock deadline expired before completion."""
 
 
 class ParallelError(ReproError):
@@ -108,13 +104,3 @@ class CacheError(ReproError):
     worth surfacing.
     """
 
-
-class JournalError(ReproError):
-    """A run journal is unreadable, corrupt, or from an incompatible run.
-
-    Raised when a checkpoint journal's meta line is missing or its
-    fingerprint (scale, seed, generator version) does not match the run
-    being resumed, or when a non-final journal line is corrupt.  A torn
-    *final* line — the signature of a crash mid-write — is tolerated and
-    dropped, since re-running that one unit is exactly what resume is for.
-    """

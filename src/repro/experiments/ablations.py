@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.report.table import TextTable
-from repro.robustness.retry import NO_RETRY
 from repro.sim.config import TLBConfig, TwoSizeScheme
 from repro.sim.driver import run_single_size, run_two_sizes
 from repro.sim.config import SingleSizeScheme
@@ -54,14 +53,10 @@ from repro.types import PAGE_4KB
 
 
 def _run_study(study, *, scale):
-    """Run ``study`` through the compiler (lazy engine import).
-
-    Units are not retried here: the runner's ``--retries`` retries the
-    whole experiment, and is the only retry layer of a paper run.
-    """
+    """Run ``study`` through the compiler (lazy engine import)."""
     from repro.studies.engine import run_study
 
-    return run_study(study, scale=scale, retry_policy=NO_RETRY)
+    return run_study(study, scale=scale)
 
 
 def _by_workload(result, metric: str, **point) -> Dict[str, float]:

@@ -5,17 +5,13 @@ tables and figures at the default (or environment-overridden) scale and
 prints them in the paper's layout.  With no arguments it runs everything
 in paper order.
 
-The runner is fault tolerant (see :mod:`repro.robustness` and
-``docs/robustness.md``): each experiment runs in isolation with retry,
-exponential backoff and an optional per-experiment deadline; a failing
-experiment is recorded as FAILED with its traceback while the rest of
-the suite completes, and the process exits 1 with a failure report
-instead of dying on the first exception.  With ``--journal`` every
-completed experiment is checkpointed to a JSONL journal (with its
-rendered output as payload), and ``--resume`` skips experiments the
-journal already records — reprinting them and regenerating their
-``--results-dir``/``--csv-dir`` files from the journaled payload — so
-an interrupted suite resumes where it left off instead of restarting.
+Each experiment runs as an isolated unit (see :mod:`repro.robustness`
+and ``docs/robustness.md``): a failing experiment is recorded as FAILED
+with its traceback while the rest of the suite completes, and the
+process exits 1 with a failure report instead of dying on the first
+exception.  An interrupted run resumes by running the same command
+again: the result cache (on by default) serves every answer the first
+run finished, so only the missing ones are computed.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.ablations import (
@@ -47,12 +43,7 @@ from repro.experiments.scale import ExperimentScale, scale_settings
 from repro.experiments.table31 import run_table31
 from repro.experiments.table51 import run_table51
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.retry import RetryPolicy
 from repro.trace import derived
-from repro.workloads.registry import GENERATOR_VERSION
-
-if TYPE_CHECKING:
-    from repro.robustness.journal import RunJournal
 
 #: Experiment name -> runner; paper artifacts first, then extensions.
 EXPERIMENTS: Dict[str, Callable[[ExperimentScale], object]] = {
@@ -74,9 +65,6 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], object]] = {
     "memdemand": run_memdemand,
     "twolevel": run_twolevel_ablation,
 }
-
-#: Journal path used when ``--resume``/``--journal`` is given without one.
-DEFAULT_JOURNAL = "repro-journal.jsonl"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,39 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to archive each experiment's rendering as <name>.txt",
     )
     parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "checkpoint each completed experiment to this JSONL journal "
-            f"(default when --resume is given: {DEFAULT_JOURNAL})"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already recorded as complete in the journal",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="retries per experiment after the first failure (default 1)",
-    )
-    parser.add_argument(
-        "--retry-delay",
-        type=float,
-        default=0.5,
-        help="base exponential-backoff delay between retries in seconds",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-experiment wall-clock deadline (checked between attempts)",
-    )
-    parser.add_argument(
         "--fail-fast",
         action="store_true",
         help="stop the suite at the first failed experiment (still exits 1)",
@@ -182,16 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fingerprint(scale: ExperimentScale) -> Dict[str, object]:
-    """What must match for journaled results to satisfy this run."""
-    return {
-        "trace_length": scale.trace_length,
-        "window": scale.window,
-        "seed": scale.seed,
-        "generator_version": GENERATOR_VERSION,
-    }
-
-
 def _run_suite(args: argparse.Namespace) -> int:
     unknown = [
         name
@@ -204,21 +149,6 @@ def _run_suite(args: argparse.Namespace) -> int:
             f"known: {', '.join([*EXPERIMENTS, 'all'])}"
         )
     scale = ExperimentScale(**scale_settings(args))
-
-    journal: Optional[RunJournal] = None
-    journal_path = args.journal
-    if journal_path is None and args.resume:
-        journal_path = DEFAULT_JOURNAL
-    if journal_path is not None:
-        from repro.robustness.journal import RunJournal
-
-        journal = RunJournal(journal_path, fingerprint=_fingerprint(scale))
-        if journal.dropped_torn_line:
-            print(
-                "repro-experiments: journal had a torn final line "
-                "(crash mid-write?); its unit will re-run",
-                file=sys.stderr,
-            )
 
     names = (
         list(EXPERIMENTS)
@@ -242,50 +172,6 @@ def _run_suite(args: argparse.Namespace) -> int:
             (directory / f"{name}.txt").write_text(result.render() + "\n")
         print(f"[{name}: {elapsed:.1f}s]\n")
 
-    def journal_payload(spec: UnitSpec, result: object) -> Dict[str, object]:
-        # Stored on the success record so a resumed run can reprint the
-        # experiment and regenerate its output files without re-running.
-        payload: Dict[str, object] = {"rendered": result.render()}
-        if hasattr(result, "render_chart"):
-            payload["chart"] = result.render_chart()
-        if hasattr(result, "to_csv"):
-            payload["csv"] = result.to_csv()
-        return payload
-
-    def announce_skip(spec: UnitSpec) -> None:
-        name = spec.name.split(":", 1)[1]
-        record = journal.get(spec.name) if journal is not None else None
-        payload = record.payload if record is not None else None
-        rendered = payload.get("rendered") if payload else None
-        if not isinstance(rendered, str):
-            # Pre-payload journal (or stripped record): nothing to
-            # republish, so prior runs' output files must survive.
-            print(f"[{name}: already journaled, skipping]\n")
-            return
-        print(rendered)
-        chart = payload.get("chart")
-        if args.chart and isinstance(chart, str):
-            print()
-            print(chart)
-        csv_text = payload.get("csv")
-        if args.csv_dir and isinstance(csv_text, str):
-            directory = Path(args.csv_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{name}.csv").write_text(csv_text + "\n")
-        if args.results_dir:
-            directory = Path(args.results_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{name}.txt").write_text(rendered + "\n")
-        print(f"[{name}: restored from journal]\n")
-
-    def announce_retry(spec, attempt, error, delay) -> None:
-        name = spec.name.split(":", 1)[1]
-        print(
-            f"repro-experiments: {name} attempt {attempt} failed "
-            f"({type(error).__name__}: {error}); retrying in {delay:.2f}s",
-            file=sys.stderr,
-        )
-
     def announce_failure(spec, error) -> None:
         name = spec.name.split(":", 1)[1]
         print(
@@ -307,23 +193,13 @@ def _run_suite(args: argparse.Namespace) -> int:
     with derived.run():
         report = run_units(
             [make_unit(name) for name in names],
-            journal=journal,
-            resume=args.resume,
-            retry_policy=RetryPolicy(
-                max_attempts=max(1, args.retries + 1),
-                base_delay=max(0.0, args.retry_delay),
-            ),
-            deadline_seconds=args.deadline,
             fail_fast=args.fail_fast,
             on_success=publish,
-            journal_payload=journal_payload,
-            on_skip=announce_skip,
-            on_retry=announce_retry,
             on_failure=announce_failure,
             jobs=scale.jobs,
         )
 
-    if not report.ok or report.skipped:
+    if not report.ok:
         print(report.render())
     return report.exit_code
 

@@ -4,9 +4,8 @@
   :class:`concurrent.futures.ProcessPoolExecutor`: workers inherit the
   task closures, only indices are pickled.  It serves
   :func:`parallel_map` and ``run_units(..., jobs=N)``, where the parent
-  keeps sole ownership of the journal and of every publish callback, so
-  checkpoint/resume and failure isolation behave exactly as in a serial
-  run.
+  keeps sole ownership of every publish callback, so outputs and
+  failure isolation behave exactly as in a serial run.
 * :mod:`repro.parallel.cache` — a content-addressed on-disk result cache
   keyed by SHA-256 of (trace fingerprint, config, kernel, penalty
   model), with the key and payload codec every cached kind shares; it

@@ -9,8 +9,8 @@ only ``(registry key, index)`` pairs cross the pipe.  Results travel
 back pickled.
 
 Two callers use it: :func:`parallel_map` below, and
-``repro.robustness.executor.run_units(jobs=N)``, which keeps the
-journal, publishing and failure isolation in the parent.
+``repro.robustness.executor.run_units(jobs=N)``, which keeps
+publishing and failure isolation in the parent.
 :mod:`multiprocessing` and :mod:`concurrent.futures` are imported on the
 path that forks, so a serial run never loads them.
 """

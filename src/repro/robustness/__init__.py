@@ -1,19 +1,17 @@
-"""Fault-tolerant experiment execution.
+"""Failure-isolated experiment execution.
 
 The paper's economics make one simulation pass expensive and its results
 precious (Hill–Smith all-associativity simulation: 84 configurations per
-pass); this package brings the matching degrade-don't-die discipline to
-the reproduction's execution layer:
+pass).  The result cache keeps every finished answer, so an interrupted
+run resumes by running the same command again; this package keeps one
+failing unit from taking the rest of a suite down with it:
 
-* :mod:`repro.robustness.journal` — append-only JSONL checkpoint journal
-  with per-line CRCs and a run fingerprint, so interrupted suites resume
-  instead of restarting;
-* :mod:`repro.robustness.retry` — exponential backoff and per-unit
-  wall-clock deadlines;
-* :mod:`repro.robustness.executor` — failure-isolated suite execution
-  producing a structured :class:`SuiteReport`;
+* :mod:`repro.robustness.executor` — failure-isolated suite execution,
+  serial or on forked workers, producing a structured
+  :class:`SuiteReport`;
 * :mod:`repro.robustness.faultinject` — deterministic byte corruption
-  and transient exception injection used to *prove* the above works.
+  of trace files and cache entries, used to *prove* that every corrupt
+  input fails loudly and locally.
 """
 
 from repro._lazy import lazy_exports
@@ -22,20 +20,12 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "executor": ("SuiteReport", "UnitOutcome", "UnitSpec", "run_units"),
-        "journal": ("RunJournal", "UnitRecord"),
-        "retry": ("NO_RETRY", "Deadline", "RetryPolicy", "call_with_retry"),
     },
 )
 
 __all__ = [
-    "Deadline",
-    "NO_RETRY",
-    "RetryPolicy",
-    "RunJournal",
     "SuiteReport",
     "UnitOutcome",
-    "UnitRecord",
     "UnitSpec",
-    "call_with_retry",
     "run_units",
 ]

@@ -1,44 +1,37 @@
 """Failure-isolated execution of a suite of experiment units.
 
-:func:`run_units` is the degrade-don't-die engine behind
-``repro-experiments``: each unit runs under a retry policy and an
-optional per-unit deadline; a unit that still fails is recorded as
-FAILED with its traceback and the *rest of the suite keeps going*; with
-a :class:`~repro.robustness.journal.RunJournal` attached, every outcome
-is checkpointed so an interrupted run resumes where it left off.
+:func:`run_units` is the engine behind ``repro-experiments`` and
+``repro-study``: each unit runs once; a unit that fails is recorded as
+FAILED with its traceback and the *rest of the suite keeps going*.  An
+interrupted run resumes by running the same command again: the result
+cache serves every answer the first run finished.
 
 With ``jobs`` > 1 the units run on a fork-context process pool
 (:class:`repro.parallel.pool.ForkPool`).  Workers only run units; the
-parent takes their outcomes in spec order and publishes, journals and
-reports each with the serial loop's code, so stdout, result files,
-journal and report match a serial run.
+parent takes their outcomes in spec order and publishes and reports
+each with the serial loop's code, so stdout, result files and report
+match a serial run.
 
 The resulting :class:`SuiteReport` renders a one-screen summary (OK /
-SKIPPED / FAILED per unit plus each failure's message) and maps to the
-process exit code: 0 when everything succeeded, 1 when any unit failed.
+FAILED per unit plus each failure's message) and maps to the process
+exit code: 0 when everything succeeded, 1 when any unit failed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import sys
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.errors import DeadlineExceededError, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.parallel.cache import corrupt_discarded_total
 from repro.parallel.pool import ForkPool, reconstruct_error, resolve_jobs
-from repro.robustness.retry import Deadline, RetryPolicy, call_with_retry
-
-if TYPE_CHECKING:
-    from repro.robustness.journal import RunJournal
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-STATUS_SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -53,10 +46,9 @@ class UnitSpec:
 class UnitOutcome:
     """What happened to one unit.
 
-    ``status`` is ``"ok"`` (ran and succeeded), ``"skipped"`` (already
-    journaled as complete by a previous run), or ``"failed"`` (exhausted
-    its retries or its deadline).  ``result`` is the unit's return value
-    only when it ran this time; skipped units carry ``None``.
+    ``status`` is ``"ok"`` (ran, and its outputs were published) or
+    ``"failed"`` (it or its publishing raised).  ``result`` is the
+    unit's return value when it succeeded.
     """
 
     name: str
@@ -65,7 +57,6 @@ class UnitOutcome:
     error: Optional[str] = None
     traceback: Optional[str] = None
     elapsed: float = 0.0
-    attempts: int = 0
 
     @property
     def failed(self) -> bool:
@@ -85,10 +76,6 @@ class SuiteReport:
         return [o for o in self.outcomes if o.status == STATUS_OK]
 
     @property
-    def skipped(self) -> List[UnitOutcome]:
-        return [o for o in self.outcomes if o.status == STATUS_SKIPPED]
-
-    @property
     def failures(self) -> List[UnitOutcome]:
         return [o for o in self.outcomes if o.failed]
 
@@ -102,21 +89,10 @@ class SuiteReport:
 
     def render(self) -> str:
         """One-screen failure report in the style of a test summary."""
-        lines = [
-            f"suite: {len(self.succeeded)} ok, {len(self.skipped)} resumed, "
-            f"{len(self.failures)} failed"
-        ]
+        lines = [f"suite: {len(self.succeeded)} ok, {len(self.failures)} failed"]
         for outcome in self.outcomes:
-            marker = {
-                STATUS_OK: "ok    ",
-                STATUS_SKIPPED: "resume",
-                STATUS_FAILED: "FAILED",
-            }[outcome.status]
-            detail = f" ({outcome.elapsed:.1f}s, {outcome.attempts} attempt"
-            detail += "s)" if outcome.attempts != 1 else ")"
-            if outcome.status == STATUS_SKIPPED:
-                detail = " (journaled by a previous run)"
-            lines.append(f"  {marker}  {outcome.name}{detail}")
+            marker = "FAILED" if outcome.failed else "ok    "
+            lines.append(f"  {marker}  {outcome.name} ({outcome.elapsed:.1f}s)")
         if self.cache_corrupt_discarded:
             lines.append(
                 f"  note: {self.cache_corrupt_discarded} corrupt cache "
@@ -133,29 +109,25 @@ class SuiteReport:
 
 @dataclass
 class _Ran:
-    """What running one unit under its retry policy produced.
+    """What running one unit produced.
 
     Built wherever the unit ran.  From a pool worker it arrives pickled:
     ``error`` then survives only for an interrupt (the parent re-raises
-    it), and ``retries`` holds the notices the parent announces at the
-    unit's turn.
+    it).
     """
 
     result: Any = None
     error: Optional[BaseException] = None
-    #: ``"Type: message"`` when the unit failed or was interrupted.
+    #: ``"Type: message"`` when the unit failed.
     error_text: Optional[str] = None
     traceback: Optional[str] = None
     interrupted: bool = False
-    attempts: int = 0
     elapsed: float = 0.0
-    #: ``(attempt, error type name, error message, delay)`` per retry.
-    retries: List[Tuple[int, str, str, float]] = field(default_factory=list)
     #: Corrupt cache entries a worker discarded while running the unit.
     cache_corrupt_discarded: int = 0
 
 
-def _failed(error: BaseException, attempts: int, elapsed: float) -> _Ran:
+def _failed(error: BaseException, elapsed: float) -> _Ran:
     traceback_text = None
     if error.__traceback__ is not None:
         traceback_text = "".join(
@@ -167,55 +139,24 @@ def _failed(error: BaseException, attempts: int, elapsed: float) -> _Ran:
         error=error,
         error_text=f"{type(error).__name__}: {error}",
         traceback=traceback_text,
-        attempts=attempts,
         elapsed=elapsed,
     )
 
 
-def _interrupted(interrupt: BaseException, attempts: int, elapsed: float) -> _Ran:
-    return _Ran(
-        error=interrupt,
-        error_text=f"interrupted: {interrupt!r}",
-        interrupted=True,
-        attempts=attempts,
-        elapsed=elapsed,
-    )
-
-
-def _attempt(
-    spec: UnitSpec,
-    *,
-    retry_policy: RetryPolicy,
-    deadline_seconds: Optional[float],
-    clock: Callable[[], float],
-    sleep: Callable[[float], None],
-    on_retry: Callable[[int, BaseException, float], None],
-) -> _Ran:
-    """Run one unit under its retry policy and deadline; never raises."""
-    retries = {"count": 0}
-
-    def notify(attempt: int, error: BaseException, delay: float) -> None:
-        retries["count"] = attempt
-        on_retry(attempt, error, delay)
-
-    deadline = Deadline(deadline_seconds, clock=clock)
-    started = clock()
+def _run(spec: UnitSpec) -> _Ran:
+    """Run one unit once; never raises."""
+    started = time.monotonic()
     try:
-        result, attempts = call_with_retry(
-            spec.run,
-            policy=retry_policy,
-            deadline=deadline,
-            on_retry=notify,
-            sleep=sleep,
-            label=spec.name,
-        )
+        result = spec.run()
     except (KeyboardInterrupt, SystemExit) as interrupt:
-        return _interrupted(interrupt, retries["count"] + 1, clock() - started)
+        return _Ran(
+            error=interrupt,
+            interrupted=True,
+            elapsed=time.monotonic() - started,
+        )
     except BaseException as error:  # noqa: BLE001 - isolation boundary
-        if not isinstance(error, DeadlineExceededError):
-            retries["count"] += 1
-        return _failed(error, retries["count"], clock() - started)
-    return _Ran(result=result, attempts=attempts, elapsed=clock() - started)
+        return _failed(error, time.monotonic() - started)
+    return _Ran(result=result, elapsed=time.monotonic() - started)
 
 
 class _Fanout:
@@ -227,12 +168,10 @@ class _Fanout:
     parent.
     """
 
-    def __init__(
-        self, pool: ForkPool, units: Sequence[UnitSpec], indices: Sequence[int]
-    ) -> None:
+    def __init__(self, pool: ForkPool, units: Sequence[UnitSpec]) -> None:
         self.pool = pool
         self.units = units
-        self.futures = {index: pool.submit(index) for index in indices}
+        self.futures = [pool.submit(index) for index in range(len(units))]
         self.broken = False
 
     def take(self, index: int) -> _Ran:
@@ -246,7 +185,7 @@ class _Fanout:
         except BrokenProcessPool:
             self.broken = True
             self.pool.shutdown()  # settles every future
-            lost = sum(1 for other in self.futures.values() if _lost(other))
+            lost = sum(1 for other in self.futures if _lost(other))
             print(
                 f"repro: a worker process died; rerunning the {lost} "
                 "unfinished unit(s) one at a time in fresh processes",
@@ -254,17 +193,16 @@ class _Fanout:
             )
             return self._rerun(index)
         except Exception as error:  # noqa: BLE001 - e.g. an unpicklable result
-            return _failed(error, 1, 0.0)
+            return _failed(error, 0.0)
 
     def _rerun(self, index: int) -> _Ran:
         try:
             return self.pool.run_isolated(index)
         except WorkerCrashError as error:
             name = self.units[index].name
-            crash = WorkerCrashError(f"{error} while running {name!r}")
-            return _failed(crash, 1, 0.0)
+            return _failed(WorkerCrashError(f"{error} while running {name!r}"), 0.0)
         except Exception as error:  # noqa: BLE001 - e.g. an unpicklable result
-            return _failed(error, 1, 0.0)
+            return _failed(error, 0.0)
 
 
 def _lost(future: Any) -> bool:
@@ -279,95 +217,43 @@ def _lost(future: Any) -> bool:
 def run_units(
     units: Sequence[UnitSpec],
     *,
-    journal: Optional[RunJournal] = None,
-    resume: bool = False,
-    retry_policy: RetryPolicy = RetryPolicy(),
-    deadline_seconds: Optional[float] = None,
     fail_fast: bool = False,
     on_success: Optional[Callable[[UnitSpec, Any, float], None]] = None,
-    on_skip: Optional[Callable[[UnitSpec], None]] = None,
     on_failure: Optional[Callable[[UnitSpec, BaseException], None]] = None,
-    on_retry: Optional[Callable[[UnitSpec, int, BaseException, float], None]] = None,
-    journal_payload: Optional[
-        Callable[[UnitSpec, Any], Optional[Dict[str, Any]]]
-    ] = None,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
     jobs: Optional[int] = None,
 ) -> SuiteReport:
-    """Run every unit, isolating failures; never raises for a unit's error.
+    """Run every unit once, isolating failures; never raises for a unit's error.
 
     ``on_success`` (publishing: rendering, writing result files) runs
-    *before* the unit is journaled as complete, and inside the same
-    failure-isolation boundary as the unit itself — a publish error
-    records the unit FAILED rather than letting a later ``--resume``
-    skip a unit whose outputs were never written.  ``journal_payload``
-    maps a unit's result to the dict stored on its success record, so a
-    resumed run can re-publish outputs without re-running the unit.
+    inside the same failure-isolation boundary as the unit itself: a
+    publish error records the unit FAILED.  ``on_failure`` is told of
+    each failed unit as its turn comes.
 
     ``jobs`` spreads units over that many forked worker processes
-    (``0`` = one per CPU; default serial).  Workers run the units'
-    attempts, retries and deadlines; the parent does everything else,
-    in spec order.  Results must pickle; ``clock`` and ``sleep`` reach
-    the workers through the fork.  A worker that dies fails only the
-    unit it was running.
+    (``0`` = one per CPU; default serial).  Workers run the units; the
+    parent does everything else, in spec order.  Results must pickle.
+    A worker that dies fails only the unit it was running.
 
-    ``KeyboardInterrupt``/``SystemExit`` still propagate (after being
-    journaled as a failure when a journal is attached) so an operator's
-    Ctrl-C actually stops the run — the journal then makes the rerun
-    cheap, which is the whole point.  A unit that raises one in a worker
-    is journaled at its turn and re-raised in the parent.
+    ``KeyboardInterrupt``/``SystemExit`` propagate, so an operator's
+    Ctrl-C actually stops the run: the units before the interrupted one
+    are published, the later ones are not.  A unit that raises one in a
+    worker has it re-raised in the parent at the unit's turn.
     """
-    Deadline(deadline_seconds)  # a bad deadline raises before any unit runs
     report = SuiteReport()
     corrupt_before = corrupt_discarded_total()
-    resumed = {
-        index
-        for index, spec in enumerate(units)
-        if resume and journal is not None and journal.completed(spec.name)
-    }
-    pending = [index for index in range(len(units)) if index not in resumed]
-    attempt = functools.partial(
-        _attempt,
-        retry_policy=retry_policy,
-        deadline_seconds=deadline_seconds,
-        clock=clock,
-        sleep=sleep,
-    )
 
     def run_here(index: int) -> _Ran:
-        spec = units[index]
-
-        def announce(attempt_no: int, error: BaseException, delay: float) -> None:
-            if on_retry is not None:
-                on_retry(spec, attempt_no, error, delay)
-
-        return attempt(spec, on_retry=announce)
+        return _run(units[index])
 
     def run_in_worker(index: int) -> _Ran:
-        notices: List[Tuple[int, str, str, float]] = []
         before = corrupt_discarded_total()
-        ran = attempt(
-            units[index],
-            on_retry=lambda attempt_no, error, delay: notices.append(
-                (attempt_no, type(error).__name__, str(error), delay)
-            ),
-        )
-        ran.retries = notices
+        ran = _run(units[index])
         ran.cache_corrupt_discarded = corrupt_discarded_total() - before
         if not ran.interrupted:
             ran.error = None  # may not pickle; the parent rebuilds it
         return ran
 
     def fail(spec: UnitSpec, ran: _Ran, error: BaseException) -> None:
-        if journal is not None:
-            journal.record_failure(
-                spec.name,
-                error=ran.error_text,
-                traceback=ran.traceback,
-                elapsed=ran.elapsed,
-                attempts=ran.attempts,
-            )
         report.outcomes.append(
             UnitOutcome(
                 name=spec.name,
@@ -375,102 +261,53 @@ def run_units(
                 error=ran.error_text,
                 traceback=ran.traceback,
                 elapsed=ran.elapsed,
-                attempts=ran.attempts,
             )
         )
         if on_failure is not None:
             on_failure(spec, error)
 
-    def journal_interrupt(spec: UnitSpec, ran: _Ran) -> None:
-        if journal is not None:
-            journal.record_failure(
-                spec.name,
-                error=ran.error_text,
-                elapsed=ran.elapsed,
-                attempts=ran.attempts,
-            )
-
     def flush(spec: UnitSpec, ran: _Ran) -> bool:
-        """Announce, publish, journal and report one unit; True if FAILED."""
-        for attempt_no, type_name, message, delay in ran.retries:
-            if on_retry is not None:
-                on_retry(spec, attempt_no, reconstruct_error(type_name, message), delay)
+        """Publish and report one unit; True if it FAILED."""
         if ran.interrupted:
-            journal_interrupt(spec, ran)
             raise ran.error
         if ran.error_text is not None:
             type_name, _, message = ran.error_text.partition(": ")
             fail(spec, ran, ran.error or reconstruct_error(type_name, message))
             return True
-        # Publish BEFORE journaling success: a unit is complete only
-        # once its outputs exist, so a publish error (render, CSV or
-        # results-dir write) must not leave a success record that a
-        # later --resume would trust.
-        payload: Optional[Dict[str, Any]] = None
         try:
             if on_success is not None:
                 on_success(spec, ran.result, ran.elapsed)
-            if journal is not None and journal_payload is not None:
-                payload = journal_payload(spec, ran.result)
-        except (KeyboardInterrupt, SystemExit) as interrupt:
-            journal_interrupt(
-                spec, _interrupted(interrupt, ran.attempts, ran.elapsed)
-            )
-            raise
-        except BaseException as error:  # noqa: BLE001 - isolation boundary
-            fail(spec, _failed(error, ran.attempts, ran.elapsed), error)
+        except Exception as error:  # noqa: BLE001 - isolation boundary
+            fail(spec, _failed(error, ran.elapsed), error)
             return True
-        if journal is not None:
-            journal.record_success(
-                spec.name,
-                elapsed=ran.elapsed,
-                attempts=ran.attempts,
-                payload=payload,
-            )
         report.outcomes.append(
             UnitOutcome(
                 name=spec.name,
                 status=STATUS_OK,
                 result=ran.result,
                 elapsed=ran.elapsed,
-                attempts=ran.attempts,
             )
         )
         return False
 
-    workers = min(resolve_jobs(jobs), len(pending))
+    workers = min(resolve_jobs(jobs), len(units))
     with contextlib.ExitStack() as stack:
         take = run_here
         if workers > 1:
             pool = stack.enter_context(ForkPool(run_in_worker, workers))
-            take = _Fanout(pool, units, pending).take
+            take = _Fanout(pool, units).take
         for index, spec in enumerate(units):
-            if index in resumed:
-                previous = journal.get(spec.name)
-                report.outcomes.append(
-                    UnitOutcome(
-                        name=spec.name,
-                        status=STATUS_SKIPPED,
-                        elapsed=previous.elapsed if previous else 0.0,
-                    )
-                )
-                if on_skip is not None:
-                    on_skip(spec)
-                continue
-            try:
-                ran = take(index)
-            except (KeyboardInterrupt, SystemExit) as interrupt:
-                ran = _interrupted(interrupt, 1, 0.0)
+            ran = take(index)
             report.cache_corrupt_discarded += ran.cache_corrupt_discarded
             if flush(spec, ran) and fail_fast:
                 break
     report.cache_corrupt_discarded += corrupt_discarded_total() - corrupt_before
     return report
 
+
 __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
-    "STATUS_SKIPPED",
     "SuiteReport",
     "UnitOutcome",
     "UnitSpec",

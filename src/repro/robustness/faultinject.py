@@ -1,141 +1,26 @@
-"""Deterministic fault injection for robustness testing.
+"""Deterministic byte-level fault injection for robustness testing.
 
-Two families of faults, all fully deterministic so failures reproduce:
+Every fault is seeded or explicit, so a failure reproduces:
 
-* **Byte-level corruption** of on-disk trace files —
-  :func:`flip_byte`, :func:`truncate_file`, and the seeded
-  :func:`corrupt_trace` — used to prove that every corrupted or
-  truncated ``.rpt`` raises a structured
+* :func:`flip_byte`, :func:`truncate_file` and the seeded
+  :func:`corrupt_trace` damage on-disk trace files, to prove that every
+  corrupted or truncated ``.rpt`` raises a structured
   :class:`~repro.errors.TraceError` subclass rather than a silent wrong
-  result or a bare ``struct.error``.
-
-* **Transient exception injection** into simulation and experiment
-  steps.  :class:`FaultPlan` raises :class:`TransientInjectedFault` for
-  the first *N* visits to matching sites; the simulation drivers call
-  :func:`check` at well-known sites (``sim.driver.run_single_size``,
-  ``sim.driver.run_with_policy``, ``sim.sweep``), so a test can make a
-  real trace pass fail twice and succeed on the third retry.
-
-:func:`corrupt_cache_entry` applies the first family to the result
-cache, whose corrupt entries must be discarded and recomputed.
-
-Injected faults deliberately do **not** derive from
-:class:`~repro.errors.ReproError`: they model the *unexpected* crash the
-robustness layer must survive, so they must not be swallowed by the
-``except ReproError`` clauses at the CLI boundaries.
+  result or a bare ``struct.error``;
+* :func:`corrupt_cache_entry` flips one byte of one result-cache entry,
+  which must be discarded and recomputed.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 
 PathLike = Union[str, os.PathLike]
-T = TypeVar("T")
-
-
-class InjectedFault(RuntimeError):
-    """A failure injected on purpose by the fault harness."""
-
-
-class TransientInjectedFault(InjectedFault):
-    """An injected failure that clears after a bounded number of hits."""
-
-
-class FaultPlan:
-    """Raise on the first ``times`` visits to matching sites.
-
-    Attributes:
-        times: how many visits raise before the fault clears.
-        sites: site-name prefixes to match (None = every site).
-        exc_factory: builds the exception to raise, given the site name.
-    """
-
-    def __init__(
-        self,
-        times: int = 1,
-        *,
-        sites: Optional[Sequence[str]] = None,
-        exc_factory: Optional[Callable[[str], BaseException]] = None,
-    ) -> None:
-        if times < 0:
-            raise ConfigurationError("fault count cannot be negative")
-        self.times = times
-        self.sites = tuple(sites) if sites is not None else None
-        self.exc_factory = exc_factory or (
-            lambda site: TransientInjectedFault(f"injected fault at {site}")
-        )
-        self.triggered = 0
-        self.visits = 0
-
-    def matches(self, site: str) -> bool:
-        if self.sites is None:
-            return True
-        return any(site.startswith(prefix) for prefix in self.sites)
-
-    def visit(self, site: str) -> None:
-        """Record a visit to ``site``, raising while the plan is armed."""
-        if not self.matches(site):
-            return
-        self.visits += 1
-        if self.triggered < self.times:
-            self.triggered += 1
-            raise self.exc_factory(site)
-
-
-#: The active plan, consulted by :func:`check`.  None = faults disabled,
-#: which keeps the hot-path cost of instrumented sites to one attribute
-#: load and an is-None test.
-_ACTIVE_PLAN: Optional[FaultPlan] = None
-
-
-def check(site: str) -> None:
-    """Fault-injection hook: instrumented code calls this at named sites."""
-    plan = _ACTIVE_PLAN
-    if plan is not None:
-        plan.visit(site)
-
-
-@contextmanager
-def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Arm ``plan`` for the duration of the ``with`` block."""
-    global _ACTIVE_PLAN
-    previous = _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE_PLAN = previous
-
-
-def flaky(
-    fn: Callable[..., T],
-    *,
-    failures: int = 1,
-    exc_factory: Optional[Callable[[int], BaseException]] = None,
-) -> Callable[..., T]:
-    """Wrap ``fn`` to raise on its first ``failures`` calls, then pass through."""
-    state = {"calls": 0}
-    make = exc_factory or (
-        lambda call: TransientInjectedFault(f"injected fault on call {call}")
-    )
-
-    def wrapper(*args, **kwargs):
-        state["calls"] += 1
-        if state["calls"] <= failures:
-            raise make(state["calls"])
-        return fn(*args, **kwargs)
-
-    wrapper.__name__ = getattr(fn, "__name__", "flaky")
-    return wrapper
-
-
-# -- byte-level corruption ----------------------------------------------
 
 
 def flip_byte(path: PathLike, offset: int, mask: int = 0xFF) -> int:
@@ -209,14 +94,8 @@ def corrupt_cache_entry(root: PathLike, *, seed: int = 0) -> Path:
 
 
 __all__ = [
-    "FaultPlan",
-    "InjectedFault",
-    "TransientInjectedFault",
-    "check",
     "corrupt_cache_entry",
     "corrupt_trace",
-    "flaky",
     "flip_byte",
-    "inject",
     "truncate_file",
 ]

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache, canonical_key
-from repro.robustness import faultinject
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
@@ -146,7 +145,6 @@ def run_single_size(
     the open run's store, then the ``cache`` if one is given, then one
     simulation whose result goes into both.
     """
-    faultinject.check("sim.driver.run_single_size")
     choice = choose_kernel(
         kernel,
         vector_supported=config.replacement == "lru",
@@ -293,7 +291,6 @@ def run_with_policy(
     """
     if not configs:
         raise ConfigurationError("run_with_policy needs at least one TLBConfig")
-    faultinject.check("sim.driver.run_with_policy")
     choice = _resolve_two_size_kernel(policy, configs, kernel)
     return derived.answers(
         lambda missing: _run_with_policy_uncached(
@@ -530,7 +527,6 @@ def run_split_two_sizes(
     (:func:`repro.perf.twosize.split_two_size_counts`).  Both report
     the composite stats and the end-of-trace component occupancies.
     """
-    faultinject.check("sim.driver.run_split_two_sizes")
     if policy is None:
         policy = scheme.policy()
     choice = _resolve_two_size_kernel(
@@ -726,7 +722,6 @@ def sweep_two_level(
                 "all configurations of one two-level sweep must share "
                 f"the L1 shape: {config.level1.label} != {level1.label}"
             )
-    faultinject.check("sim.driver.sweep_two_level")
     two_size = scheme.two_page_sizes
     if two_size and policy is None:
         policy = scheme.policy()

@@ -43,7 +43,6 @@ from repro.perf.kernels import (
     choose_kernel,
 )
 from repro.policy.vector import PolicyDecisions, policy_decisions
-from repro.robustness import faultinject
 from repro.sim.config import TLBConfig, TwoSizeScheme, validate_multiprog_config
 from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
@@ -151,7 +150,6 @@ def sweep_multiprogrammed(
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
-    faultinject.check("sim.multiprog.sweep")
     for config in configs:
         validate_multiprog_config(config)
     choice = _grid_kernel(
@@ -164,7 +162,6 @@ def sweep_multiprogrammed(
         return np.asarray(mixed.addresses >> shift, dtype=np.int64), contexts, mixed
 
     def cell(mix, quantum, policy, cell_configs):
-        faultinject.check("sim.multiprog.cell")
         pages, contexts, mixed = mix
         if choice.kernel == KERNEL_VECTOR:
             from repro.perf.multiprog import multiprog_counts
@@ -457,7 +454,6 @@ def sweep_multiprogrammed_two_sizes(
 
     Returns a dict keyed by ``(policy.value, quantum, config.label)``.
     """
-    faultinject.check("sim.multiprog.sweep_two_sizes")
     choice = _grid_kernel(
         "sweep_multiprogrammed_two_sizes", traces, configs, quanta, policies, kernel
     )
@@ -475,7 +471,6 @@ def sweep_multiprogrammed_two_sizes(
         return blocks, contexts, decisions, mixed
 
     def cell(mix, quantum, policy, cell_configs):
-        faultinject.check("sim.multiprog.cell_two_sizes")
         blocks, contexts, decisions, mixed = mix
         if choice.kernel == KERNEL_VECTOR:
             from repro.perf.multiprog_twosize import multiprog_two_size_counts

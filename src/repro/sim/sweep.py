@@ -30,7 +30,6 @@ from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
 from repro.parallel.cache import SimulationCache
 from repro.perf.kernels import KERNEL_AUTO, choose_kernel
-from repro.robustness import faultinject
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
 from repro.trace import derived
@@ -150,7 +149,6 @@ def sweep_single_size(
     kernel = choose_kernel(kernel, vector_supported=True).kernel
 
     def simulate(page_size: int, missing: List[TLBConfig]) -> List[RunResult]:
-        faultinject.check("sim.sweep")
         simulated: Dict[TLBConfig, RunResult] = {}
         for sets, group in _group_by_sets(missing).items():
             depth = max(config.ways for config in group)

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.experiments.scale import ExperimentScale, scale_settings
-from repro.robustness.retry import RetryPolicy
 from repro.studies.engine import run_study
 from repro.studies.registry import get_study, study_names
 from repro.studies.spec import Study, load_study
@@ -84,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="retries per unit after the first failure (default 1)",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -130,7 +123,6 @@ def _run(args: argparse.Namespace) -> int:
     result = run_study(
         study,
         scale=ExperimentScale(**scale_settings(args)),
-        retry_policy=RetryPolicy(max_attempts=max(1, args.retries + 1)),
         strict=False,
     )
     print(result.render())

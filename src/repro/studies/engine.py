@@ -14,8 +14,8 @@ a cache address: the drivers' own entries are the only cache.
    run;
 2. **schedules** each distinct unit through
    :func:`repro.robustness.executor.run_units` — and therefore, with
-   ``jobs > 1``, across forked worker processes, with retries and
-   failure isolation inherited unchanged.  Each unit calls its driver
+   ``jobs > 1``, across forked worker processes, with failure
+   isolation inherited unchanged.  Each unit calls its driver
    with the :class:`~repro.parallel.cache.SimulationCache`, which
    replays every answer already on disk, and counts as *from cache*
    when all its lookups hit;
@@ -37,7 +37,6 @@ from repro.experiments.scale import ExperimentScale, default_scale
 from repro.parallel.cache import SimulationCache, canonical_key
 from repro.report.table import TextTable
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.retry import RetryPolicy
 from repro.studies.spec import Study
 from repro.studies.units import UnitKind, get_kind
 from repro.trace.record import Trace
@@ -423,7 +422,6 @@ def run_study(
     scale: Optional[ExperimentScale] = None,
     jobs: Optional[int] = _UNSET,
     cache: Optional[SimulationCache] = _UNSET,
-    retry_policy: RetryPolicy = RetryPolicy(),
     strict: bool = True,
 ) -> StudyResult:
     """Compile ``study`` and run each distinct unit through its driver.
@@ -440,7 +438,7 @@ def run_study(
     cache.
 
     ``strict=True`` (default) raises :class:`~repro.errors.StudyError`
-    if any unit ultimately fails; ``strict=False`` returns the partial
+    if any unit fails; ``strict=False`` returns the partial
     :class:`StudyResult` with the failures listed.
     """
     if scale is None:
@@ -462,11 +460,7 @@ def run_study(
             run=lambda: _run_unit(kind, trace, unit.params, cache, wanted),
         )
 
-    report = run_units(
-        [make_spec(unit) for unit in unique],
-        retry_policy=retry_policy,
-        jobs=jobs,
-    )
+    report = run_units([make_spec(unit) for unit in unique], jobs=jobs)
     resolved: Dict[str, UnitResult] = {}
     failures: List[Tuple[str, str]] = []
     counters = {

@@ -37,7 +37,6 @@ from repro.mem.misshandler import (
 )
 from repro.parallel.cache import SimulationCache
 from repro.policy.dynamic_ws import dynamic_average_working_set
-from repro.robustness import faultinject
 from repro.sim import driver as sim_driver
 from repro.sim.config import (
     SingleSizeScheme,
@@ -130,7 +129,6 @@ class UnitKind:
         wanted: Tuple[str, ...],
     ) -> Dict[str, Any]:
         """One driver call: ``{metric: value}`` for this unit."""
-        faultinject.check("studies.unit")
         result = getattr(sim_driver, self.driver)(
             trace,
             *self.configure(params),

@@ -160,8 +160,8 @@ class Trace:
         name and the RPI — everything that can change a simulation
         result.  Two traces with the same name but different contents
         (e.g. a regenerated workload after a generator bump) therefore
-        get different fingerprints, which is what keys journals and the
-        content-addressed result cache.
+        get different fingerprints, which is what keys the run store and
+        the content-addressed result cache.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()

@@ -14,7 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments import runner
 from repro.experiments.ablations import ABLATION_WORKLOADS
-from repro.robustness import faultinject
+from repro.studies.units import UnitKind
 from repro.types import PAIR_4KB_16KB, PAIR_4KB_32KB, PAIR_4KB_64KB
 
 SCALE = smoke_scale(trace_length=60_000, window=8_000)
@@ -107,26 +107,28 @@ class TestProbe:
     def test_render(self, probe):
         assert "sequential exact-index" in probe.render()
 
-    def test_runner_retries_are_the_only_retry_layer(self, tmp_path, capsys):
-        # A unit that always fails is visited once per experiment
-        # attempt: 3 units x 2 attempts at --retries 1, with no unit
-        # retries (and their backoff sleeps) nested inside.
-        plan = faultinject.FaultPlan(times=10**6, sites=("studies.unit",))
-        with faultinject.inject(plan):
-            code = runner.main(
-                [
-                    "probe",
-                    "--trace-length", "1000",
-                    "--window", "100",
-                    "--no-cache",
-                    "--retries", "1",
-                    "--retry-delay", "0",
-                    "--results-dir", str(tmp_path),
-                ]
-            )
+    def test_failing_units_run_once(self, tmp_path, capsys, monkeypatch):
+        # A unit that always fails is visited exactly once per workload:
+        # neither the study nor the runner runs it again.
+        visits = []
+
+        def broken(kind, *args):
+            visits.append(kind.name)
+            raise RuntimeError("injected unit failure")
+
+        monkeypatch.setattr(UnitKind, "run", broken)
+        code = runner.main(
+            [
+                "probe",
+                "--trace-length", "1000",
+                "--window", "100",
+                "--no-cache",
+                "--results-dir", str(tmp_path),
+            ]
+        )
         capsys.readouterr()
         assert code == 1
-        assert plan.visits == len(ABLATION_WORKLOADS) * 2
+        assert len(visits) == len(ABLATION_WORKLOADS)
 
 
 class TestReplacement:

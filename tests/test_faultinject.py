@@ -3,11 +3,8 @@
 Byte-level: an ``RPT2`` trace flipped or truncated at *every* offset
 must raise a structured :class:`~repro.errors.TraceError` subclass —
 never a silent wrong result, never a bare ``struct.error`` or
-``ValueError`` from numpy.
-
-Exception-level: transient faults injected into the simulation drivers
-must be survivable via the retry layer, and a corrupted trace *cache*
-must self-heal instead of aborting an experiment.
+``ValueError`` from numpy.  A corrupted trace *cache* must self-heal
+instead of aborting an experiment.
 
 These run in the tier-1 suite and also as the dedicated CI smoke job
 ``pytest -q -m faultinject``.
@@ -17,16 +14,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceError
-from repro.robustness import RetryPolicy, call_with_retry
 from repro.robustness import faultinject
-from repro.sim.config import SingleSizeScheme, TLBConfig
-from repro.sim.driver import run_single_size, run_two_sizes
-from repro.sim.config import TwoSizeScheme
-from repro.sim.sweep import sweep_single_size
 from repro.trace.record import Trace
 from repro.trace.trace_io import read_trace, write_trace
-from repro.types import PAGE_4KB
-from repro.workloads import generate_trace
 from repro.workloads.registry import cached_trace
 
 pytestmark = pytest.mark.faultinject
@@ -129,53 +119,6 @@ class TestCorruptionHelpers:
             faultinject.truncate_file(trace_file, 10 ** 9)
         with pytest.raises(ConfigurationError):
             faultinject.corrupt_trace(trace_file, mode="melt")
-
-
-class TestSimulationFaults:
-    def test_injected_fault_hits_single_size_driver(self):
-        trace = generate_trace("li", 2_000)
-        with faultinject.inject(faultinject.FaultPlan(times=1)):
-            with pytest.raises(faultinject.TransientInjectedFault):
-                run_single_size(
-                    trace, SingleSizeScheme(PAGE_4KB), TLBConfig(16)
-                )
-        # The plan is disarmed outside the context manager.
-        result = run_single_size(
-            trace, SingleSizeScheme(PAGE_4KB), TLBConfig(16)
-        )
-        assert result.references == 2_000
-
-    def test_injected_fault_hits_policy_driver_and_sweep(self):
-        trace = generate_trace("li", 2_000)
-        with faultinject.inject(faultinject.FaultPlan(times=2)):
-            with pytest.raises(faultinject.TransientInjectedFault):
-                run_two_sizes(trace, TwoSizeScheme(window=500), [TLBConfig(16)])
-            with pytest.raises(faultinject.TransientInjectedFault):
-                sweep_single_size(trace, [PAGE_4KB], [TLBConfig(16)])
-
-    def test_site_filter_limits_blast_radius(self):
-        trace = generate_trace("li", 2_000)
-        with faultinject.inject(
-            faultinject.FaultPlan(times=99, sites=["sim.sweep"])
-        ) as plan:
-            result = run_single_size(
-                trace, SingleSizeScheme(PAGE_4KB), TLBConfig(16)
-            )
-        assert result.references == 2_000
-        assert plan.triggered == 0
-
-    def test_transient_fault_survived_by_retry(self):
-        trace = generate_trace("li", 2_000)
-        with faultinject.inject(faultinject.FaultPlan(times=2)):
-            result, attempts = call_with_retry(
-                lambda: run_single_size(
-                    trace, SingleSizeScheme(PAGE_4KB), TLBConfig(16)
-                ),
-                policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-                sleep=lambda _: None,
-            )
-        assert attempts == 3
-        assert result.misses > 0
 
 
 class TestCacheSelfHeal:

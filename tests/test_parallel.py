@@ -1,14 +1,12 @@
 """Running units on forked worker processes (marker: ``parallel``).
 
 The contract under test is *equivalence*: a parallel run must produce
-the same results, the same journal records in the same order, and the
-same published outputs as a serial run — only the wall clock may
-differ.  Plus the failure story: a worker that dies mid-unit fails only
-that unit, an interrupt raised in a worker stops the run as it would
-serially, and a journal written under ``jobs=4`` resumes serially.
+the same results, the same statuses and the same published outputs as
+a serial run — only the wall clock may differ.  Plus the failure story:
+a worker that dies mid-unit fails only that unit, and an interrupt
+raised in a worker stops the run as it would serially.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -24,8 +22,6 @@ from repro.parallel.pool import (
 )
 from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
-from repro.robustness.journal import RunJournal
-from repro.robustness.retry import NO_RETRY, RetryPolicy
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import run_single_size
 from repro.workloads.registry import generate_trace
@@ -34,16 +30,6 @@ pytestmark = [
     pytest.mark.parallel,
     pytest.mark.skipif(not fork_available(), reason="needs fork"),
 ]
-
-def _journal_units(path):
-    """Unit names in on-disk record order (not the replayed dict)."""
-    names = []
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            record = json.loads(line)
-            if record.get("type") == "unit":
-                names.append(record["unit"])
-    return names
 
 
 class TestPool:
@@ -101,108 +87,71 @@ class TestPool:
 
 
 class TestRunUnitsEquivalence:
-    def _run(self, tmp_path, tag, jobs, fail=(), flaky=()):
+    def _run(self, tmp_path, tag, jobs, fail=()):
         published = []
         outdir = tmp_path / tag
         outdir.mkdir()
-        attempts_left = {name: 1 for name in flaky}
 
         def make(name, value):
             def task(v=value, _name=name):
                 if _name in fail:
                     raise RuntimeError(f"{_name} exploded")
-                if attempts_left.get(_name, 0) > 0:
-                    attempts_left[_name] -= 1
-                    raise RuntimeError(f"{_name} hiccup")
                 return v * v
 
             return UnitSpec(name=name, run=task)
 
         units = [make(f"u{i}", i) for i in range(5)]
 
-        def log(line):
-            with open(outdir / "log.txt", "a", encoding="utf-8") as stream:
-                stream.write(line + "\n")
-
         def publish(spec, result, elapsed):
             published.append((spec.name, result))
             (outdir / f"{spec.name}.txt").write_text(f"{spec.name}={result}\n")
-            log(f"{spec.name} published")
+            with open(outdir / "log.txt", "a", encoding="utf-8") as stream:
+                stream.write(f"{spec.name} published\n")
 
-        def announce(spec, attempt, error, delay):
-            reason = f"{type(error).__name__}: {error}"
-            log(f"{spec.name} attempt {attempt} failed ({reason})")
-
-        journal = RunJournal(tmp_path / f"{tag}.jsonl", fingerprint={"s": 1})
-        report = run_units(
-            units,
-            journal=journal,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-            on_success=publish,
-            on_retry=announce,
-            journal_payload=lambda spec, result: {"value": result},
-            jobs=jobs,
-        )
+        report = run_units(units, on_success=publish, jobs=jobs)
         files = {
             path.name: path.read_text() for path in sorted(outdir.iterdir())
         }
-        return report, published, files, journal
+        return report, published, files
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_identical_to_serial(self, tmp_path, jobs):
-        serial = self._run(tmp_path, "serial", None, flaky={"u2"})
-        parallel = self._run(tmp_path, f"jobs{jobs}", jobs, flaky={"u2"})
+        serial = self._run(tmp_path, "serial", None, fail={"u2"})
+        parallel = self._run(tmp_path, f"jobs{jobs}", jobs, fail={"u2"})
         # Same published results in the same (spec) order...
         assert parallel[1] == serial[1]
-        # ... same output files byte for byte, retry notices logged in
-        # spec order among the publishes ...
+        # ... same output files byte for byte, publishes logged in spec
+        # order ...
         assert parallel[2] == serial[2]
-        assert "u2 attempt 1 failed (RuntimeError: u2 hiccup)\nu2 published" in (
-            serial[2]["log.txt"]
-        )
-        # ... same journal records in the same on-disk order ...
-        assert _journal_units(tmp_path / f"jobs{jobs}.jsonl") == _journal_units(
-            tmp_path / "serial.jsonl"
-        )
-        # ... and the same statuses, attempts and payloads per unit.
+        # ... and the same statuses and errors per unit.
         for ours, theirs in zip(parallel[0].outcomes, serial[0].outcomes):
-            assert (ours.name, ours.status, ours.attempts) == (
+            assert (ours.name, ours.status, ours.error) == (
                 theirs.name,
                 theirs.status,
-                theirs.attempts,
+                theirs.error,
             )
-        assert parallel[3].get("u2").payload == {"value": 4}
-        assert parallel[0].outcomes[2].attempts == 2  # the flaky unit
+        assert parallel[0].outcomes[2].error == "RuntimeError: u2 exploded"
 
     def test_failure_isolated_and_exit_one(self, tmp_path):
-        report, published, _files, journal = self._run(
-            tmp_path, "fail", 2, fail={"u1"}
-        )
+        report, published, _files = self._run(tmp_path, "fail", 2, fail={"u1"})
         assert report.exit_code == 1
         statuses = {o.name: o.status for o in report.outcomes}
         assert statuses == {
             "u0": "ok", "u1": "failed", "u2": "ok", "u3": "ok", "u4": "ok"
         }
         assert [name for name, _ in published] == ["u0", "u2", "u3", "u4"]
-        record = journal.get("u1")
-        assert not record.succeeded and "exploded" in record.error
+        assert "exploded" in report.failures[0].error
 
 
 class TestWorkerCrash:
-    def test_dead_worker_fails_only_its_unit(self, tmp_path):
+    def test_dead_worker_fails_only_its_unit(self):
         units = [
             UnitSpec(name="ok1", run=lambda: 1),
             UnitSpec(name="doomed", run=lambda: os._exit(3)),
             UnitSpec(name="ok2", run=lambda: 2),
             UnitSpec(name="ok3", run=lambda: 3),
         ]
-        journal = RunJournal(tmp_path / "crash.jsonl", fingerprint={"s": 1})
-        report = run_units(
-            units,
-            journal=journal,
-            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-            jobs=2,
-        )
+        report = run_units(units, jobs=2)
         assert report.exit_code == 1
         statuses = {o.name: o.status for o in report.outcomes}
         assert statuses == {
@@ -210,9 +159,7 @@ class TestWorkerCrash:
         }
         doomed = next(o for o in report.outcomes if o.name == "doomed")
         assert "WorkerCrashError" in doomed.error
-        assert "exited with code 3" in doomed.error
-        # The crash is journaled like any other failure.
-        assert not journal.get("doomed").succeeded
+        assert "exited with code 3 while running 'doomed'" in doomed.error
 
     def test_units_a_dead_pool_held_rerun_in_fresh_processes(self, capsys):
         def slow_pid():
@@ -223,12 +170,13 @@ class TestWorkerCrash:
         units = [UnitSpec(f"p{i}", slow_pid) for i in range(3)]
         units.append(UnitSpec("doomed", lambda: os._exit(9)))
         units += [UnitSpec(f"q{i}", slow_pid) for i in range(3)]
-        report = run_units(units, retry_policy=NO_RETRY, jobs=2)
+        report = run_units(units, jobs=2)
         err = capsys.readouterr().err
         assert err.count("a worker process died") == 1
         statuses = {o.name: o.status for o in report.outcomes}
         assert statuses.pop("doomed") == "failed"
         assert set(statuses.values()) == {"ok"}
+        assert "while running 'doomed'" in report.failures[0].error
         # Nothing ran in the parent, not even the rerun units.
         pids = {o.result for o in report.outcomes if o.name != "doomed"}
         assert os.getpid() not in pids
@@ -236,13 +184,12 @@ class TestWorkerCrash:
 
 class TestInterrupts:
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
-    def test_worker_interrupt_journaled_then_reraised(self, tmp_path, interrupt):
+    def test_worker_interrupt_reraised_at_its_turn(self, interrupt):
         def stop():
             raise interrupt()
 
-        def run(tag, jobs):
+        def run(jobs):
             published = []
-            journal = RunJournal(tmp_path / f"{tag}.jsonl", fingerprint={"s": 1})
             units = [
                 UnitSpec("a", lambda: 1),
                 UnitSpec("b", stop),
@@ -251,71 +198,16 @@ class TestInterrupts:
             with pytest.raises(interrupt):
                 run_units(
                     units,
-                    journal=journal,
                     on_success=lambda spec, result, elapsed: published.append(
                         spec.name
                     ),
                     jobs=jobs,
                 )
-            records = [
-                (r.unit, r.status, r.error, r.attempts)
-                for r in journal.units.values()
-            ]
-            return published, records
+            return published
 
-        serial = run("serial", None)
-        assert run("jobs2", 2) == serial
-        published, records = serial
-        # ``c`` is never published or journaled: the run stopped at ``b``.
-        assert published == ["a"]
-        assert records == [
-            ("a", "ok", None, 1),
-            ("b", "failed", f"interrupted: {interrupt()!r}", 1),
-        ]
-
-
-class TestResumeAcrossModes:
-    def test_serial_resume_from_parallel_journal(self, tmp_path):
-        path = tmp_path / "resume.jsonl"
-        calls = []
-
-        def make(name, broken):
-            def task(_name=name):
-                calls.append(_name)
-                if broken:
-                    raise RuntimeError(f"{_name} broken")
-                return _name.upper()
-
-            return UnitSpec(name=name, run=task)
-
-        first = [make("a", False), make("b", True), make("c", False),
-                 make("d", False)]
-        journal = RunJournal(path, fingerprint={"s": 1})
-        report = run_units(
-            first,
-            journal=journal,
-            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-            jobs=4,
-        )
-        assert report.exit_code == 1
-        # Journal records land in spec order even under jobs=4.
-        assert _journal_units(path) == ["a", "b", "c", "d"]
-
-        # Second run: serial, resumed, with the broken unit repaired.
-        calls.clear()
-        second = [make("a", False), make("b", False), make("c", False),
-                  make("d", False)]
-        journal = RunJournal(path, fingerprint={"s": 1})
-        report = run_units(
-            second, journal=journal, resume=True, jobs=None
-        )
-        assert report.exit_code == 0
-        statuses = [(o.name, o.status) for o in report.outcomes]
-        assert statuses == [
-            ("a", "skipped"), ("b", "ok"), ("c", "skipped"), ("d", "skipped")
-        ]
-        # Only the repaired unit actually ran again... in the parent.
-        assert calls == ["b"]
+        # ``c`` is never published: the run stopped at ``b``.
+        assert run(None) == ["a"]
+        assert run(2) == ["a"]
 
 
 class TestCacheCorruption:
@@ -376,35 +268,6 @@ def _fake_beta(scale):
     return FakeArtifact(f"beta@{scale.window}")
 
 
-def _kill_resume_suite(token_dir):
-    """The runner kill/resume scenario, with a killer that works in workers.
-
-    The first ``boom`` call raises ``KeyboardInterrupt``; later calls
-    succeed.  Workers cannot update the parent's state, so the first
-    call leaves a token file behind instead.
-    """
-
-    def ok(name):
-        return lambda scale: FakeArtifact(f"RESULT {name}")
-
-    def killer(scale):
-        token = token_dir / "boom-interrupted"
-        if not token.exists():
-            token.touch()
-            raise KeyboardInterrupt()
-        return FakeArtifact("RESULT boom")
-
-    def always_fails(scale):
-        raise RuntimeError("intentionally broken experiment")
-
-    return {
-        "alpha": ok("alpha"),
-        "boom": killer,
-        "beta": always_fails,
-        "gamma": ok("gamma"),
-    }
-
-
 class TestRunnerJobs:
     def test_cli_jobs_matches_serial(self, tmp_path, monkeypatch, capsys):
         from repro.experiments import runner
@@ -433,40 +296,3 @@ class TestRunnerJobs:
         assert {p.name: p.read_text() for p in parallel_dir.iterdir()} == {
             p.name: p.read_text() for p in serial_dir.iterdir()
         }
-
-    def test_kill_resume_matches_serial(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments import runner
-        from repro.robustness import executor
-
-        # A frozen clock makes the journaled elapsed times match too.
-        monkeypatch.setitem(
-            executor.run_units.__kwdefaults__, "clock", lambda: 0.0
-        )
-
-        def scenario(tag, *extra):
-            root = tmp_path / tag
-            root.mkdir()
-            monkeypatch.setattr(runner, "EXPERIMENTS", _kill_resume_suite(root))
-            argv = [
-                "--trace-length", "1000",
-                "--window", "100",
-                "--journal", str(root / "journal.jsonl"),
-                "--results-dir", str(root / "results"),
-                "--retries", "1",
-                "--retry-delay", "0",
-                *extra,
-            ]
-            with pytest.raises(KeyboardInterrupt):
-                runner.main(argv)
-            (root / "results" / "alpha.txt").unlink()
-            assert runner.main([*argv, "--resume"]) == 1
-            capsys.readouterr()
-            results = {
-                path.name: path.read_bytes()
-                for path in sorted((root / "results").iterdir())
-            }
-            return (root / "journal.jsonl").read_bytes(), results
-
-        serial = scenario("serial")
-        assert set(serial[1]) == {"alpha.txt", "boom.txt", "gamma.txt"}
-        assert scenario("jobs2", "--jobs", "2") == serial

@@ -17,8 +17,6 @@ import pytest
 from repro.errors import StudyError
 from repro.experiments.scale import ExperimentScale
 from repro.parallel.cache import SimulationCache
-from repro.robustness import faultinject
-from repro.robustness.retry import RetryPolicy
 from repro.studies.engine import compile_study, run_study
 from repro.studies.registry import (
     get_study,
@@ -26,7 +24,7 @@ from repro.studies.registry import (
     threshold_study,
 )
 from repro.studies.spec import Factor, Study, load_study, study_from_mapping
-from repro.studies.units import UNIT_KINDS, get_kind
+from repro.studies.units import UNIT_KINDS, UnitKind, get_kind
 from repro.trace import derived
 
 SCALE = ExperimentScale(
@@ -227,11 +225,12 @@ class TestCompile:
                 }
             )
         )
-        with faultinject.inject(
-            faultinject.FaultPlan(times=99, sites=("studies.unit",))
-        ) as plan:
-            assert main([str(declaration), "--retries", "1"]) == 2
-        assert plan.visits == 0
+        visits = []
+        monkeypatch.setattr(
+            UnitKind, "run", lambda kind, *args: visits.append(kind.name)
+        )
+        assert main([str(declaration)]) == 2
+        assert visits == []
         err = capsys.readouterr().err
         assert "unit single:entries=12" in err
         assert "does not divide 12 entries" in err
@@ -334,35 +333,20 @@ class TestRunStudy:
         assert again.counters["simulated"] == 0
         assert again.units[0].metrics["ws_normalized"] > 0
 
-    def test_transient_fault_is_retried(self):
-        with faultinject.inject(
-            faultinject.FaultPlan(times=1, sites=("studies.unit",))
-        ):
-            result = run_study(
-                single_study(), scale=SCALE, jobs=1, cache=None,
-                retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-            )
-        assert result.counters["failed"] == 0
-        assert result.counters["simulated"] == 2
+    def test_persistent_failure_strict_and_lenient(self, monkeypatch):
+        def broken(kind, *args):
+            raise RuntimeError("driver exploded")
 
-    def test_persistent_failure_strict_and_lenient(self):
-        plan = faultinject.FaultPlan(times=99, sites=("studies.unit",))
-        with faultinject.inject(plan):
-            with pytest.raises(StudyError, match="unit\\(s\\) failed"):
-                run_study(
-                    single_study(), scale=SCALE, jobs=1, cache=None,
-                    retry_policy=RetryPolicy(max_attempts=1),
-                )
-        with faultinject.inject(
-            faultinject.FaultPlan(times=99, sites=("studies.unit",))
-        ):
-            lenient = run_study(
-                single_study(), scale=SCALE, jobs=1, cache=None,
-                retry_policy=RetryPolicy(max_attempts=1), strict=False,
-            )
+        monkeypatch.setattr(UnitKind, "run", broken)
+        with pytest.raises(StudyError, match="unit\\(s\\) failed"):
+            run_study(single_study(), scale=SCALE, jobs=1, cache=None)
+        lenient = run_study(
+            single_study(), scale=SCALE, jobs=1, cache=None, strict=False
+        )
         assert lenient.counters["failed"] == 2
         assert lenient.units == []
         assert "FAILED" in lenient.render()
+        assert "driver exploded" in lenient.render()
 
     def test_value_and_table_lookup(self):
         result = run_study(
