@@ -55,10 +55,6 @@ class SimulationError(ReproError):
     """A simulation was driven incorrectly (e.g. results read before run)."""
 
 
-class AllocationError(ReproError):
-    """The physical memory allocator could not satisfy a request."""
-
-
 class ExperimentError(ReproError):
     """An experiment suite was driven incorrectly or could not proceed."""
 

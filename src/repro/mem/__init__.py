@@ -1,10 +1,10 @@
-"""Memory-management substrate: address math, page tables, miss-penalty
-cost model, physical frame allocation and the integrated MMU.
+"""Memory-management substrate: address math, the two-size page table,
+the miss-penalty cost model and the memory-demand paging model.
 
 These are the operating-system pieces the paper assumes around its TLB
-study (Sections 2.3 and 3.4): the software structures a miss handler
-walks, the cycle costs it charges, and the physical-contiguity mechanics
-that make large pages possible.
+study (Sections 2.3 and 3.4): the software structure a miss handler
+walks, the cycle costs it charges, and the page faults each page-size
+choice pays for under a memory budget.
 """
 
 from repro._lazy import lazy_exports
@@ -30,8 +30,6 @@ __getattr__, __dir__ = lazy_exports(
             "single_size_penalty",
             "two_size_penalty",
         ),
-        "hashed_table": ("HashedPageTable",),
-        "mmu": ("MemoryManagementUnit", "MMUStatistics", "TranslationOutcome"),
         "page_table": ("Translation", "TwoPageSizePageTable"),
         "pageout": (
             "PagingResult",
@@ -40,22 +38,16 @@ __getattr__, __dir__ = lazy_exports(
             "two_size_fault_rate_curve",
             "two_size_paging",
         ),
-        "physalloc": ("BuddyAllocator",),
         "walkmodel": ("WalkCycleModel", "measure_walk_costs"),
     },
 )
 
 __all__ = [
-    "BuddyAllocator",
-    "HashedPageTable",
-    "MMUStatistics",
-    "MemoryManagementUnit",
     "MissPenaltyModel",
     "PagingResult",
     "SINGLE_SIZE_PENALTY_CYCLES",
     "TWO_SIZE_PENALTY_FACTOR",
     "Translation",
-    "TranslationOutcome",
     "TwoPageSizePageTable",
     "WalkCycleModel",
     "measure_walk_costs",

@@ -30,11 +30,11 @@ caches, so the working sets, the paging curves and the TLB drivers all
 share it without an upward import:
 
 * **Keys.**  :func:`key` hashes ``{"version": CACHE_KEY_VERSION,
-  "kind": kind, **parts}`` with :func:`canonical_key`.  The ten kinds
+  "kind": kind, **parts}`` with :func:`canonical_key`.  The nine kinds
   are ``single``, ``policy``, ``split`` and ``twolevel``
   (:mod:`repro.sim.driver`), ``sweep`` (:mod:`repro.sim.sweep`),
-  ``multiprog`` and ``multiprog2`` (:mod:`repro.sim.multiprog`),
-  ``working_set`` (:mod:`repro.stacksim.working_set`), ``dynamic_ws``
+  ``multiprog`` (:mod:`repro.sim.multiprog`), ``working_set``
+  (:mod:`repro.stacksim.working_set`), ``dynamic_ws``
   (:mod:`repro.policy.dynamic_ws`) and ``paging``
   (:mod:`repro.mem.pageout`); see ``docs/performance.md`` for the
   parts of each.  A study (:mod:`repro.studies`) keeps no entries of
@@ -110,7 +110,8 @@ CACHE_SCHEMA = "repro-cache/1"
 #: round-robin mixer.  ``4``: FIFO/random replacement moved to the
 #: sampled-set kernel (keys record ``"sampled"`` plus the ``exact``
 #: flag), replacement RNGs are seeded from the configuration, and the
-#: ``"twolevel"`` and ``"multiprog2"`` kinds joined the namespace.
+#: ``"twolevel"`` kind joined the namespace (with a multiprogrammed
+#: two-size kind, since deleted).
 CACHE_KEY_VERSION = 4
 
 

@@ -11,13 +11,12 @@ Table 5.1 shapes from one epoch-segmented pass, timed scalar vs vector
 like the kernel units), and ``suite/multiprog-kernel`` its
 multiprogrammed sibling (a quantum x policy x geometry grid, one
 kernel pass per cell vs the scalar ``MultiprogrammedTLB`` walk).
-Three further kernel units close the former scalar islands:
+Two further kernel units close the former scalar islands:
 ``suite/twolevel-kernel`` (two-level hierarchies served from one
-reconstructed L1-miss stream vs composite ``TwoLevelTLB`` walks),
+reconstructed L1-miss stream vs composite ``TwoLevelTLB`` walks) and
 ``suite/sampled-replacement`` (set-sampled FIFO/random estimation —
 its "vector" arm maps to the sampled kernel — vs the scalar
-replacement walk) and ``suite/multiprog-twosize`` (the composed
-multiprogrammed two-page-size kernel vs per-program policy walks).
+replacement walk).
 ``suite/tombstone-heavy`` times the shootdown correction where it
 dominates (a dense random stream under a tiny promotion window), and
 ``suite/paging-curve`` one byte-weighted paging pass over every memory
@@ -97,10 +96,7 @@ from repro.sim.config import (
     TwoSizeScheme,
 )
 from repro.sim.driver import run_single_size, run_two_sizes, sweep_two_level
-from repro.sim.multiprog import (
-    sweep_multiprogrammed,
-    sweep_multiprogrammed_two_sizes,
-)
+from repro.sim.multiprog import sweep_multiprogrammed
 from repro.stacksim.lru_stack import lru_miss_curve
 from repro.tlb.indexing import IndexingScheme, ProbeStrategy
 from repro.trace.record import Trace
@@ -257,30 +253,6 @@ def _unit_sampled_replacement(trace: Trace, kernel: str) -> Any:
     ]
 
 
-#: Pinned grid for ``suite/multiprog-twosize``: the trace cut into
-#: three "programs", each running its own dynamic promotion policy,
-#: interleaved at two quanta under both context-switch policies over
-#: two-size-capable geometries — the composed kernel's home turf.
-_MULTIPROG2_QUANTA = (2_000, 8_000)
-_MULTIPROG2_CONFIGS = (
-    _CONFIG_16E_FA,
-    TLBConfig(entries=32),
-    TLBConfig(entries=32, associativity=2, scheme=IndexingScheme.EXACT_INDEX),
-)
-
-
-def _unit_multiprog_twosize(trace: Trace, kernel: str) -> Any:
-    third = len(trace) // 3
-    programs = [trace[index * third : (index + 1) * third] for index in range(3)]
-    return sweep_multiprogrammed_two_sizes(
-        programs,
-        list(_MULTIPROG2_CONFIGS),
-        scheme=_TWO_SIZE,
-        quanta=_MULTIPROG2_QUANTA,
-        kernel=kernel,
-    )
-
-
 #: Pinned shape for ``suite/tombstone-heavy``: uniform random 4KB pages
 #: over eight chunks under a 16-reference window keep promotions and
 #: demotions constant (one about every five references), so the
@@ -331,7 +303,6 @@ SUITE = (
     BenchUnit("suite/multiprog-kernel", "matrix300", _unit_multiprog_sweep),
     BenchUnit("suite/twolevel-kernel", "espresso", _unit_twolevel_sweep),
     BenchUnit("suite/sampled-replacement", "matrix300", _unit_sampled_replacement),
-    BenchUnit("suite/multiprog-twosize", "espresso", _unit_multiprog_twosize),
     BenchUnit("suite/tombstone-heavy", "espresso", _unit_tombstone_heavy),
     BenchUnit("suite/paging-curve", "matrix300", _unit_paging_curve),
 )

@@ -242,8 +242,8 @@ def _event_tombstones(
 
     ``mask`` (per reference) drops deletions of entries the structure
     never held: references outside a split component or an L2's L1-miss
-    substream, or inserted before the last flush.  Output is in
-    (event, last reference) order, each pair keeping its last reference.
+    substream.  Output is in (event, last reference) order, each pair
+    keeping its last reference.
     """
     keep = plan.ended >= 0
     if mask is not None:
@@ -705,21 +705,9 @@ class _KeyStream(NamedTuple):
 
 
 def _key_stream(
-    blocks: np.ndarray,
-    blocks_shift: int,
-    decisions: PolicyDecisions,
-    *,
-    event_chunks: "np.ndarray | None" = None,
-    segment: "np.ndarray | None" = None,
+    blocks: np.ndarray, blocks_shift: int, decisions: PolicyDecisions
 ) -> _KeyStream:
-    """Epoch-tag ``blocks`` under ``decisions``, checking they line up.
-
-    ``event_chunks`` (default: the blocks' own chunks) names the chunk
-    the event plan files each reference under, so programs sharing raw
-    chunk numbers can keep private event namespaces.  ``segment`` is a
-    per-reference flush-segment counter folded into the tag: keys then
-    never match across a flush.
-    """
+    """Epoch-tag ``blocks`` under ``decisions``, checking they line up."""
     blocks = np.asarray(blocks, dtype=np.int64)
     n = int(blocks.size)
     if int(decisions.large.size) != n:
@@ -729,14 +717,10 @@ def _key_stream(
         )
     chunks = blocks >> np.int64(blocks_shift)
     large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(chunks if event_chunks is None else event_chunks, decisions)
+    plan = _event_plan(chunks, decisions)
     span = np.int64(plan.num_events + 1)
-    tag = plan.epoch
-    if segment is not None:
-        factor = np.int64(int(segment.max(initial=0)) + 1)
-        span, tag = span * factor, tag * factor + segment
     page = np.where(large, chunks, blocks)
-    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + tag
+    keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
     return _KeyStream(blocks, chunks, large, page, keys, plan)
 
 
@@ -811,30 +795,6 @@ def _require_lru(configs: Iterable[TLBConfig]) -> None:
 # -- unified (single-structure) organisations --------------------------
 
 
-def _flat_counts(
-    stream: _KeyStream,
-    configs: Sequence[TLBConfig],
-    *,
-    mask: "np.ndarray | None" = None,
-) -> List[TwoSizeCounts]:
-    """Every configuration's counters over one key stream; see :func:`_families`."""
-    large_refs = int(np.count_nonzero(stream.large))
-    results: List[TwoSizeCounts] = []
-    for config, (family, capacity) in zip(
-        configs, _families(stream, configs, mask=mask)
-    ):
-        misses, large_misses, invalidations = family.counts(capacity)
-        results.append(
-            TwoSizeCounts(
-                misses=misses,
-                large_misses=large_misses,
-                reprobes=config.reprobes(misses, large_refs, large_misses),
-                invalidations=invalidations,
-            )
-        )
-    return results
-
-
 def two_size_counts(
     blocks: np.ndarray,
     blocks_shift: int,
@@ -854,7 +814,20 @@ def two_size_counts(
     if not configs:
         return []
     _require_lru(configs)
-    return _flat_counts(_key_stream(blocks, blocks_shift, decisions), configs)
+    stream = _key_stream(blocks, blocks_shift, decisions)
+    large_refs = int(np.count_nonzero(stream.large))
+    results: List[TwoSizeCounts] = []
+    for config, (family, capacity) in zip(configs, _families(stream, configs)):
+        misses, large_misses, invalidations = family.counts(capacity)
+        results.append(
+            TwoSizeCounts(
+                misses=misses,
+                large_misses=large_misses,
+                reprobes=config.reprobes(misses, large_refs, large_misses),
+                invalidations=invalidations,
+            )
+        )
+    return results
 
 
 # -- the split organisation --------------------------------------------

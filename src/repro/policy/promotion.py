@@ -161,18 +161,6 @@ class DynamicPromotionPolicy(PageSizeAssignmentPolicy):
             return PageDecision(chunk, True, promoted_chunk, demoted_chunk)
         return PageDecision(block, False, promoted_chunk, demoted_chunk)
 
-    def cancel_promotion(self, chunk: int) -> None:
-        """Revert a promotion that the OS could not carry out.
-
-        The MMU calls this when no contiguous large frame exists
-        (external fragmentation).  The chunk returns to small pages; it
-        may be re-promoted later if its occupancy crosses the threshold
-        again after leaving and re-entering the promoted state.
-        """
-        if chunk in self._promoted:
-            self._promoted.remove(chunk)
-            self.promotions -= 1
-
     def is_promoted(self, chunk: int) -> bool:
         """Return True if ``chunk`` is currently mapped as a large page."""
         return chunk in self._promoted

@@ -23,11 +23,8 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "multiprog": (
             "MultiprogramResult",
-            "TwoSizeMultiprogramResult",
             "run_multiprogrammed",
-            "run_multiprogrammed_two_sizes",
             "sweep_multiprogrammed",
-            "sweep_multiprogrammed_two_sizes",
         ),
         "sweep": ("sweep_single_size",),
     },
@@ -40,15 +37,12 @@ __all__ = [
     "TLBConfig",
     "TwoLevelConfig",
     "TwoLevelRunResult",
-    "TwoSizeMultiprogramResult",
     "TwoSizeScheme",
     "run_multiprogrammed",
-    "run_multiprogrammed_two_sizes",
     "run_single_size",
     "run_two_level",
     "run_two_sizes",
     "run_with_policy",
     "sweep_multiprogrammed",
-    "sweep_multiprogrammed_two_sizes",
     "sweep_single_size",
 ]

@@ -83,35 +83,3 @@ class MultiprogrammedTLB:
     def access_single(self, page: int) -> bool:
         """Single-page-size lookup in the current address space."""
         return self.access(page, page, False)
-
-    # Promotion/demotion shootdowns, forwarded in the current address
-    # space: a multiprogrammed two-page-size system runs one assignment
-    # policy per address space (the Section 6 design space), and its
-    # shootdowns must only ever hit the issuing space's entries.  Under
-    # ASID that means applying the same fold the lookups use; under
-    # FLUSH entries carry no identifier and the raw numbers pass
-    # through (cross-space aliasing is impossible inside one flush
-    # segment, because a segment is single-context).
-
-    def invalidate_small_pages_of_chunk(
-        self, chunk: int, blocks_per_chunk: int
-    ) -> int:
-        """Shoot down the current space's small pages of ``chunk``."""
-        if self.policy is ContextSwitchPolicy.ASID:
-            # Folded blocks of this chunk occupy one contiguous range:
-            # shifting the block-space prefix down to chunk space keeps
-            # prefix|chunk * blocks_per_chunk == prefix<<shift | block.
-            shift = blocks_per_chunk.bit_length() - 1
-            if (1 << shift) != blocks_per_chunk:
-                raise ConfigurationError(
-                    f"blocks_per_chunk must be a power of two, "
-                    f"got {blocks_per_chunk}"
-                )
-            chunk = (self._asid << (ASID_SHIFT - shift)) | chunk
-        return self.tlb.invalidate_small_pages_of_chunk(chunk, blocks_per_chunk)
-
-    def invalidate_large_page(self, chunk: int) -> int:
-        """Shoot down the current space's large-page entry for ``chunk``."""
-        if self.policy is ContextSwitchPolicy.ASID:
-            chunk = (self._asid << ASID_SHIFT) | chunk
-        return self.tlb.invalidate_large_page(chunk)

@@ -25,7 +25,6 @@ from repro.sim import (
     run_two_level,
     run_two_sizes,
     sweep_multiprogrammed,
-    sweep_multiprogrammed_two_sizes,
     sweep_single_size,
     sweep_two_level,
 )
@@ -109,14 +108,6 @@ def run_multiprog(cache):
     return list(grid.values())
 
 
-def run_multiprog2(cache):
-    traces = [hand_built_trace("a"), hand_built_trace("b", salt=1)]
-    grid = sweep_multiprogrammed_two_sizes(
-        traces, [TLBConfig(16)], scheme=SCHEME, cache=cache, **GRID
-    )
-    return list(grid.values())
-
-
 class Metrics:
     """A study unit's metrics, compared like a driver result."""
 
@@ -176,7 +167,6 @@ CASES = {
     "twolevel": run_twolevel,
     "sweep": run_sweep,
     "multiprog": run_multiprog,
-    "multiprog2": run_multiprog2,
     "study": run_study_units,
     "working_set": run_working_set,
     "dynamic_ws": run_dynamic_ws,
@@ -215,10 +205,6 @@ PINNED = {
         "a517d74e73ab679220475338c023c1243bd542da9e1f1520876edc70d7f9df20.json",
         "da972454bdf0b2fe28d9b11d2f81339fba891c85640c3d0e5775d2c744824650.json",
         "f0b7148c1da8567b420c07f8c721862c3d69057eefae0c08c6e70178713ae9e3.json",
-    ],
-    "multiprog2": [
-        "0c638339127af32e772e94fdef39e0ed1e5c19492312eb3d15923ba9c3968195.json",
-        "ca6f442845e0586b826c57b605dc5293687812a6759a39341ebc73d3dae01f6e.json",
     ],
     # A study keeps no entries of its own: its two units write the
     # ``single`` entries their driver calls address.

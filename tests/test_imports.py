@@ -22,17 +22,13 @@ import repro
 PASS_MODULES = (
     "repro.perf.twosize",
     "repro.perf.multiprog",
-    "repro.perf.multiprog_twosize",
     "repro.perf.sampled",
     "repro.perf.twolevel",
     "repro.tlb.fully_assoc",
     "repro.tlb.set_assoc",
     "repro.tlb.split",
     "repro.tlb.twolevel",
-    "repro.mem.mmu",
     "repro.mem.page_table",
-    "repro.mem.hashed_table",
-    "repro.mem.physalloc",
 )
 
 PACKAGES = ["repro"] + [

@@ -3,7 +3,6 @@
 These tie the substrates together the way the experiments do and check
 the global invariants that no single module can see on its own:
 
-* the MMU's TLB behaviour must equal the bare driver's on the same trace;
 * stack-simulation sweeps must agree with direct TLB models on real
   workload traces (not just random streams);
 * the two-page-size driver's promotion accounting must be consistent
@@ -13,8 +12,7 @@ the global invariants that no single module can see on its own:
 
 import pytest
 
-from repro.mem import MemoryManagementUnit, two_size_penalty
-from repro.policy import DynamicPromotionPolicy, dynamic_average_working_set
+from repro.policy import dynamic_average_working_set
 from repro.sim import (
     SingleSizeScheme,
     TLBConfig,
@@ -23,9 +21,9 @@ from repro.sim import (
     run_two_sizes,
     sweep_single_size,
 )
-from repro.tlb import FullyAssociativeTLB, IndexingScheme
+from repro.tlb import IndexingScheme
 from repro.trace import read_trace, write_trace
-from repro.types import MB, PAGE_4KB, PAGE_8KB, PAGE_32KB, PAIR_4KB_32KB
+from repro.types import PAGE_4KB, PAGE_8KB, PAGE_32KB, PAIR_4KB_32KB
 from repro.workloads import generate_trace
 
 LENGTH = 60_000
@@ -40,38 +38,6 @@ def li_trace():
 @pytest.fixture(scope="module")
 def matrix_trace():
     return generate_trace("matrix300", LENGTH, seed=0)
-
-
-class TestMMUAgreesWithDriver:
-    def test_same_misses_and_promotions(self, li_trace):
-        config = TLBConfig(16)
-        scheme = TwoSizeScheme(window=WINDOW)
-        (driver,) = run_two_sizes(li_trace, scheme, [config])
-
-        policy = DynamicPromotionPolicy(PAIR_4KB_32KB, WINDOW)
-        mmu = MemoryManagementUnit(
-            FullyAssociativeTLB(16),
-            policy,
-            penalty=two_size_penalty(),
-            memory_size=64 * MB,
-        )
-        for address in li_trace.addresses:
-            mmu.translate(int(address))
-
-        assert mmu.tlb.stats.misses == driver.misses
-        assert mmu.stats.promotions_applied == driver.promotions
-        assert mmu.stats.demotions_applied == driver.demotions
-
-    def test_mmu_cycles_match_metric(self, li_trace):
-        policy = DynamicPromotionPolicy(PAIR_4KB_32KB, WINDOW)
-        mmu = MemoryManagementUnit(
-            FullyAssociativeTLB(16), policy, memory_size=64 * MB
-        )
-        for address in li_trace.addresses[:20_000]:
-            mmu.translate(int(address))
-        assert mmu.stats.cycles == pytest.approx(
-            mmu.tlb.stats.misses * 25.0
-        )
 
 
 class TestStackSimAgreesOnRealTraces:

@@ -7,9 +7,8 @@ The contract this suite enforces, config-space cell by cell:
   (``vector`` or ``sampled``), and the one remaining scalar island
   (PLRU replacement) announces itself with a
   :class:`~repro.perf.kernels.KernelFallbackWarning`.
-* The vector kernels (single-size, two-size, two-level, multiprogrammed
-  and multiprogrammed-two-size) stay bit-exact against their scalar
-  oracles.
+* The vector kernels (single-size, two-size, two-level and
+  multiprogrammed) stay bit-exact against their scalar oracles.
 * The sampled-set kernel is bit-exact at ``exact=True`` and, when
   estimating, reports a 95% confidence interval that actually covers
   the exact count at (at least) its nominal rate.
@@ -43,7 +42,6 @@ from repro.sim import (
     run_two_level,
     run_two_sizes,
     sweep_multiprogrammed,
-    sweep_multiprogrammed_two_sizes,
     sweep_two_level,
 )
 from repro.sim.driver import run_split_two_sizes
@@ -141,17 +139,6 @@ class TestNoSilentFallback:
         assert not _no_fallback_warnings(record)
         assert result.resolved_kernel == KERNEL_VECTOR
 
-    def test_multiprog_two_size_auto_resolves_vector(self, programs):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            cells = sweep_multiprogrammed_two_sizes(
-                programs, (TLBConfig(32),), quanta=(1_000,)
-            )
-        assert not _no_fallback_warnings(record)
-        assert cells and all(
-            r.resolved_kernel == KERNEL_VECTOR for r in cells.values()
-        )
-
     def test_plru_auto_falls_back_loudly(self, trace):
         config = TLBConfig(16, associativity=4, replacement="plru")
         with warnings.catch_warnings(record=True) as record:
@@ -234,48 +221,15 @@ class TestTwoLevelOracle:
         assert result.misses < flat.misses
 
 
-MULTIPROG2_GRIDS = (
-    TLBConfig(16),
-    TLBConfig(32, associativity=2),
-    TLBConfig(
-        32,
-        associativity=2,
-        probe_strategy=ProbeStrategy.SEQUENTIAL,
-    ),
-    TLBConfig(32, associativity=2, scheme=IndexingScheme.SMALL_INDEX),
-)
-
-
-class TestMultiprogTwoSizeOracle:
-    """The composed key transform matches the per-reference walk."""
-
-    def test_vector_matches_scalar(self, programs):
-        kwargs = dict(
-            scheme=TWO_SIZE,
-            quanta=(500, 2_000),
-            policies=(ContextSwitchPolicy.FLUSH, ContextSwitchPolicy.ASID),
-        )
-        vector = sweep_multiprogrammed_two_sizes(
-            programs, MULTIPROG2_GRIDS, kernel="vector", **kwargs
-        )
-        scalar = sweep_multiprogrammed_two_sizes(
-            programs, MULTIPROG2_GRIDS, kernel="scalar", **kwargs
-        )
-        assert vector.keys() == scalar.keys()
-        for key in vector:
-            assert vector[key] == scalar[key], key
-            assert vector[key].switches > 0
-
-
 class TestTombstoneProperty:
     """Dense random traces x windows x capacity sets: vector == scalar.
 
     Small windows over a few chunks keep promotions and demotions
     constant, so every kernel that runs the tombstone correction — flat,
-    split (occupancies included), two-level and multiprogrammed — is
-    checked against its scalar oracle on shootdown-heavy streams, with a
-    sequential-probe shape for the reprobe rule.  The single-size
-    multiprogrammed and two-level kernels run on the same streams.
+    split (occupancies included) and two-level — is checked against its
+    scalar oracle on shootdown-heavy streams, with a sequential-probe
+    shape for the reprobe rule.  The single-size multiprogrammed and
+    two-level kernels run on the same streams.
     """
 
     @settings(
@@ -328,13 +282,6 @@ class TestTombstoneProperty:
         both(sweep_two_level, trace, SMALL, hierarchies)
         third = len(trace) // 3
         programs = [trace[k * third : (k + 1) * third] for k in range(3)]
-        both(
-            sweep_multiprogrammed_two_sizes,
-            programs,
-            [TLBConfig(c) for c in caps] + [sequential],
-            scheme=scheme,
-            quanta=(25, 90),
-        )
         both(
             sweep_multiprogrammed,
             programs,

@@ -279,11 +279,28 @@ class TestPolicyDrivers:
         ),
     )
 
-    def test_run_two_sizes_equivalence(self, trace):
-        scheme = TwoSizeScheme(window=2_000)
-        scalar = run_two_sizes(trace, scheme, list(self.TLB_CONFIGS), kernel="scalar")
-        vector = run_two_sizes(trace, scheme, list(self.TLB_CONFIGS), kernel="vector")
+    @pytest.mark.parametrize(
+        "workload, length, seed, window, configs, transitions",
+        [
+            ("espresso", LENGTH, 1, 2_000, TLB_CONFIGS, False),
+            ("matrix300", LENGTH, 1, 2_000, TLB_CONFIGS, True),
+            # Promotion and demotion accounting on a real workload: li at
+            # T = 8,000 promotes 12 times and demotes 8 times on FA-16.
+            ("li", 60_000, 0, 8_000, (TLBConfig(entries=16),), True),
+        ],
+        ids=["espresso", "matrix300", "li"],
+    )
+    def test_run_two_sizes_equivalence(
+        self, workload, length, seed, window, configs, transitions
+    ):
+        trace = generate_trace(workload, length, seed=seed)
+        scheme = TwoSizeScheme(window=window)
+        scalar = run_two_sizes(trace, scheme, list(configs), kernel="scalar")
+        vector = run_two_sizes(trace, scheme, list(configs), kernel="vector")
         assert scalar == vector
+        if transitions:
+            assert vector[0].promotions > 0
+            assert vector[0].demotions > 0
 
     def test_run_two_sizes_with_transitions(self):
         # A sequential sweep revisiting chunks guarantees promotions and
