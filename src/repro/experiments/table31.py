@@ -16,7 +16,6 @@ from repro.experiments.scale import ExperimentScale, default_scale
 from repro.report.table import TextTable
 from repro.stacksim.working_set import average_working_set_bytes
 from repro.types import PAGE_4KB, format_size
-from repro.workloads.registry import all_workloads
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Memory-management substrate: address math, the two-size page table,
-the miss-penalty cost model and the memory-demand paging model.
+the miss-penalty constants and the memory-demand paging model.
 
 These are the operating-system pieces the paper assumes around its TLB
 study (Sections 2.3 and 3.4): the software structure a miss handler
@@ -26,9 +26,6 @@ __getattr__, __dir__ = lazy_exports(
         "misshandler": (
             "SINGLE_SIZE_PENALTY_CYCLES",
             "TWO_SIZE_PENALTY_FACTOR",
-            "MissPenaltyModel",
-            "single_size_penalty",
-            "two_size_penalty",
         ),
         "page_table": ("Translation", "TwoPageSizePageTable"),
         "pageout": (
@@ -43,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "MissPenaltyModel",
     "PagingResult",
     "SINGLE_SIZE_PENALTY_CYCLES",
     "TWO_SIZE_PENALTY_FACTOR",
@@ -61,9 +57,7 @@ __all__ = [
     "page_span",
     "fault_rate_curve",
     "single_size_paging",
-    "single_size_penalty",
     "translate",
     "two_size_fault_rate_curve",
     "two_size_paging",
-    "two_size_penalty",
 ]

@@ -6,18 +6,11 @@ page sizes run about **25% longer** (25 cycles), based on SPARC assembly
 estimates; the extra 25% also absorbs page-promotion costs.  CPI_TLB is
 then simply ``misses-per-instruction * penalty``.
 
-The model here exposes those constants, an optional per-promotion /
-per-demotion surcharge (so the "folded into the penalty" assumption can
-be checked rather than assumed — an ablation the paper invites), and a
-sequential-reprobe surcharge for the exact-index probe strategy.
+The drivers charge misses from these two constants directly; the
+``penalty`` ablation scales the two-size factor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
-from repro.tlb.stats import TLBStatistics
 
 #: The paper's single-page-size software miss penalty, in cycles.
 SINGLE_SIZE_PENALTY_CYCLES = 20.0
@@ -25,61 +18,3 @@ SINGLE_SIZE_PENALTY_CYCLES = 20.0
 #: The paper's multiplier for handlers supporting two page sizes.
 TWO_SIZE_PENALTY_FACTOR = 1.25
 
-
-@dataclass(frozen=True)
-class MissPenaltyModel:
-    """Cycle costs charged against TLB events.
-
-    Attributes:
-        miss_cycles: cycles per TLB miss (the dominant term).
-        promotion_cycles: explicit surcharge per chunk promotion (covers
-            remapping, shootdown and copying); the paper folds this into
-            ``miss_cycles`` via the 25% factor, so the default is 0.
-        demotion_cycles: explicit surcharge per chunk demotion.
-        reprobe_cycles: cycles per sequential-probe reprobe (Section 2.2
-            option b's extra hit latency); 0 for parallel probing.
-    """
-
-    miss_cycles: float = SINGLE_SIZE_PENALTY_CYCLES
-    promotion_cycles: float = 0.0
-    demotion_cycles: float = 0.0
-    reprobe_cycles: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("miss_cycles", "promotion_cycles", "demotion_cycles",
-                     "reprobe_cycles"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-
-    def total_cycles(
-        self,
-        stats: TLBStatistics,
-        *,
-        promotions: int = 0,
-        demotions: int = 0,
-    ) -> float:
-        """Total cycles spent in TLB miss handling for a simulation run."""
-        return (
-            stats.misses * self.miss_cycles
-            + stats.reprobes * self.reprobe_cycles
-            + promotions * self.promotion_cycles
-            + demotions * self.demotion_cycles
-        )
-
-
-def single_size_penalty(miss_cycles: float = SINGLE_SIZE_PENALTY_CYCLES
-                        ) -> MissPenaltyModel:
-    """The paper's model for a single-page-size TLB: 20 cycles per miss."""
-    return MissPenaltyModel(miss_cycles=miss_cycles)
-
-
-def two_size_penalty(
-    miss_cycles: float = SINGLE_SIZE_PENALTY_CYCLES,
-    factor: float = TWO_SIZE_PENALTY_FACTOR,
-) -> MissPenaltyModel:
-    """The paper's model for a two-page-size TLB: 25% costlier misses."""
-    if factor < 1.0:
-        raise ConfigurationError(
-            f"two-page-size handlers cannot be cheaper: factor {factor} < 1"
-        )
-    return MissPenaltyModel(miss_cycles=miss_cycles * factor)

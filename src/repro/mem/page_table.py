@@ -15,8 +15,8 @@ This module implements that design point concretely:
 
 with lookups trying the small-page walk first and falling back to the
 large-page table — the same small-first order as the sequential probe
-strategy.  The walk reports how many memory touches it performed so the
-:mod:`repro.mem.misshandler` cost model can charge cycles.
+strategy.  The walk reports how many memory touches it performed so
+:mod:`repro.mem.walkmodel` can charge cycles.
 """
 
 from __future__ import annotations
@@ -88,21 +88,6 @@ class TwoPageSizePageTable:
                 )
         self._large[chunk] = frame_base
 
-    def unmap_small(self, block: int) -> Optional[int]:
-        """Remove a small-page mapping; returns its frame or None."""
-        directory_index = block >> self.LEAF_BITS
-        leaf = self._directory.get(directory_index)
-        if leaf is None:
-            return None
-        frame = leaf.pop(block & self._leaf_mask, None)
-        if not leaf:
-            del self._directory[directory_index]
-        return frame
-
-    def unmap_large(self, chunk: int) -> Optional[int]:
-        """Remove a large-page mapping; returns its frame or None."""
-        return self._large.pop(chunk, None)
-
     # ------------------------------------------------------------------
     # The walk (what the TLB miss handler does).
     # ------------------------------------------------------------------
@@ -152,10 +137,6 @@ class TwoPageSizePageTable:
         if leaf is None:
             return None
         return leaf.get(block & self._leaf_mask)
-
-    def lookup_large(self, chunk: int) -> Optional[int]:
-        """Return the large frame base mapped for ``chunk``, or None."""
-        return self._large.get(chunk)
 
     def large_covers_block(self, block: int) -> bool:
         """Return True if ``block`` falls inside a large-page mapping."""

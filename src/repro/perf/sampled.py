@@ -45,6 +45,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.perf.kernels import group_order
 from repro.sim.config import SAMPLED_REPLACEMENTS, TLBConfig
 
 __all__ = [
@@ -211,7 +212,7 @@ def sampled_replacement_counts(
         int(stratum[sampler.randrange(stratum.size)])
         for stratum in np.array_split(ranked, sample_size)
     )
-    order = np.argsort(set_idx, kind="stable")
+    order = group_order(set_idx)
     sorted_sets = set_idx[order]
     sorted_pages = pages[order]
     xs: List[int] = []

@@ -109,7 +109,11 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.perf.kernels import _count_greater_preceding, previous_occurrences
+from repro.perf.kernels import (
+    _count_greater_preceding,
+    group_order,
+    previous_occurrences,
+)
 from repro.policy.vector import PolicyDecisions
 from repro.sim.config import TLBConfig
 from repro.tlb.indexing import IndexingScheme
@@ -386,7 +390,7 @@ class _SetFamilyAnalysis:
 
         self.stride = np.int64(int(keys.max()) + 2)
         combined = sets.astype(np.int64) * self.stride + keys
-        order = np.argsort(sets, kind="stable")
+        order = group_order(sets)
         seq = combined[order]
         keep = np.empty(n, dtype=bool)
         keep[0] = True

@@ -1,16 +1,14 @@
-"""Tests for the two-page-size page table and miss-penalty model."""
+"""Tests for the two-page-size page table and miss-penalty constants."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.mem import (
-    MissPenaltyModel,
+    SINGLE_SIZE_PENALTY_CYCLES,
+    TWO_SIZE_PENALTY_FACTOR,
     TwoPageSizePageTable,
-    single_size_penalty,
-    two_size_penalty,
 )
-from repro.tlb import TLBStatistics
-from repro.types import PAGE_4KB, PAGE_32KB, PAIR_4KB_32KB
+from repro.types import PAGE_4KB, PAGE_32KB
 
 
 class TestMapping:
@@ -41,19 +39,6 @@ class TestMapping:
         table = TwoPageSizePageTable()
         assert table.walk(0x123456) is None
 
-    def test_unmap_small(self):
-        table = TwoPageSizePageTable()
-        table.map_small(5, PAGE_4KB)
-        assert table.unmap_small(5) == PAGE_4KB
-        assert table.walk(5 * PAGE_4KB) is None
-        assert table.unmap_small(5) is None
-
-    def test_unmap_large(self):
-        table = TwoPageSizePageTable()
-        table.map_large(2, PAGE_32KB)
-        assert table.unmap_large(2) == PAGE_32KB
-        assert table.walk(2 * PAGE_32KB) is None
-
     def test_mapping_counts(self):
         table = TwoPageSizePageTable()
         table.map_small(1, 0)
@@ -68,7 +53,6 @@ class TestMapping:
         table.map_large(9, PAGE_32KB)
         assert table.lookup_small(1) == 0
         assert table.lookup_small(2) is None
-        assert table.lookup_large(9) == PAGE_32KB
         assert table.large_covers_block(9 * 8 + 3)
         assert not table.large_covers_block(8 * 8)
 
@@ -93,16 +77,6 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             table.map_large(1, PAGE_4KB)  # 4KB-aligned is not 32KB-aligned
 
-    def test_promotion_sequence(self):
-        # The legal promotion order: unmap smalls, then map large.
-        table = TwoPageSizePageTable(PAIR_4KB_32KB)
-        for block in range(8, 16):
-            table.map_small(block, block * PAGE_4KB)
-        for block in range(8, 16):
-            table.unmap_small(block)
-        table.map_large(1, PAGE_32KB)
-        assert table.walk(PAGE_32KB).page_size == PAGE_32KB
-
     def test_deep_directory_split(self):
         # Blocks far apart live in different leaf tables.
         table = TwoPageSizePageTable()
@@ -110,26 +84,9 @@ class TestInvariants:
         table.map_small(1 << 19, PAGE_4KB)
         assert table.lookup_small(0) == 0
         assert table.lookup_small(1 << 19) == PAGE_4KB
-        table.unmap_small(0)
-        assert table.lookup_small(1 << 19) == PAGE_4KB
 
 
 class TestMissPenalty:
     def test_paper_constants(self):
-        assert single_size_penalty().miss_cycles == 20.0
-        assert two_size_penalty().miss_cycles == 25.0
-
-    def test_total_cycles(self):
-        stats = TLBStatistics(misses=10, reprobes=4)
-        model = MissPenaltyModel(
-            miss_cycles=20, reprobe_cycles=1, promotion_cycles=100
-        )
-        assert model.total_cycles(stats, promotions=2) == 10 * 20 + 4 + 200
-
-    def test_negative_cycles_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MissPenaltyModel(miss_cycles=-1)
-
-    def test_cheaper_two_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            two_size_penalty(factor=0.8)
+        assert SINGLE_SIZE_PENALTY_CYCLES == 20.0
+        assert SINGLE_SIZE_PENALTY_CYCLES * TWO_SIZE_PENALTY_FACTOR == 25.0

@@ -16,6 +16,7 @@ from repro.perf.kernels import (
     KERNEL_VECTOR,
     _count_greater_preceding,
     choose_kernel,
+    group_order,
     previous_occurrences,
     stack_depths,
     window_events,
@@ -68,6 +69,77 @@ def _curves_equal(a, b):
         and a.beyond_misses == b.beyond_misses
         and a.total_references == b.total_references
     )
+
+
+def _argsort_merge_count(values, weights=None):
+    """The argsort merge count the sorted-run kernel replaced: the oracle.
+
+    Same contract as ``_count_greater_preceding`` on live positions.
+    Each merge level argsorts every tile, counts the left-half values at
+    or below each rank (or their weight) and scatters the counts back;
+    a broadcast handles blocks of 16.
+    """
+    base_block = 16
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    count = values.size
+    if count < 2:
+        return np.zeros(count, dtype=np.int64)
+    padded = base_block
+    while padded < count:
+        padded *= 2
+    vals = np.full(padded, -1, dtype=np.int64)
+    vals[:count] = values
+    counts = np.zeros(padded, dtype=np.int64)
+    if weights is not None:
+        wts = np.zeros(padded, dtype=weights.dtype)
+        wts[:count] = weights
+    base = vals.reshape(-1, base_block)
+    before = np.triu(np.ones((base_block, base_block), dtype=bool), 1)
+    pairs = (base[:, :, None] > base[:, None, :]) & before[None, :, :]
+    if weights is not None:
+        pairs = pairs * wts.reshape(-1, base_block)[:, :, None]
+    counts += pairs.sum(axis=1, dtype=np.int64).ravel()
+    half = base_block
+    while half < padded:
+        block = 2 * half
+        tiles = vals.reshape(padded // block, block)
+        order = np.argsort(tiles, axis=1)
+        if weights is None:
+            below = np.cumsum(order < half, axis=1, dtype=np.int64)
+            left = half
+        else:
+            weight_tiles = wts.reshape(padded // block, block)
+            below = np.cumsum(
+                np.take_along_axis(weight_tiles, order, axis=1) * (order < half),
+                axis=1,
+                dtype=np.int64,
+            )
+            left = weight_tiles[:, :half].sum(axis=1, dtype=np.int64)[:, None]
+        greater = np.empty_like(tiles)
+        np.put_along_axis(greater, order, left - below, axis=1)
+        counts.reshape(padded // block, block)[:, half:] += greater[:, half:]
+        half = block
+    return counts[:count]
+
+
+def _grouped_prev(rng, n):
+    """``prev`` of a set-grouped stream, built as ``stack_depths`` does."""
+    keys = rng.integers(0, int(rng.integers(1, 80)), size=n).astype(np.int64)
+    groups = rng.integers(0, int(rng.choice([1, 2, 8, 64])), size=n)
+    stride = int(keys.max(initial=0)) + 2
+    sequence = (groups * stride + keys)[np.argsort(groups, kind="stable")]
+    if n:
+        keep = np.empty(n, dtype=bool)
+        keep[0] = True
+        np.not_equal(sequence[1:], sequence[:-1], out=keep[1:])
+        sequence = sequence[keep]
+    return previous_occurrences(sequence)
+
+
+#: Edge sizes: below and at the base block, and powers of two +-1.
+_EDGE_SIZES = (0, 1, 2) + tuple(
+    (1 << power) + delta for power in range(2, 11) for delta in (-1, 0, 1)
+)
 
 
 class TestKernelResolution:
@@ -134,6 +206,77 @@ class TestPrimitives:
                 _count_greater_preceding(values, ones),
                 _count_greater_preceding(values),
             )
+
+
+    def test_dominance_count_matches_argsort_merge_oracle(self):
+        # 3,000 fuzzed inputs: permutations with sentinels (values need
+        # not lie below their positions), prev arrays of random keys and
+        # of set-grouped streams, edge sizes, and uint8 weights.
+        rng = np.random.default_rng(5)
+        for trial in range(3_000):
+            if trial % 4 == 0:
+                n = int(rng.choice(_EDGE_SIZES))
+            else:
+                n = int(rng.integers(0, 700))
+            kind = trial % 3
+            if kind == 0:
+                values = rng.permutation(n).astype(np.int64)
+                values[rng.random(n) < rng.random()] = -1
+            elif kind == 1:
+                keys = rng.integers(0, int(rng.integers(1, 100)), size=n)
+                values = previous_occurrences(keys)
+            else:
+                values = _grouped_prev(rng, n)
+            weights = None
+            if trial % 2:
+                weights = rng.choice([1, 8, 255], size=values.size).astype(
+                    np.uint8
+                )
+            got = _count_greater_preceding(values, weights)
+            want = _argsort_merge_count(values, weights)
+            live = values != -1
+            assert got.shape == values.shape, trial
+            assert np.array_equal(got[live], want[live]), trial
+
+    def test_dominance_count_on_captured_stack_inputs(self):
+        # The prev arrays a real set-associative depth pass feeds it.
+        trace = generate_trace("li", 20_000, seed=3)
+        pages = (trace.addresses >> np.uint32(12)).astype(np.int64)
+        for sets in (1, 4, 16):
+            stride = int(pages.max()) + 2
+            groups = pages & (sets - 1)
+            sequence = (groups * stride + pages)[group_order(groups)]
+            prev = previous_occurrences(sequence)
+            live = prev != -1
+            assert np.array_equal(
+                _count_greater_preceding(prev)[live],
+                _argsort_merge_count(prev)[live],
+            )
+
+    def test_dominance_count_rejects_values_too_large_to_pack(self):
+        values = np.array([1 << 61, 0, 5, 1], dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            _count_greater_preceding(values, np.array([8, 1, 1, 1], np.uint8))
+
+    def test_group_order_is_the_stable_argsort(self):
+        rng = np.random.default_rng(6)
+        cases = [
+            np.zeros(0, dtype=np.int64),
+            np.array([3], dtype=np.int64),
+            rng.integers(0, 2, size=1_000),
+            rng.integers(0, 64, size=5_000),
+            rng.integers(0, 1 << 16, size=5_000),
+            rng.integers(0, 1 << 16, size=5_000).astype(np.uint16),
+            rng.integers(0, 256, size=5_000).astype(np.int32),
+            rng.integers(1 << 16, (1 << 16) + 4, size=5_000),
+            rng.integers(0, 1 << 40, size=5_000),
+            np.array([65_535, 65_536, 0, 65_536, 65_535], dtype=np.int64),
+            rng.integers(-3, 3, size=1_000),
+        ]
+        for ids in cases:
+            assert np.array_equal(
+                group_order(ids), np.argsort(ids, kind="stable")
+            ), ids.dtype
 
     def test_window_events_mirror_sliding_window(self):
         rng = np.random.default_rng(4)
@@ -220,6 +363,62 @@ class TestSingleSizeDriver:
         config = TLBConfig(entries=16, replacement="fifo")
         with pytest.raises(ConfigurationError):
             run_single_size(trace, SingleSizeScheme(4096), config, kernel="vector")
+
+
+class TestPLRURunCollapse:
+    """The scalar PLRU walk skips run repeats; pin it to the whole walk."""
+
+    CONFIGS = (
+        TLBConfig(entries=4, replacement="plru"),
+        TLBConfig(entries=12, replacement="plru"),
+        TLBConfig(entries=16, replacement="plru"),
+    ) + tuple(
+        TLBConfig(
+            entries=entries,
+            associativity=ways,
+            scheme=scheme,
+            probe_strategy=probe,
+            replacement="plru",
+        )
+        for entries, ways in ((8, 2), (32, 4), (24, 3))
+        for scheme in IndexingScheme
+        for probe in ProbeStrategy
+    )
+
+    def test_collapsed_walk_matches_whole_walk(self, monkeypatch):
+        built = []
+        build = TLBConfig.build
+
+        def recording_build(config):
+            tlb = build(config)
+            built.append(tlb)
+            return tlb
+
+        monkeypatch.setattr(TLBConfig, "build", recording_build)
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            n = int(rng.integers(0, 1_500))
+            distinct = rng.integers(0, int(rng.integers(1, 120)), size=n)
+            runs = rng.integers(1, 6, size=n)
+            pages = np.repeat(distinct, runs)[:n]
+            offsets = rng.integers(0, 4096, size=pages.size)
+            trace = Trace((pages * 4096 + offsets).astype(np.uint32))
+            config = self.CONFIGS[trial % len(self.CONFIGS)]
+            result = run_single_size(
+                trace, SingleSizeScheme(4096), config, kernel="scalar"
+            )
+            walked = built[-1]
+            whole = build(config)
+            for page in pages.tolist():
+                whole.access_single(page)
+            assert result.misses == whole.stats.misses, config
+            assert result.reprobes == whole.stats.reprobes, config
+            assert list(walked.resident()) == list(whole.resident()), config
+            trees = [
+                [tlb.replacement._trees.get(id(entries)) for entries in tlb._sets]
+                for tlb in (walked, whole)
+            ]
+            assert trees[0] == trees[1], config
 
 
 class TestPolicyDecisions:
