@@ -400,11 +400,10 @@ def window_events(
     if count > window:
         # blocks[i - window] leaves iff its next occurrence is >= i,
         # i.e. the forward gap at i - window spans the whole window.
-        order = np.argsort(blocks, kind="stable")
+        # Each position is the next occurrence of its previous one.
         next_position = np.full(count, count, dtype=np.int64)
-        ordered = blocks[order]
-        same = ordered[1:] == ordered[:-1]
-        next_position[order[:-1][same]] = order[1:][same]
+        seen = prev >= 0
+        next_position[prev[seen]] = positions[seen]
         aged = positions[window:] - window
         left[window:] = next_position[aged] - aged >= window
     return entered, left

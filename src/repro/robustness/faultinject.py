@@ -7,8 +7,8 @@ Every fault is seeded or explicit, so a failure reproduces:
   corrupted or truncated ``.rpt`` raises a structured
   :class:`~repro.errors.TraceError` subclass rather than a silent wrong
   result or a bare ``struct.error``;
-* :func:`corrupt_cache_entry` flips one byte of one result-cache entry,
-  which must be discarded and recomputed.
+* :func:`corrupt_cache_entry` flips one byte of one result-cache
+  record's document, which must be discarded and recomputed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.parallel.cache import records
 
 PathLike = Union[str, os.PathLike]
 
@@ -83,14 +84,20 @@ def corrupt_trace(
 
 
 def corrupt_cache_entry(root: PathLike, *, seed: int = 0) -> Path:
-    """Flip one seeded byte of one result-cache entry; returns its path."""
-    entries = sorted(Path(root).rglob("*.json"))
-    if not entries:
+    """Flip one seeded byte of a result-cache record; returns its segment.
+
+    The record is the latest of its key, the one a lookup reads.  The
+    byte lies in its document, never in the key prefix or the newline,
+    so the record stays in place and its own checks must catch it.
+    """
+    latest = list({record.key: record for record in records(root)}.values())
+    if not latest:
         raise ConfigurationError(f"{root}: no cache entries to corrupt")
     rng = random.Random(seed)
-    path = entries[rng.randrange(len(entries))]
-    flip_byte(path, rng.randrange(path.stat().st_size), mask=0x40)
-    return path
+    record = latest[rng.randrange(len(latest))]
+    offset = record.offset + rng.randrange(len(record.document))
+    flip_byte(record.path, offset, mask=0x40)
+    return record.path
 
 
 __all__ = [

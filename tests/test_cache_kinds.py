@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.scale import ExperimentScale
 from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
-from repro.parallel.cache import SimulationCache
+from repro.parallel.cache import SimulationCache, records
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.sim import (
     SingleSizeScheme,
@@ -173,61 +173,62 @@ CASES = {
     "paging": run_paging,
 }
 
-#: Sorted entry file names each case writes, recorded before the cache
-#: format moved into :mod:`repro.sim.kinds` (the sweep names since sweep
-#: keys name the resolved kernel, as every other kind's do).
+#: Sorted keys of the records each case writes, recorded (as entry file
+#: names) before the cache format moved into :mod:`repro.sim.kinds` (the
+#: sweep keys since they name the resolved kernel, as every other kind's
+#: do).
 PINNED = {
     "single": [
-        "23bbf1dd5c833746354b37e798d4989f984150f9508d3f548d9c0f36e9fda25c.json",
-        "4eaba9986228863be6dc2584e8e47db32065610e79b4bcb15b59ce0a83da1b34.json",
-        "c9b32d4a317605f374e529533cd60784aa706568c545d5628ec643d8471b5110.json",
+        "23bbf1dd5c833746354b37e798d4989f984150f9508d3f548d9c0f36e9fda25c",
+        "4eaba9986228863be6dc2584e8e47db32065610e79b4bcb15b59ce0a83da1b34",
+        "c9b32d4a317605f374e529533cd60784aa706568c545d5628ec643d8471b5110",
     ],
     "policy": [
-        "44057f4d865c10af5f79a77618106e56182788d454baf83e0282b5c15b88b2f6.json",
-        "8104aa27414780d86d3ae858430d5b5764fe2cc64d99ef472b62e45fa24f83ca.json",
+        "44057f4d865c10af5f79a77618106e56182788d454baf83e0282b5c15b88b2f6",
+        "8104aa27414780d86d3ae858430d5b5764fe2cc64d99ef472b62e45fa24f83ca",
     ],
     "split": [
-        "c9fecb8b355c2d60ad7be35887c39fd22b100eb774dacb9a8dcbee1480cbd5e4.json",
+        "c9fecb8b355c2d60ad7be35887c39fd22b100eb774dacb9a8dcbee1480cbd5e4",
     ],
     "twolevel": [
-        "3862ee55b96a5bf2ac40daaa2d426a79f241fc4413c874f9e0bdcb397e834d36.json",
-        "9e698916e26eb4c401f8de6e863adbe0470a5095d620b97b2a2c7d77c7738959.json",
-        "dd89618adf0afb36ac21c4bc1f02f33cb14e857c31e971be6ef28fe4b4a2ed34.json",
+        "3862ee55b96a5bf2ac40daaa2d426a79f241fc4413c874f9e0bdcb397e834d36",
+        "9e698916e26eb4c401f8de6e863adbe0470a5095d620b97b2a2c7d77c7738959",
+        "dd89618adf0afb36ac21c4bc1f02f33cb14e857c31e971be6ef28fe4b4a2ed34",
     ],
     "sweep": [
-        "793fa9e35f019cafdda350f2cdfa18c7e6de1ef013c138a0ee9ee883130b066b.json",
-        "79befb6ea20a3bbb3b204cfe7526b1cd63c705ca072eb8cb392996540b67ebc3.json",
-        "91f9b872d1073b0166ad3d1c0b34f337944b08932c4bb8ef32cbb1155285006f.json",
-        "fbb87236fcd40741c5340728ff9fbf01eab6f09500df2d3d7894170635491e35.json",
+        "793fa9e35f019cafdda350f2cdfa18c7e6de1ef013c138a0ee9ee883130b066b",
+        "79befb6ea20a3bbb3b204cfe7526b1cd63c705ca072eb8cb392996540b67ebc3",
+        "91f9b872d1073b0166ad3d1c0b34f337944b08932c4bb8ef32cbb1155285006f",
+        "fbb87236fcd40741c5340728ff9fbf01eab6f09500df2d3d7894170635491e35",
     ],
     "multiprog": [
-        "72a56c2cd0a3ec92c33ba353c5a8c6717b93c6e42c9e60f51413ed098e8f97ed.json",
-        "a517d74e73ab679220475338c023c1243bd542da9e1f1520876edc70d7f9df20.json",
-        "da972454bdf0b2fe28d9b11d2f81339fba891c85640c3d0e5775d2c744824650.json",
-        "f0b7148c1da8567b420c07f8c721862c3d69057eefae0c08c6e70178713ae9e3.json",
+        "72a56c2cd0a3ec92c33ba353c5a8c6717b93c6e42c9e60f51413ed098e8f97ed",
+        "a517d74e73ab679220475338c023c1243bd542da9e1f1520876edc70d7f9df20",
+        "da972454bdf0b2fe28d9b11d2f81339fba891c85640c3d0e5775d2c744824650",
+        "f0b7148c1da8567b420c07f8c721862c3d69057eefae0c08c6e70178713ae9e3",
     ],
     # A study keeps no entries of its own: its two units write the
     # ``single`` entries their driver calls address.
     "study": [
-        "0b6ed7dd418c744fa0ebb9945f0bbc8ba2f0677c1f651bf65327f471726dbd70.json",
-        "5edc4fa1cf4171042af0a646af551d749051459202d52bb18271cb8758ea699e.json",
+        "0b6ed7dd418c744fa0ebb9945f0bbc8ba2f0677c1f651bf65327f471726dbd70",
+        "5edc4fa1cf4171042af0a646af551d749051459202d52bb18271cb8758ea699e",
     ],
     # The three kinds below were recorded when they joined the cache.
     "working_set": [
-        "13f69d2be330b819fb18a4301428d66d5231c6d4a4dd2b81f8a0c4e4fdd1d166.json",
-        "27314ff0002cc8cacf5858e206c5dd93fcb2ee8e57effe9940d9ee060dc9ca5c.json",
-        "f53aed55fe29fe3f8a81493a41210f7523137407d52677f83c35abf05ce9703e.json",
-        "f57f46b661895fff8d38c0537eb7f54d89b18b88f4ca16a3f295d0296a1f5f73.json",
+        "13f69d2be330b819fb18a4301428d66d5231c6d4a4dd2b81f8a0c4e4fdd1d166",
+        "27314ff0002cc8cacf5858e206c5dd93fcb2ee8e57effe9940d9ee060dc9ca5c",
+        "f53aed55fe29fe3f8a81493a41210f7523137407d52677f83c35abf05ce9703e",
+        "f57f46b661895fff8d38c0537eb7f54d89b18b88f4ca16a3f295d0296a1f5f73",
     ],
     "dynamic_ws": [
-        "44cd97226b9ff66c3e8c1a46de68d25a53e0ae73deb4e08becc91332c382ee77.json",
-        "bac5d70d6db4c951ab59e7e837f8e88f433ea6c3e3ab9eb66852086462fe6690.json",
+        "44cd97226b9ff66c3e8c1a46de68d25a53e0ae73deb4e08becc91332c382ee77",
+        "bac5d70d6db4c951ab59e7e837f8e88f433ea6c3e3ab9eb66852086462fe6690",
     ],
     "paging": [
-        "4ab97fc7b49243df6250999971310e7947ecbc5c251d7898348fe3c69cb83313.json",
-        "5c9496f31f107f571f74bdacc59165ecca7c520621fa96848d6fcc66b497231f.json",
-        "848aa3f1c9d3600250c069bfb4efb904106741f7e4715ca89825c2627d620c0f.json",
-        "a081661c0a17eaae63afa2d3d56602a7b4b9fa95a5ad385cf20cb785076a7f4b.json",
+        "4ab97fc7b49243df6250999971310e7947ecbc5c251d7898348fe3c69cb83313",
+        "5c9496f31f107f571f74bdacc59165ecca7c520621fa96848d6fcc66b497231f",
+        "848aa3f1c9d3600250c069bfb4efb904106741f7e4715ca89825c2627d620c0f",
+        "a081661c0a17eaae63afa2d3d56602a7b4b9fa95a5ad385cf20cb785076a7f4b",
     ],
 }
 
@@ -238,7 +239,7 @@ def test_second_run_replays_every_entry(kind, tmp_path):
     cache = SimulationCache.open(tmp_path)
     first = CASES[kind](cache)
     stores, hits = cache.stats.stores, cache.stats.hits
-    assert sorted(path.name for path in tmp_path.rglob("*.json")) == PINNED[kind]
+    assert sorted(record.key for record in records(tmp_path)) == PINNED[kind]
 
     second = CASES[kind](cache)
     assert cache.stats.stores == stores

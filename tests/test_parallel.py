@@ -226,14 +226,14 @@ class TestCacheCorruption:
         ]
 
     def test_corrupt_entry_counted_and_healed_in_parallel(self, tmp_path):
-        from repro.parallel.cache import SimulationCache
+        from repro.parallel.cache import SimulationCache, records
 
         cache = SimulationCache.open(tmp_path / "cache")
         trace = generate_trace("li", 4000, seed=3)
 
         first = run_units(self._units(trace, cache), jobs=2)
         assert first.ok and first.cache_corrupt_discarded == 0
-        assert len(list(cache.root.rglob("*.json"))) == len(self.CONFIGS)
+        assert len(records(cache.root)) == len(self.CONFIGS)
 
         faultinject.corrupt_cache_entry(cache.root, seed=0)
         second = run_units(self._units(trace, cache), jobs=2)

@@ -279,17 +279,22 @@ class TestPrimitives:
             ), ids.dtype
 
     def test_window_events_mirror_sliding_window(self):
-        rng = np.random.default_rng(4)
-        blocks = rng.integers(0, 40, size=3_000).astype(np.int64)
-        for window in (1, 7, 100, 2_999, 3_000, 5_000):
-            entered, left = window_events(blocks, window)
-            sliding = SlidingBlockWindow(PAIR_4KB_32KB, window)
-            for i, block in enumerate(blocks.tolist()):
-                left_block, entered_block = sliding.access(block)
-                assert (entered_block is not None) == entered[i]
-                assert (left_block is not None) == left[i]
-                if left[i]:
-                    assert left_block == blocks[i - window]
+        # A dense alphabet of 40 blocks, and a sparse one of 2,000
+        # scattered block numbers where most blocks recur rarely.
+        dense = np.random.default_rng(4).integers(0, 40, size=3_000)
+        rng = np.random.default_rng(11)
+        alphabet = rng.choice(1 << 40, size=2_000, replace=False)
+        sparse = alphabet[rng.integers(0, alphabet.size, size=3_000)]
+        for blocks in (dense.astype(np.int64), sparse.astype(np.int64)):
+            for window in (1, 7, 100, 2_999, 3_000, 5_000):
+                entered, left = window_events(blocks, window)
+                sliding = SlidingBlockWindow(PAIR_4KB_32KB, window)
+                for i, block in enumerate(blocks.tolist()):
+                    left_block, entered_block = sliding.access(block)
+                    assert (entered_block is not None) == entered[i]
+                    assert (left_block is not None) == left[i]
+                    if left[i]:
+                        assert left_block == blocks[i - window]
 
 
 class TestStackCurves:

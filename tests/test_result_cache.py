@@ -6,6 +6,13 @@ changed penalty model, kernel, trace or a damaged entry file — must be
 a miss.  A cache can make runs faster, never wrong.
 """
 
+import builtins
+import errno
+import json
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.errors import CacheError
@@ -18,9 +25,13 @@ from repro.parallel.cache import (
     CacheStats,
     SimulationCache,
     canonical_key,
+    _payload_crc,
     corrupt_discarded_total,
     default_cache_root,
+    key,
+    records,
 )
+from repro.parallel.pool import fork_available
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
@@ -102,8 +113,11 @@ class TestSingleSize:
 
     def test_corrupt_entry_discarded_and_recomputed(self, trace, cache):
         first = run_single_size(trace, SCHEME, CONFIG, cache=cache)
-        (entry,) = list(cache.root.rglob("*.json"))
-        faultinject.flip_byte(entry, entry.stat().st_size // 2, mask=0x40)
+        # The instance that wrote the record has indexed it, and must
+        # still see the damage: a hit reads the bytes on disk.
+        (record,) = records(cache.root)
+        middle = record.offset + len(record.document) // 2
+        faultinject.flip_byte(record.path, middle, mask=0x40)
 
         # The discard is never silent: a warning names the entry, and
         # the per-process counter feeds the sweep summary.
@@ -190,7 +204,7 @@ class TestWorkingSetsAndPaging:
             for kernel in ("scalar", "vector")
         ]
         assert (cache.stats.hits, cache.stats.stores) == (0, 2)
-        assert len(list(cache.root.rglob("*.json"))) == 2
+        assert len({record.key for record in records(cache.root)}) == 2
         assert results[0].to_payload() == results[1].to_payload()
 
     @pytest.mark.parametrize(
@@ -226,6 +240,196 @@ class TestWorkingSetsAndPaging:
         with pytest.raises(TypeError):
             call(trace, cache=cache)
         assert cache.stats == stats
+
+
+class TestSegments:
+    """Records appended to per-process segment files."""
+
+    PAGE_SIZES = (4096, 8192, 16384)
+    CONFIGS = (TLBConfig(entries=16, associativity=2),)
+    PAYLOAD = {"misses": 7, "ratio": 0.25}
+
+    def _sweep(self, trace, cache):
+        results = sweep_single_size(trace, self.PAGE_SIZES, self.CONFIGS, cache=cache)
+        return [result.to_payload() for result in results.values()]
+
+    def test_torn_last_record_is_recomputed_alone(self, trace, tmp_path):
+        root = tmp_path / "cache"
+        expected = self._sweep(trace, SimulationCache.open(root))
+        *kept, torn = records(root)
+        # A writer killed mid-record leaves a line without its newline.
+        faultinject.truncate_file(torn.path, torn.offset + len(torn.document) // 2)
+
+        rerun = SimulationCache(root)
+        assert self._sweep(trace, rerun) == expected
+        stats = rerun.stats
+        assert (stats.hits, stats.misses, stats.stores) == (len(kept), 1, 1)
+        assert stats.discards == 0
+
+        third = SimulationCache(root)
+        assert self._sweep(trace, third) == expected
+        assert (third.stats.hits, third.stats.misses) == (len(expected), 0)
+
+    def test_miss_sees_a_record_appended_after_its_last_look(self, tmp_path):
+        root = tmp_path / "cache"
+        reader = SimulationCache.open(root)
+        writer = SimulationCache(root)
+        first, second = key("test", n=1), key("test", n=2)
+        assert reader.get(first) is None
+
+        writer.put(first, self.PAYLOAD)  # creates the writer's segment
+        assert reader.get(first) == self.PAYLOAD
+        writer.put(second, self.PAYLOAD)  # appends to it
+        assert reader.get(second) == self.PAYLOAD
+        assert (reader.stats.hits, reader.stats.misses) == (2, 1)
+
+    def test_recomputed_record_supersedes_a_corrupt_later_segment(self, tmp_path):
+        root = tmp_path / "cache"
+        older, newer = SimulationCache.open(root), SimulationCache(root)
+        name = key("test", n=1)
+        older.put(key("test", n=2), self.PAYLOAD)
+        newer.put(name, self.PAYLOAD)  # in a segment named after older's
+        (record,) = [record for record in records(root) if record.key == name]
+        middle = record.offset + len(record.document) // 2
+        faultinject.flip_byte(record.path, middle, mask=0x40)
+
+        with pytest.warns(CacheIntegrityWarning):
+            assert older.get(name) is None
+        older.put(name, self.PAYLOAD)  # must land after the damaged record
+        fresh = SimulationCache(root)
+        assert fresh.get(name) == self.PAYLOAD
+        assert fresh.stats.discards == 0
+
+    def test_readers_agree_on_the_latest_record(self, tmp_path):
+        root = tmp_path / "cache"
+        older, newer = SimulationCache.open(root), SimulationCache(root)
+        name = key("test", n=1)
+        older.put(key("test", n=2), self.PAYLOAD)
+        newer.put(name, {"misses": 1})  # the later segment's record wins
+        reader = SimulationCache(root)
+        assert reader.get(name) == {"misses": 1}
+
+        older.put(name, {"misses": 2})  # appended to the earlier segment
+        assert reader.get(key("test", n=3)) is None  # indexes the append
+        assert reader.get(name) == SimulationCache(root).get(name)
+
+    def test_failed_write_is_counted_and_next_put_starts_a_segment(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "cache"
+        cache = SimulationCache.open(root)
+        before, failed, torn, after = (key("test", n=n) for n in range(4))
+        cache.put(before, self.PAYLOAD)
+
+        def no_space(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        written = os.write
+
+        def half(fd, data):
+            return written(fd, data[: len(data) // 2])
+
+        for name, write in ((failed, no_space), (torn, half)):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", write)
+                cache.put(name, self.PAYLOAD)  # swallowed, counted
+        cache.put(after, self.PAYLOAD)
+        assert (cache.stats.stores, cache.stats.errors) == (2, 2)
+        # Each failure retired its segment: the torn line ends the second
+        # one, and the record after it went to a third.
+        assert len(list(root.iterdir())) == 3
+        assert [record.key for record in records(root)] == [before, after]
+
+        fresh = SimulationCache(root)
+        assert fresh.get(before) == fresh.get(after) == self.PAYLOAD
+        assert fresh.get(failed) is fresh.get(torn) is None
+        assert fresh.stats.discards == 0
+
+    def test_old_layout_entry_is_ignored_and_kept(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = SimulationCache.open(root)
+        name = key("test", n=1)
+        document = {
+            "schema": "repro-cache/1",
+            "key": name,
+            "crc": _payload_crc(self.PAYLOAD),
+            "payload": self.PAYLOAD,
+        }
+        entry = root / name[:2] / f"{name}.json"
+        entry.parent.mkdir()
+        entry.write_text(json.dumps(document, sort_keys=True))
+        content = entry.read_bytes()
+
+        assert cache.get(name) is None
+        cache.put(name, self.PAYLOAD)
+        assert SimulationCache(root).get(name) == self.PAYLOAD
+        assert entry.read_bytes() == content
+        assert [record.key for record in records(root)] == [name]
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_forked_child_appends_to_a_segment_of_its_own(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = SimulationCache.open(root)
+        ours, childs = key("test", n=1), key("test", n=2)
+        cache.put(ours, self.PAYLOAD)
+        (segment,) = root.iterdir()
+        content = segment.read_bytes()
+
+        child = multiprocessing.get_context("fork").Process(
+            target=cache.put, args=(childs, self.PAYLOAD)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert segment.read_bytes() == content
+        assert len(list(root.iterdir())) == 2
+        assert cache.get(childs) == self.PAYLOAD
+
+    def test_miss_reads_no_finished_segment(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        writer = SimulationCache.open(root)
+        for n in range(20):
+            writer.put(key("test", n=n), self.PAYLOAD)
+        (segment,) = root.iterdir()
+        # A writer that is gone: no process has a pid this large.
+        segment.rename(root / f"{segment.name.split('-')[0]}-{2**31 - 1}.seg")
+        settled = time.time_ns() - 10**9
+        os.utime(root, ns=(settled, settled))
+
+        reader = SimulationCache(root)
+        assert reader.get(key("test", n=0)) == self.PAYLOAD  # first look
+        touched = []
+        for module, name in (
+            (os, "stat"),
+            (os, "open"),
+            (os, "listdir"),
+            (builtins, "open"),
+        ):
+
+            def spy(path, *args, _original=getattr(module, name), **kwargs):
+                touched.append((_original.__name__, str(path)))
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        for n in range(100, 150):
+            assert reader.get(key("test", n=n)) is None
+        monkeypatch.undo()
+        assert reader.stats.misses == 50
+        # Each miss stats the root, and nothing else.
+        assert touched == [("stat", str(root))] * 50
+
+    def test_miss_sees_a_segment_created_within_the_listed_mtime(self, tmp_path):
+        root = tmp_path / "cache"
+        reader = SimulationCache.open(root)
+        name = key("test", n=1)
+        # A fresh mtime: a change within its timestamp tick may keep it.
+        fresh = time.time_ns() + 10**9
+        os.utime(root, ns=(fresh, fresh))
+        assert reader.get(name) is None
+
+        SimulationCache(root).put(name, self.PAYLOAD)
+        os.utime(root, ns=(fresh, fresh))  # the new segment left no trace
+        assert reader.get(name) == self.PAYLOAD
 
 
 class TestWarmPaperRun:

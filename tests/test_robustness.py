@@ -10,6 +10,7 @@ missing entries and its artifacts match an uninterrupted run.
 import pytest
 
 from repro.experiments import runner
+from repro.parallel import cache as result_cache
 from repro.robustness.executor import SuiteReport, UnitSpec, run_units
 
 
@@ -97,17 +98,22 @@ class FakeResult:
         return f"RESULT {self.name}"
 
 
-def _entries(root):
-    """Each cache entry's path -> (inode, mtime, bytes)."""
-    entries = {}
-    for path in sorted(root.rglob("*.json")):
+def _segments(root):
+    """Each file under the cache root: path -> (inode, mtime, bytes)."""
+    segments = {}
+    for path in sorted(root.rglob("*")):
         stat = path.stat()
-        entries[path.relative_to(root)] = (
+        segments[path.relative_to(root)] = (
             stat.st_ino,
             stat.st_mtime_ns,
             path.read_bytes(),
         )
-    return entries
+    return segments
+
+
+def _documents(root):
+    """The cache's key -> the document a lookup of the key reads."""
+    return {record.key: record.document for record in result_cache.records(root)}
 
 
 def _artifacts(directory):
@@ -190,21 +196,22 @@ class TestRunnerEndToEnd:
             with pytest.raises(KeyboardInterrupt):
                 run("resumed")
         cache = tmp_path / "resumed" / "cache"
-        written_before = _entries(cache)
-        assert written_before  # table31 finished: its entries are kept
+        written_before = _segments(cache)
+        assert _documents(cache)  # table31 finished: its records are kept
         assert _artifacts(tmp_path / "resumed" / "results").keys() == {
             "table31.txt"
         }
 
-        # The same command again, unwrapped, resumes the run.
+        # The same command again, unwrapped, resumes the run.  A rerun
+        # is a new process, with a cache instance (and segment) of its own.
+        monkeypatch.setattr(result_cache, "_ENV_CACHES", {})
         assert run("resumed") == 0
         capsys.readouterr()
         assert _artifacts(tmp_path / "resumed" / "results") == expected
-        after = _entries(cache)
-        for path, entry in written_before.items():
-            assert after[path] == entry, f"{path} was rewritten"
+        after = _segments(cache)
+        for path, segment in written_before.items():
+            assert after[path] == segment, f"{path} was rewritten"
         assert len(after) > len(written_before)
-        full = _entries(tmp_path / "uninterrupted" / "cache")
-        assert {path: entry[2] for path, entry in after.items()} == {
-            path: entry[2] for path, entry in full.items()
-        }
+        assert _documents(cache) == _documents(
+            tmp_path / "uninterrupted" / "cache"
+        )

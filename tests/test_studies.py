@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import StudyError
 from repro.experiments.scale import ExperimentScale
-from repro.parallel.cache import SimulationCache
+from repro.parallel.cache import SimulationCache, records
 from repro.studies.engine import compile_study, run_study
 from repro.studies.registry import (
     get_study,
@@ -699,20 +699,21 @@ class TestCLI:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         _hand_probe(dataclasses.replace(SCALE, use_result_cache=True))
 
-        def entries():
+        def files():
             return {
                 path.name: path.stat().st_mtime_ns
-                for path in (tmp_path / "cache").rglob("*.json")
+                for path in (tmp_path / "cache").rglob("*")
             }
 
-        filled = entries()
-        assert len(filled) == 3
+        filled = files()
+        assert len(records(tmp_path / "cache")) == 3
         cache = SimulationCache.from_environment()
         stores = cache.stats.stores
         assert main(["probe", "--expect-cached"]) == 0
         assert "3 from cache, 0 simulated" in capsys.readouterr().out
         assert cache.stats.stores == stores
-        assert entries() == filled
+        assert files() == filled
+        assert len(records(tmp_path / "cache")) == 3
 
     @pytest.mark.parametrize(
         "variable", ["REPRO_TRACE_LENGTH", "REPRO_WINDOW", "REPRO_JOBS"]
