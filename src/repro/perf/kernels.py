@@ -140,14 +140,33 @@ def choose_kernel(
 
 
 def previous_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Return, per position, the previous position of the same key (-1 if none)."""
+    """Return, per position, the previous position of the same key (-1 if none).
+
+    Equal keys are neighbours in the stable argsort, in position order.
+    When every key fits below ``2**(62 - bits)`` in magnitude, where
+    ``bits`` holds a position, the sort runs on one packed
+    ``(key << bits) | position`` copy instead: the packed values are
+    distinct, so numpy's default (unstable) sort yields the stable
+    argsort's permutation in its low bits, at a half to a third of the
+    cost.  Wider keys take the stable argsort itself.
+    """
     keys = np.asarray(keys)
     count = keys.size
     prev = np.full(count, -1, dtype=np.int64)
     if count == 0:
         return prev
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    bits = (count - 1).bit_length()
+    limit = 1 << (62 - bits)
+    packable = keys.dtype.kind in "iu"
+    if packable and -limit <= int(keys.min()) <= int(keys.max()) < limit:
+        ordered = keys.astype(np.int64) << np.int64(bits)
+        ordered |= np.arange(count, dtype=np.int64)
+        ordered.sort()
+        order = ordered & np.int64((1 << bits) - 1)
+        ordered >>= np.int64(bits)
+    else:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
     same = ordered[1:] == ordered[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev

@@ -15,9 +15,9 @@ requested L2 geometry from one pass:
    ``miss_ref_indices(l1_ways)`` — the sorted original indices of L1
    misses;
 2. slice the key/set/size streams down to that subsequence and run a
-   second family analysis per L2 geometry.  Shootdown tombstones are
-   filtered to subsequence members: the L2 can only ever hold what the
-   L1 miss stream inserted;
+   second family analysis per L2 geometry.  Its shootdown tombstones
+   come from its own stream, so they delete only what the L1 miss
+   stream inserted;
 3. compose: overall misses are the L2 analysis' misses (both levels
    missed), ``l2_hits`` is the subsequence length minus those, and
    invalidations sum both levels' resident deletions — exactly the
@@ -82,12 +82,10 @@ def two_level_counts(
     ((l1_family, l1_capacity),) = _families(stream, [l1_config])
     _, _, l1_invalidations = l1_family.counts(l1_capacity)
     sub = l1_family.miss_ref_indices(l1_capacity)
-    member = np.zeros(stream.keys.size, dtype=bool)
-    member[sub] = True
     substream = int(sub.size)
 
     results: List[TwoLevelCounts] = []
-    for family, capacity in _families(stream, l2_configs, sub=sub, mask=member):
+    for family, capacity in _families(stream, l2_configs, sub=sub):
         misses, large_misses, l2_invalidations = family.counts(capacity)
         results.append(
             TwoLevelCounts(

@@ -28,12 +28,16 @@ split organisation.  The kernel therefore
    is equivalent to a per-chunk counter, and it is exact because two
    same-key references in different same-parity epochs are always
    separated by an invalidating event of the right kind;
-2. reorders the stream set-major, collapses consecutive duplicate
-   (set, key) runs (depth-0 hits — a run can never span an event on
-   its own chunk, the re-tag would split it), and computes LRU stack
-   depths once per *family* — a (set-selection rule, set count) pair.
-   Every requested entry count x associativity of that family is then
-   a histogram lookup on the shared depth arrays;
+2. drops, once per key stream and before the epoch search, every
+   reference with its predecessor's block and size and no event on its
+   own chunk at that reference: it repeats its predecessor's key and
+   set under every rule, so it is a depth-0 hit in every family.  Each
+   family then reorders what is left set-major, collapses consecutive
+   duplicate (set, key) runs (depth-0 hits — a run can never span an
+   event on its own chunk, the re-tag would split it), and computes LRU
+   stack depths once per *family* — a (set-selection rule, set count)
+   pair.  Every requested entry count x associativity of that family is
+   then a histogram lookup on the shared depth arrays;
 3. models the *capacity* side effect of invalidations — a removed
    entry frees its slot, which can turn a later would-be eviction into
    a hit — with an array correction pass over the tombstones (below).
@@ -59,10 +63,13 @@ would have been evicted before ``k`` anyway.
 Every ingredient is a handful of array passes per family:
 
 * **tombstones** — per event, the distinct (set, key) pairs of the
-  epoch it ends, each carrying the key's last touch and the event's
-  reference; one search on the packed ``(set, ref)`` key places them
-  all at ``l_pos`` (last touch) and ``e_pos`` (first position at/after
-  the event) in the collapsed stream;
+  epoch it ends.  They are read off the family's own collapsed stream:
+  a key's last touch ``l_pos`` is a position with no later occurrence,
+  and its epoch tag fixes the event that ends it for every reference
+  of the key, so the tombstones are the last touches whose epoch an
+  event ends, in (event, position) order.  One search on the packed
+  ``(set, ref)`` key places each event at ``e_pos``, the first
+  position of the key's set at/after the event's reference;
 * **jobs** — an entry last touched at ``p`` and queried at ``P``.  A
   tombstone is a job (was its entry still *resident* when deleted?),
   so is every warm query whose reuse window crosses a deletion, and,
@@ -156,15 +163,18 @@ class SplitCounts:
 
 @dataclass(frozen=True)
 class _EventPlan:
-    """Transition events in time order, plus per-reference epoch tags.
+    """Transition events in time order, plus per-reference epoch labels.
 
     ``ev_ref`` lists the event references in time order, a demotion
     ordered before a promotion landing on the same reference (the
-    scalar driver's shootdown order).  ``epoch[i]`` is the global
-    event count at reference ``i`` — events at reference ``i`` apply
-    *before* the access, so reference ``i`` belongs to the new epoch.
-    ``ended[i]`` is the event that ends reference ``i``'s epoch (the
-    next event on its chunk), or -1 if no event does.
+    scalar driver's shootdown order).  ``epoch[j]`` tags the key
+    stream's ``j``-th kept reference: the number of events that sort at
+    or before it chunk-major, by (chunk, reference).  Events at
+    reference ``i`` apply *before* the access, so reference ``i``
+    belongs to the new epoch.  ``ended[i]``, over every reference of
+    the trace, is the event that ends reference ``i``'s epoch (the next
+    event on its chunk), or -1 if no event does or the reference was
+    collapsed as a repeat.
     """
 
     ev_ref: np.ndarray
@@ -176,96 +186,39 @@ class _EventPlan:
         return int(self.ev_ref.size)
 
 
-def _event_plan(chunks: np.ndarray, decisions: PolicyDecisions) -> _EventPlan:
-    n = int(chunks.size)
+def _event_plan(
+    chunks: np.ndarray, refs: np.ndarray, decisions: PolicyDecisions
+) -> _EventPlan:
+    """Label the references ``refs`` (ascending, on ``chunks``) with epochs.
+
+    The event that ends a reference's epoch is the chunk-major event
+    just after the reference's epoch-search position, when that event
+    is on the reference's chunk: a stable sort of the time-ordered
+    events by (chunk, reference) keeps a demotion before a promotion
+    on one chunk at one reference.
+    """
+    n = int(decisions.large.size)
     d_refs = np.flatnonzero(decisions.demoted >= 0)
     p_refs = np.flatnonzero(decisions.promoted >= 0)
     ev_ref = np.concatenate([d_refs, p_refs]).astype(np.int64)
     ev_chunk = np.concatenate(
         [decisions.demoted[d_refs], decisions.promoted[p_refs]]
     ).astype(np.int64)
-    ev_promote = np.concatenate(
-        [
-            np.zeros(d_refs.size, dtype=bool),
-            np.ones(p_refs.size, dtype=bool),
-        ]
-    )
-    order = np.lexsort((ev_promote, ev_ref))
-    ev_ref = ev_ref[order]
-    ev_chunk = ev_chunk[order]
-    m = int(ev_ref.size)
+    # Demotions come first, so a stable sort puts each before a
+    # promotion at the same reference.
+    order = np.argsort(ev_ref, kind="stable")
+    ev_ref, ev_chunk = ev_ref[order], ev_chunk[order]
 
     span = np.int64(n + 1)
     ev_keys = ev_chunk * span + ev_ref
-    ref_keys = chunks.astype(np.int64) * span + np.arange(n, dtype=np.int64)
-    epoch = np.searchsorted(np.sort(ev_keys), ref_keys, side="right").astype(
-        np.int64
-    )
-
-    # Each event's previous event reference on the same chunk (0 when
-    # none): events are time-ordered, so a stable chunk-major sort keeps
-    # per-chunk event order.
-    grp = np.argsort(ev_chunk, kind="stable")
-    prev_sorted = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        same = ev_chunk[grp][1:] == ev_chunk[grp][:-1]
-        prev_sorted[1:][same] = ev_ref[grp][:-1][same]
-    prev_ref = np.zeros(m, dtype=np.int64)
-    prev_ref[grp] = prev_sorted
-
-    # References grouped chunk-major (ascending reference within chunk)
-    # make each ended epoch one slice; one ragged pass labels them all.
-    ref_order = np.argsort(chunks, kind="stable").astype(np.int64)
-    sorted_ref_keys = ref_keys[ref_order]
-    lo = np.searchsorted(sorted_ref_keys, ev_chunk * span + prev_ref, side="left")
-    hi = np.searchsorted(sorted_ref_keys, ev_chunk * span + ev_ref, side="left")
-    lengths = hi - lo
-    owner = np.repeat(np.arange(m, dtype=np.int64), lengths)
-    shift = lo - (np.cumsum(lengths) - lengths)
+    by_chunk = np.argsort(ev_keys, kind="stable")
+    epoch = np.searchsorted(ev_keys[by_chunk], chunks * span + refs, side="right")
+    # A -1 sentinel past the last event: no reference's chunk matches it.
+    next_chunk = np.append(ev_chunk[by_chunk], -1)[epoch]
+    next_event = np.append(by_chunk, -1)[epoch]
     ended = np.full(n, -1, dtype=np.int64)
-    ended[ref_order[np.arange(owner.size) + shift[owner]]] = owner
-    return _EventPlan(ev_ref=ev_ref, epoch=epoch, ended=ended)
-
-
-def _event_tombstones(
-    plan: _EventPlan,
-    sets: np.ndarray,
-    keys: np.ndarray,
-    mask: "np.ndarray | None" = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event deletions ``(set, key, last ref, event ref)`` of one family.
-
-    Every event deletes the distinct (set, key) pairs of the epoch it
-    ends.  A reference's tombstone is its *own* lookup: promotions end
-    small-page epochs and demotions large-page ones, and the epoch tag
-    is constant within a chunk's epoch, so ``sets``/``keys`` are the
-    family's per-reference streams (indexed by reference).  A zero-length
-    ended epoch deletes nothing — nothing of it was ever inserted, and
-    earlier same-parity entries were already shot down by the previous
-    event of the other kind.
-
-    ``mask`` (per reference) drops deletions of entries the structure
-    never held: references outside a split component or an L2's L1-miss
-    substream.  Output is in (event, last reference) order, each pair
-    keeping its last reference.
-    """
-    keep = plan.ended >= 0
-    if mask is not None:
-        keep &= mask
-    refs = np.flatnonzero(keep)
-    event = plan.ended[refs]
-    order = np.lexsort((refs, keys[refs], sets[refs], event))
-    refs, event = refs[order], event[order]
-    set_arr, key_arr = sets[refs], keys[refs]
-    last = np.ones(refs.size, dtype=bool)
-    last[:-1] = (
-        (event[1:] != event[:-1])
-        | (set_arr[1:] != set_arr[:-1])
-        | (key_arr[1:] != key_arr[:-1])
-    )
-    out = np.flatnonzero(last)
-    out = out[np.lexsort((refs[out], event[out]))]
-    return set_arr[out], key_arr[out], refs[out], plan.ev_ref[event[out]]
+    ended[refs] = np.where(next_chunk == chunks, next_event, -1)
+    return _EventPlan(ev_ref=ev_ref, epoch=epoch.astype(np.int64), ended=ended)
 
 
 #: Most elements any ragged temporary of the correction pass holds at
@@ -352,7 +305,10 @@ class _SetFamilyAnalysis:
 
     One instance serves every capacity requested for the family: the
     collapsed stream, depth arrays and tombstone stages are shared, and
-    only the final scans are per capacity (memoized).
+    only the final scans are per capacity (memoized).  ``refs`` are the
+    streams' trace reference indices and ``total`` counts the
+    references the family stands for, repeats dropped from the key
+    stream included.
     """
 
     def __init__(
@@ -362,6 +318,7 @@ class _SetFamilyAnalysis:
         refs: np.ndarray,
         large: np.ndarray,
         capacities: Iterable[int],
+        total: int,
     ) -> None:
         caps = sorted({int(c) for c in capacities})
         if not caps or caps[0] < 1:
@@ -371,7 +328,7 @@ class _SetFamilyAnalysis:
         self._caps = caps
         max_cap = caps[-1]
         n = int(keys.size)
-        self.total = n
+        self.total = int(total)
         self.num_ts = 0
         empty = np.empty(0, dtype=np.int64)
         self._ts_l = self._ts_e = self._ts_eref = empty
@@ -388,28 +345,30 @@ class _SetFamilyAnalysis:
             self._large_live = 0
             return
 
-        self.stride = np.int64(int(keys.max()) + 2)
-        combined = sets.astype(np.int64) * self.stride + keys
+        stride = np.int64(int(keys.max()) + 2)
+        combined = sets.astype(np.int64) * stride + keys
         order = group_order(sets)
         seq = combined[order]
         keep = np.empty(n, dtype=bool)
         keep[0] = True
         np.not_equal(seq[1:], seq[:-1], out=keep[1:])
-        self.ckeys = seq[keep]
-        self.cref = refs[order][keep]
-        self.csets = sets[order][keep]
-        self.clarge = large[order][keep]
-        cn = int(self.ckeys.size)
+        order = order[keep]
+        self.cref = refs[order]
+        self.csets = sets[order]
+        self.clarge = large[order]
+        cn = int(order.size)
         self.cn = cn
-        self.run_hits = n - cn
+        self.run_hits = self.total - cn
 
-        cprev = previous_occurrences(self.ckeys)
+        cprev = previous_occurrences(seq[keep])
         nested = _count_greater_preceding(cprev)
         pos = np.arange(cn, dtype=np.int64)
         depth = pos - cprev - 1 - nested
         depth[cprev < 0] = -1
         self.cprev = cprev
         self.depth = depth
+        self.has_next = np.zeros(cn, dtype=bool)
+        self.has_next[cprev[cprev >= 0]] = True
 
         live = depth >= 0
         self._cum = np.cumsum(
@@ -482,38 +441,46 @@ class _SetFamilyAnalysis:
             final = whole
         return _Jobs(final, stage_job, stage_n, stage_t)
 
-    def attach_tombstones(
-        self,
-        ts_set: np.ndarray,
-        ts_key: np.ndarray,
-        ts_lref: np.ndarray,
-        ts_eref: np.ndarray,
-    ) -> None:
-        """Register the event deletions (in event order) and stage every
-        capacity-independent ingredient of the correction pass."""
-        count = int(ts_set.size)
+    def attach_tombstones(self, plan: _EventPlan) -> None:
+        """Register the event deletions and stage every
+        capacity-independent ingredient of the correction pass.
+
+        The tombstones are the collapsed positions with no later
+        occurrence whose epoch ``plan.ended`` ends, in (event, position)
+        order: an event deletes every key of its epoch that this family
+        ever held, at its last touch.  A zero-length epoch deletes
+        nothing: nothing of it was inserted, and the previous event of
+        the other kind already shot down older same-parity entries.
+        """
+        if self.cn == 0 or plan.num_events == 0:
+            return
+        last = np.flatnonzero(~self.has_next)
+        event = plan.ended[self.cref[last]]
+        deleted = event >= 0
+        l_sorted, event = last[deleted], event[deleted]
+        count = int(l_sorted.size)
         self.num_ts = count
         if count == 0:
             return
-        if self.cn == 0:
-            raise SimulationError(
-                "two-size kernel internal error: tombstones without references"
-            )
-        # One search on the (set, ref) key places every tombstone: its
-        # key's last touch, and the first position at/after its event.
-        ts_set = ts_set.astype(np.int64)
-        span = np.int64(max(int(self.cref.max()), int(ts_eref.max())) + 1)
+        order = group_order(event)
+        l_pos = l_sorted[order]
+        ts_eref = plan.ev_ref[event[order]]
+        # One search on the (set, ref) key places every event in its
+        # key's set: the first position at/after the event's reference.
+        span = np.int64(plan.ended.size)
         placed = self.csets * span + self.cref
-        l_pos = np.searchsorted(placed, ts_set * span + ts_lref, side="right") - 1
-        e_pos = np.searchsorted(placed, ts_set * span + ts_eref, side="left")
-        if not np.array_equal(self.ckeys[l_pos], ts_set * self.stride + ts_key):
+        e_pos = np.searchsorted(
+            placed, self.csets[l_pos] * span + ts_eref, side="left"
+        )
+        if not np.all((l_pos < e_pos) & (e_pos <= self.seg_end[l_pos])):
             raise SimulationError(
-                "two-size kernel internal error: tombstone key mismatch"
+                "two-size kernel internal error: a tombstone's event is "
+                "not after its key's last touch in the key's set"
             )
-        self._ts_l, self._ts_e = l_pos, e_pos
-        self._ts_eref = np.asarray(ts_eref, dtype=np.int64)
-        self._by_l = np.argsort(l_pos, kind="stable")
-        self._l_sorted = l_pos[self._by_l]
+        self._ts_l, self._ts_e, self._ts_eref = l_pos, e_pos, ts_eref
+        self._by_l = np.empty(count, dtype=np.int64)
+        self._by_l[order] = np.arange(count, dtype=np.int64)
+        self._l_sorted = l_sorted
 
         # Residency: stages are strictly earlier events whose deleted
         # key was touched within this key's lifetime; simultaneous
@@ -666,8 +633,7 @@ class _SetFamilyAnalysis:
         capacity = int(capacity)
         if self.cn == 0:
             return 0
-        gone = np.zeros(self.cn, dtype=bool)
-        gone[self.cprev[self.cprev >= 0]] = True
+        gone = self.has_next.copy()
         gone[self._ts_l] = True
         last = np.flatnonzero(~gone)
         scale = np.int64(self.cn + 1)
@@ -691,7 +657,16 @@ class _SetFamilyAnalysis:
 
 
 class _KeyStream(NamedTuple):
-    """One trace's per-reference lookup streams under a decision stream.
+    """One trace's lookup streams under a decision stream, repeats dropped.
+
+    A reference with its predecessor's block and size, and no event on
+    its own chunk at that reference, repeats the predecessor's key and
+    set under every rule (small, large or exact index, fully
+    associative, split component), so it is a depth-0 hit in every
+    family.  No epoch is lost: an epoch's first reference either has
+    the event on its own chunk or follows another chunk.  ``refs`` are
+    the kept references' trace indices and index every array here but
+    ``plan.ended``; ``total`` and ``large_refs`` count the whole trace.
 
     ``page`` is each reference's page number at its assigned size and
     ``keys`` its lookup key ``((page << 1) | large) * span + tag``: the
@@ -700,12 +675,15 @@ class _KeyStream(NamedTuple):
     the module docstring).
     """
 
+    refs: np.ndarray
     blocks: np.ndarray
     chunks: np.ndarray
     large: np.ndarray
     page: np.ndarray
     keys: np.ndarray
     plan: _EventPlan
+    total: int
+    large_refs: int
 
 
 def _key_stream(
@@ -721,11 +699,21 @@ def _key_stream(
         )
     chunks = blocks >> np.int64(blocks_shift)
     large = np.asarray(decisions.large, dtype=bool)
-    plan = _event_plan(chunks, decisions)
+    large_refs = int(np.count_nonzero(large))
+    # Keep a reference unless it repeats its predecessor's block and
+    # size with no event on its own chunk re-tagging its key.
+    keep = np.ones(n, dtype=bool)
+    np.not_equal(blocks[1:], blocks[:-1], out=keep[1:])
+    keep[1:] |= large[1:] != large[:-1]
+    keep |= decisions.demoted == chunks
+    keep |= decisions.promoted == chunks
+    refs = np.flatnonzero(keep)
+    blocks, chunks, large = blocks[refs], chunks[refs], large[refs]
+    plan = _event_plan(chunks, refs, decisions)
     span = np.int64(plan.num_events + 1)
     page = np.where(large, chunks, blocks)
     keys = ((page << np.int64(1)) | large.astype(np.int64)) * span + plan.epoch
-    return _KeyStream(blocks, chunks, large, page, keys, plan)
+    return _KeyStream(refs, blocks, chunks, large, page, keys, plan, n, large_refs)
 
 
 def _family_of(config: TLBConfig) -> Tuple[Tuple[str, int], int]:
@@ -735,7 +723,7 @@ def _family_of(config: TLBConfig) -> Tuple[Tuple[str, int], int]:
 
 
 def _set_stream(rule: str, num_sets: int, stream: _KeyStream) -> np.ndarray:
-    """Per-reference set index under one set-selection rule."""
+    """Per kept reference, its set index under one set-selection rule."""
     if rule == _FA_FAMILY:
         return np.zeros(stream.blocks.size, dtype=np.int64)
     mask = np.int64(num_sets - 1)
@@ -751,35 +739,29 @@ def _families(
     configs: Sequence[TLBConfig],
     *,
     sub: "np.ndarray | None" = None,
-    mask: "np.ndarray | None" = None,
 ) -> List[Tuple[_SetFamilyAnalysis, int]]:
     """``(family analysis, capacity)`` per configuration, tombstones attached.
 
     Configurations sharing a (set-selection rule, set count) family share
-    one analysis.  ``sub`` (sorted reference indices) limits the analyses
-    to a substream, and ``mask`` (per reference) keeps only the
-    tombstones of entries the structure ever held; see
-    :func:`_event_tombstones`.
+    one analysis.  ``sub`` (sorted trace reference indices, all of them
+    kept references: an L1's misses) limits the analyses to a substream.
     """
     family_caps: Dict[Tuple[str, int], set] = {}
     for config in configs:
         fam_key, capacity = _family_of(config)
         family_caps.setdefault(fam_key, set()).add(capacity)
 
-    if sub is None:
-        refs = np.arange(stream.keys.size, dtype=np.int64)
-        keys, large = stream.keys, stream.large
-    else:
-        refs, keys, large = sub, stream.keys[sub], stream.large[sub]
+    refs, keys, large, total = stream.refs, stream.keys, stream.large, stream.total
+    if sub is not None:
+        at = np.searchsorted(stream.refs, sub)
+        refs, keys, large, total = sub, keys[at], large[at], int(sub.size)
     families: Dict[Tuple[str, int], _SetFamilyAnalysis] = {}
     for fam_key, caps in family_caps.items():
         sets_arr = _set_stream(*fam_key, stream)
-        family = _SetFamilyAnalysis(
-            keys, sets_arr if sub is None else sets_arr[sub], refs, large, caps
-        )
-        family.attach_tombstones(
-            *_event_tombstones(stream.plan, sets_arr, stream.keys, mask)
-        )
+        if sub is not None:
+            sets_arr = sets_arr[at]
+        family = _SetFamilyAnalysis(keys, sets_arr, refs, large, caps, total)
+        family.attach_tombstones(stream.plan)
         families[fam_key] = family
     return [
         (families[fam_key], capacity)
@@ -819,7 +801,7 @@ def two_size_counts(
         return []
     _require_lru(configs)
     stream = _key_stream(blocks, blocks_shift, decisions)
-    large_refs = int(np.count_nonzero(stream.large))
+    large_refs = stream.large_refs
     results: List[TwoSizeCounts] = []
     for config, (family, capacity) in zip(configs, _families(stream, configs)):
         misses, large_misses, invalidations = family.counts(capacity)
@@ -838,7 +820,7 @@ def two_size_counts(
 
 
 def _component_counts(
-    stream: _KeyStream, member: np.ndarray, config: TLBConfig
+    stream: _KeyStream, member: np.ndarray, total: int, config: TLBConfig
 ) -> Tuple[int, int, int]:
     """(misses, invalidations, end occupancy) of one split component.
 
@@ -846,23 +828,21 @@ def _component_counts(
     single-size TLB over its sub-stream regardless of its configured
     indexing scheme: block and chunk coincide, both candidate sets are
     the same set, indexed by the reference's page at its assigned size.
-    ``member`` marks the component's references; promotions shoot small
-    pages out of the small component, demotions the large page out of
-    the large one.
+    ``member`` marks the component's kept references, ``total`` counts
+    all of its references; promotions shoot small pages out of the
+    small component, demotions the large page out of the large one.
     """
     capacity = config.ways
-    sets_arr = stream.page & np.int64(config.sets - 1)
-    refs = np.flatnonzero(member)
+    at = np.flatnonzero(member)
     family = _SetFamilyAnalysis(
-        stream.keys[refs],
-        sets_arr[refs],
-        refs,
-        np.zeros(refs.size, dtype=bool),
+        stream.keys[at],
+        stream.page[at] & np.int64(config.sets - 1),
+        stream.refs[at],
+        np.zeros(at.size, dtype=bool),
         [capacity],
+        total,
     )
-    family.attach_tombstones(
-        *_event_tombstones(stream.plan, sets_arr, stream.keys, member)
-    )
+    family.attach_tombstones(stream.plan)
     misses, _, invalidations = family.counts(capacity)
     return misses, invalidations, family.occupancy(capacity)
 
@@ -886,10 +866,10 @@ def split_two_size_counts(
     _require_lru((small_config, large_config))
     stream = _key_stream(blocks, blocks_shift, decisions)
     small_misses, small_inv, small_occ = _component_counts(
-        stream, ~stream.large, small_config
+        stream, ~stream.large, stream.total - stream.large_refs, small_config
     )
     large_misses, large_inv, large_occ = _component_counts(
-        stream, stream.large, large_config
+        stream, stream.large, stream.large_refs, large_config
     )
     return SplitCounts(
         misses=small_misses + large_misses,

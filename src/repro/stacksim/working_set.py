@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.mem.address import page_numbers_array
 from repro.parallel.cache import CachedValue, SimulationCache
+from repro.perf.kernels import previous_occurrences
 from repro.trace import derived
 from repro.trace.record import Trace
 
@@ -47,17 +48,14 @@ def forward_reference_gaps(pages: np.ndarray) -> np.ndarray:
     For the final reference to each page the gap runs to the end of the
     trace (``k - i``), matching the truncated-window membership count.
     """
-    pages = np.asarray(pages)
-    count = pages.size
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(pages, kind="stable")
-    ordered = pages[order]
-    positions = order.astype(np.int64)
+    prev = previous_occurrences(pages)
+    count = prev.size
+    positions = np.arange(count, dtype=np.int64)
+    # Each position is the next occurrence of its previous one.
     next_position = np.full(count, count, dtype=np.int64)
-    same_page = ordered[1:] == ordered[:-1]
-    next_position[positions[:-1][same_page]] = positions[1:][same_page]
-    return next_position - np.arange(count, dtype=np.int64)
+    seen = prev >= 0
+    next_position[prev[seen]] = positions[seen]
+    return next_position - positions
 
 
 def average_working_set_pages(

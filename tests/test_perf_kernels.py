@@ -28,7 +28,11 @@ from repro.policy.promotion import (
     StaticLargePolicy,
     StaticSmallPolicy,
 )
-from repro.policy.vector import policy_decisions, supports_vector_decisions
+from repro.policy.vector import (
+    PolicyDecisions,
+    policy_decisions,
+    supports_vector_decisions,
+)
 from repro.policy.window import SlidingBlockWindow
 from repro.perf import twosize
 from repro.perf.twosize import _event_plan, _SetFamilyAnalysis
@@ -277,6 +281,41 @@ class TestPrimitives:
             assert np.array_equal(
                 group_order(ids), np.argsort(ids, kind="stable")
             ), ids.dtype
+
+    def test_previous_occurrences_match_the_stable_argsort(self):
+        # Keys that fit below 2**(62 - bits) in magnitude take the packed
+        # sort; wider ones, and uint64 keys past int64, the stable argsort.
+        # Keys 2**(64 - bits) apart would collide once shifted.
+        rng = np.random.default_rng(12)
+        branches = set()
+        cases = [
+            np.array([1 << 63, 5, 1 << 63, 5], dtype=np.uint64),
+            np.array([0, 1 << 62, 0, 1 << 62], dtype=np.int64),
+            np.array([0, -(1 << 62), 0, -(1 << 62)], dtype=np.int64),
+            np.array([1 << 61, 0, 1 << 61], dtype=np.int64),
+            np.array([-(1 << 62), 3, -(1 << 62)], dtype=np.int64),
+            rng.integers(0, 40, size=3_000).astype(np.uint32),
+        ]
+        for trial in range(800):
+            n = int(rng.choice(_EDGE_SIZES) if trial % 2 else rng.integers(0, 3_000))
+            limit = 1 << (62 - max(n - 1, 0).bit_length())
+            low, high = (
+                (0, max(n // 3, 1)),
+                (-50, 50),
+                (limit - 3, limit + 3),
+                (-limit - 3, -limit + 3),
+            )[trial % 4]
+            cases.append(rng.integers(low, high, size=n, dtype=np.int64))
+        for keys in cases:
+            if keys.size:
+                limit = 1 << (62 - (keys.size - 1).bit_length())
+                branches.add(-limit <= int(keys.min()) <= int(keys.max()) < limit)
+            prev = np.full(keys.size, -1, dtype=np.int64)
+            order = np.argsort(keys, kind="stable")
+            same = keys[order][1:] == keys[order][:-1]
+            prev[order[1:][same]] = order[:-1][same]
+            assert np.array_equal(previous_occurrences(keys), prev), keys
+        assert branches == {True, False}
 
     def test_window_events_mirror_sliding_window(self):
         # A dense alphabet of 40 blocks, and a sparse one of 2,000
@@ -580,6 +619,27 @@ def _dense_random_trace(seed, n=1_500, blocks=32):
     return Trace(raw << np.uint32(12), name=f"dense{seed}")
 
 
+def _bursty_trace(seed, n=2_000, blocks=48):
+    """Runs of one block: most references repeat their predecessor."""
+    rng = np.random.default_rng(seed)
+    runs = rng.integers(0, blocks, size=n)
+    raw = np.repeat(runs, rng.geometric(0.3, size=n))[:n]
+    return Trace(raw.astype(np.uint32) << np.uint32(12), name=f"bursty{seed}")
+
+
+def _record_streams(monkeypatch):
+    """Collect every key stream the two-size kernels build."""
+    streams = []
+    key_stream = twosize._key_stream
+
+    def recording(*args):
+        streams.append(key_stream(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(twosize, "_key_stream", recording)
+    return streams
+
+
 def _record_families(monkeypatch):
     """Collect every family analysis that gets tombstones attached."""
     families = []
@@ -645,12 +705,13 @@ class TestTwoSizeEpochCorners:
 
     def test_zero_length_epoch(self):
         # An epoch that ends before any reference lands in it must emit
-        # zero tombstones; the event plan records it as an empty slice.
+        # zero tombstones; the event plan labels no reference with it.
         found = None
         for seed in range(18, 40):
             t = _dense_random_trace(seed)
             decisions, blocks = self._decisions(t)
-            plan = _event_plan(blocks >> 3, decisions)
+            refs = np.arange(blocks.size)
+            plan = _event_plan(blocks >> 3, refs, decisions)
             empty = np.setdiff1d(np.arange(plan.num_events), plan.ended)
             if empty.size:
                 found = t
@@ -658,12 +719,89 @@ class TestTwoSizeEpochCorners:
         assert found is not None
         self._assert_exact(found)
 
+    def test_event_plan_labels_match_brute_force(self):
+        # 2,000 decision streams over a few chunks, with events on the
+        # referenced chunk and on others, and demote-plus-promote pairs
+        # at one reference on one chunk and on two.  Per reference: is it
+        # kept, its epoch tag (events sorting at or before it by (chunk,
+        # reference)) and the first later event on its own chunk.
+        rng = np.random.default_rng(30)
+        pairs = {"one chunk": 0, "two chunks": 0}
+        for _ in range(2_000):
+            n = int(rng.integers(1, 40))
+            chunks_used = int(rng.integers(1, 4))
+            blocks = np.repeat(
+                rng.integers(0, 8 * chunks_used, size=n), rng.integers(1, 4, n)
+            )[:n]
+            chunks = blocks >> 3
+            large = np.repeat(rng.random(n) < 0.5, rng.integers(1, 6, n))[:n]
+            demoted = np.full(n, -1, dtype=np.int64)
+            promoted = np.full(n, -1, dtype=np.int64)
+            for events in (demoted, promoted):
+                at = np.flatnonzero(rng.random(n) < 0.2)
+                own = rng.random(at.size) < 0.6
+                events[at] = np.where(
+                    own, chunks[at], rng.integers(0, chunks_used, at.size)
+                )
+            both = np.flatnonzero((demoted >= 0) & (promoted >= 0))
+            pairs["one chunk"] += int(np.sum(demoted[both] == promoted[both]))
+            pairs["two chunks"] += int(np.sum(demoted[both] != promoted[both]))
+            decisions = PolicyDecisions(large, promoted, demoted, 0, 0)
+
+            # Time order: by reference, a demotion before a promotion.
+            events = sorted(
+                [(int(r), 0, int(demoted[r])) for r in np.flatnonzero(demoted >= 0)]
+                + [(int(r), 1, int(promoted[r])) for r in np.flatnonzero(promoted >= 0)]
+            )
+            kept, epoch, ended = [], [], []
+            for i in range(n):
+                chunk = int(chunks[i])
+                tag = sum((c, r) <= (chunk, i) for r, _, c in events)
+                end = next(
+                    (e for e, (r, _, c) in enumerate(events) if c == chunk and r > i),
+                    -1,
+                )
+                repeat = (
+                    i > 0
+                    and blocks[i] == blocks[i - 1]
+                    and large[i] == large[i - 1]
+                    and chunk not in (demoted[i], promoted[i])
+                )
+                if repeat:
+                    # The predecessor's key: same page, size and epoch.
+                    assert (tag, end) == (previous_tag, previous_end)
+                    ended.append(-1)
+                else:
+                    kept.append(i)
+                    epoch.append(tag)
+                    ended.append(end)
+                previous_tag, previous_end = tag, end
+
+            stream = twosize._key_stream(blocks, 3, decisions)
+            assert stream.refs.tolist() == kept
+            assert stream.plan.ev_ref.tolist() == [r for r, _, _ in events]
+            assert stream.plan.epoch.tolist() == epoch
+            assert stream.plan.ended.tolist() == ended
+            # No epoch is lost: every event ends a kept reference's epoch
+            # or, with every reference kept, none at all.
+            whole = _event_plan(chunks, np.arange(n), decisions)
+            assert set(whole.ended.tolist()) - {-1} == set(ended) - {-1}
+        assert min(pairs.values()) > 0, pairs
+
     def test_fuzzed_streams_all_geometries(self, monkeypatch):
         families = _record_families(monkeypatch)
+        streams = _record_streams(monkeypatch)
         for seed in range(3):
             self._assert_exact(_random_trace(seed, n=4_000))
         for seed in (50, 51):
             self._assert_exact(_dense_random_trace(seed, n=2_000))
+        self._assert_exact(_bursty_trace(53))
+        # Repeats are dropped before the epoch search, also at references
+        # where an event lands on another chunk.
+        assert any(stream.refs.size < stream.total / 2 for stream in streams)
+        assert any(
+            np.setdiff1d(stream.plan.ev_ref, stream.refs).size for stream in streams
+        )
         # The correction pass must actually fire, not hold vacuously.
         flips = sum(
             family.total
