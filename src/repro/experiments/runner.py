@@ -158,18 +158,15 @@ def _run_suite(args: argparse.Namespace) -> int:
 
     def publish(spec: UnitSpec, result: object, elapsed: float) -> None:
         name = spec.name.split(":", 1)[1]
-        print(result.render())
+        rendered = result.render()
+        print(rendered)
         if args.chart and hasattr(result, "render_chart"):
             print()
             print(result.render_chart())
         if args.csv_dir and hasattr(result, "to_csv"):
-            directory = Path(args.csv_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{name}.csv").write_text(result.to_csv() + "\n")
+            (Path(args.csv_dir) / f"{name}.csv").write_text(result.to_csv() + "\n")
         if args.results_dir:
-            directory = Path(args.results_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"{name}.txt").write_text(result.render() + "\n")
+            (Path(args.results_dir) / f"{name}.txt").write_text(rendered + "\n")
         print(f"[{name}: {elapsed:.1f}s]\n")
 
     def announce_failure(spec, error) -> None:
@@ -185,6 +182,10 @@ def _run_suite(args: argparse.Namespace) -> int:
             name=f"experiment:{name}",
             run=lambda runner=EXPERIMENTS[name]: runner(scale),
         )
+
+    for directory in (args.csv_dir, args.results_dir):
+        if directory:
+            Path(directory).mkdir(parents=True, exist_ok=True)
 
     # One derivation store for the whole suite: experiments asking a
     # trace the same question (window events, decision streams, miss

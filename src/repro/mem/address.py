@@ -9,10 +9,13 @@ simulation hot paths.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import PageSizeError
 from repro.types import log2_exact, validate_page_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def page_number(address: int, page_size: int) -> int:
@@ -66,6 +69,8 @@ def translate(virtual: int, physical_page_base: int, page_size: int) -> int:
 
 def page_numbers_array(addresses: np.ndarray, page_size: int) -> np.ndarray:
     """Vectorised :func:`page_number` over a numpy address array."""
+    import numpy as np
+
     shift = log2_exact(page_size)
     return addresses >> np.uint32(shift)
 

@@ -34,18 +34,27 @@ from __future__ import annotations
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import CachedValue, SimulationCache
-from repro.perf.kernels import _count_greater_preceding, previous_occurrences
 from repro.policy.promotion import DynamicPromotionPolicy
-from repro.policy.vector import trace_decisions
 from repro.trace import derived
 from repro.trace.record import Trace
 from repro.types import PageSizePair, validate_page_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,10 @@ def _paging_curve(
     recency stack that fits, so a reference hits iff its own size plus
     the bytes of the distinct pages touched since its last use fit.
     """
+    import numpy as np
+
+    from repro.perf.kernels import _count_greater_preceding, previous_occurrences
+
     references = keys.size
     if references == 0:
         return {memory: PagingResult(memory, 0, 0, 0) for memory in budgets}
@@ -222,6 +235,8 @@ def fault_rate_curve(
     )
 
     def curve(missing: List[int]) -> Dict[int, PagingResult]:
+        import numpy as np
+
         shift = page_size.bit_length() - 1
         pages = (trace.addresses >> np.uint32(shift)).astype(np.int64)
         units = np.ones(pages.size, dtype=np.uint8)
@@ -258,6 +273,10 @@ def two_size_fault_rate_curve(
     )
 
     def curve(missing: List[int]) -> Dict[int, PagingResult]:
+        import numpy as np
+
+        from repro.policy.vector import trace_decisions
+
         blocks = (trace.addresses >> np.uint32(pair.small_shift)).astype(np.int64)
         large = trace_decisions(trace, policy).unpack().large
         chunk_keys = ((blocks // pair.blocks_per_chunk) << 1) | 1

@@ -12,7 +12,10 @@ Two callers use it: :func:`parallel_map` below, and
 ``repro.robustness.executor.run_units(jobs=N)``, which keeps
 publishing and failure isolation in the parent.
 :mod:`multiprocessing` and :mod:`concurrent.futures` are imported on the
-path that forks, so a serial run never loads them.
+path that forks, so a serial run never loads them.  That path also
+imports numpy before the first fork, so workers that simulate inherit
+it instead of each importing it (a serial run answered from its caches
+never loads numpy).
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class ForkPool:
     def __init__(self, task: Callable[[int], Any], workers: int) -> None:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401 - loaded once here, inherited by every worker
 
         self._key = next(_KEYS)
         _TASKS[self._key] = task

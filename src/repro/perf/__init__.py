@@ -3,6 +3,8 @@
 The paper's experiments are trace-driven passes whose cost is dominated
 by per-reference inner loops.  This package supplies:
 
+* :mod:`repro.perf.choice` — the ``kernel=`` switch every driver
+  resolves before it looks an answer up;
 * :mod:`repro.perf.kernels` — exact numpy batch kernels for the three
   hottest loops (LRU stack distances, single-size TLB simulation, and
   sliding-window membership), used by :mod:`repro.stacksim`,
@@ -31,10 +33,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        "choice": ("KERNEL_AUTO", "KERNEL_SCALAR", "KERNEL_VECTOR"),
         "kernels": (
-            "KERNEL_AUTO",
-            "KERNEL_SCALAR",
-            "KERNEL_VECTOR",
             "previous_occurrences",
             "stack_depths",
             "window_events",

@@ -85,7 +85,7 @@ from repro.perf.baseline import (
     compare_reports,
     load_report,
 )
-from repro.perf.kernels import KERNEL_SAMPLED, KERNEL_SCALAR, KERNEL_VECTOR
+from repro.perf.choice import KERNEL_SAMPLED, KERNEL_SCALAR, KERNEL_VECTOR
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.robustness.executor import UnitSpec, run_units
@@ -110,6 +110,8 @@ QUICK_LENGTH = 60_000
 #: Timing repeats (the minimum is reported) for full and --quick runs.
 FULL_REPEATS = 3
 QUICK_REPEATS = 2
+#: Fewest rounds of ``suite/parallel-units``, each timing both arms.
+PARALLEL_ROUNDS = 5
 
 _PAGE_4KB = SingleSizeScheme(4096)
 _CONFIG_32E_2WAY = TLBConfig(entries=32, associativity=2)
@@ -346,7 +348,10 @@ def _suite_parallel_units(
 
     Each unit is the ``suite/two-size-kernel`` sweep over one workload's
     trace.  Both arms go through ``run_units``, and the parallel results
-    must equal the serial ones before anything is timed.
+    must equal the serial ones before anything is timed.  The arms
+    alternate, round by round, for at least ``PARALLEL_ROUNDS`` rounds,
+    and each reports its best round, so a slow stretch of the host hits
+    both arms rather than deciding the ratio.
     """
     units = [
         UnitSpec(
@@ -374,13 +379,16 @@ def _suite_parallel_units(
             f"suite/parallel-units: jobs={jobs} results diverged from the "
             "serial run — the fan-out is not equivalent"
         )
-    serial_seconds = _time_call(lambda: run(None), repeats)
-    parallel_seconds = _time_call(lambda: run(jobs), repeats)
+    rounds = max(repeats, PARALLEL_ROUNDS)
+    serial_seconds = parallel_seconds = float("inf")
+    for _ in range(rounds):
+        serial_seconds = min(serial_seconds, _time_call(lambda: run(None), 1))
+        parallel_seconds = min(parallel_seconds, _time_call(lambda: run(jobs), 1))
     return {
         "name": "suite/parallel-units",
         "workload": "all",
         "references": length * len(units),
-        "repeats": repeats,
+        "repeats": rounds,
         "kind": "suite",
         "jobs": jobs,
         "serial_seconds": serial_seconds,

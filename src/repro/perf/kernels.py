@@ -43,7 +43,6 @@ Two further exact reductions make the kernels fast in practice:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -51,92 +50,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Kernel selector values accepted by every ``kernel=`` parameter.
-KERNEL_SCALAR = "scalar"
-KERNEL_VECTOR = "vector"
-KERNEL_SAMPLED = "sampled"
-KERNEL_AUTO = "auto"
-
-_KERNELS = (KERNEL_SCALAR, KERNEL_VECTOR, KERNEL_SAMPLED, KERNEL_AUTO)
-
 #: Block size below which dominance counts use direct broadcasting.
 _BASE_BLOCK = 16
-
-
-class KernelFallbackWarning(UserWarning):
-    """Emitted when ``kernel="auto"`` resolved to a scalar walk that runs.
-
-    The scalar per-reference loop is 4-25x slower than the array
-    kernels, so a sweep that silently leaks onto it is a performance
-    bug, not a correctness one — loud by policy.  The warning message
-    carries the reason so audits of large sweeps can attribute every
-    slow-path cell.
-    """
-
-
-@dataclass(frozen=True)
-class KernelChoice:
-    """A resolved kernel plus the reason if ``auto`` fell back to scalar."""
-
-    kernel: str
-    fallback_reason: Optional[str] = None
-
-    def announce_fallback(self) -> None:
-        """Warn if ``auto`` fell back; called where the scalar walk runs.
-
-        A choice is resolved before the result-cache lookup, so the
-        warning waits for a walk that actually runs: a call that only
-        replays cached entries stays quiet (its results still carry
-        ``fallback_reason``).
-        """
-        if self.fallback_reason is not None:
-            warnings.warn(
-                f"kernel='auto' fell back to the scalar walk: "
-                f"{self.fallback_reason}",
-                KernelFallbackWarning,
-                stacklevel=2,
-            )
-
-
-def choose_kernel(
-    kernel: str,
-    *,
-    vector_supported: bool = True,
-    sampled_supported: bool = False,
-    reason: str = "configuration not supported by an array kernel",
-) -> KernelChoice:
-    """Resolve a ``kernel=`` argument to a concrete kernel.
-
-    ``"auto"`` prefers the exact vector kernel, then the sampled-set
-    kernel (statistical, for FIFO/random replacement), and only then
-    the scalar walk — in which case the choice carries ``reason``, and
-    :meth:`KernelChoice.announce_fallback` emits a
-    :class:`KernelFallbackWarning` when the walk runs, so no sweep
-    silently runs 4-25x slower than it should.  Requesting ``"vector"``
-    or ``"sampled"`` explicitly when unsupported is an error, so a
-    benchmark or test never silently measures the wrong kernel.
-    """
-    if kernel not in _KERNELS:
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; choose from {', '.join(_KERNELS)}"
-        )
-    if kernel == KERNEL_AUTO:
-        if vector_supported:
-            return KernelChoice(KERNEL_VECTOR)
-        if sampled_supported:
-            return KernelChoice(KERNEL_SAMPLED)
-        return KernelChoice(KERNEL_SCALAR, fallback_reason=reason)
-    if kernel == KERNEL_VECTOR and not vector_supported:
-        raise ConfigurationError(
-            "the vector kernel does not support this configuration "
-            f"({reason}); use kernel='scalar' or kernel='auto'"
-        )
-    if kernel == KERNEL_SAMPLED and not sampled_supported:
-        raise ConfigurationError(
-            "the sampled-set kernel does not support this configuration "
-            f"({reason}); use kernel='scalar' or kernel='auto'"
-        )
-    return KernelChoice(kernel)
 
 
 def previous_occurrences(keys: np.ndarray) -> np.ndarray:

@@ -17,12 +17,9 @@ __getattr__, __dir__ = lazy_exports(
             "PageSizeAssignmentPolicy",
             "StaticLargePolicy",
             "StaticSmallPolicy",
-        ),
-        "vector": (
-            "PolicyDecisions",
-            "policy_decisions",
             "supports_vector_decisions",
         ),
+        "vector": ("PolicyDecisions", "policy_decisions"),
         "window": ("SlidingBlockWindow",),
     },
 )

@@ -25,10 +25,8 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-import numpy as np
-
 from repro.parallel.cache import CachedValue, SimulationCache
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
+from repro.perf.choice import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.policy.window import SlidingBlockWindow
 from repro.trace import derived
@@ -107,6 +105,8 @@ def dynamic_average_working_set(
 def _measure(
     trace: Trace, policy: DynamicPromotionPolicy, kernel: str
 ) -> DynamicWorkingSetResult:
+    import numpy as np
+
     pair = policy.pair
     window = policy.window
     promote_blocks = policy.promote_blocks

@@ -179,13 +179,17 @@ class DynamicPromotionPolicy(PageSizeAssignmentPolicy):
         self.promotions = 0
         self.demotions = 0
 
-    def cache_token(self) -> Optional[dict]:
-        if (
+    def is_fresh(self) -> bool:
+        """True until the policy sees a reference, and again after :meth:`reset`."""
+        return not (
             self._promoted
             or self.promotions
             or self.demotions
             or self._window.references_seen()
-        ):
+        )
+
+    def cache_token(self) -> Optional[dict]:
+        if not self.is_fresh():
             return None  # mid-simulation state: results are history-dependent
         return {
             "policy": "dynamic",
@@ -243,3 +247,19 @@ class ExplicitAssignmentPolicy(PageSizeAssignmentPolicy):
             "pair": str(self.pair),
             "large_chunks": sorted(self._large_chunks),
         }
+
+
+def supports_vector_decisions(policy: PageSizeAssignmentPolicy) -> bool:
+    """Whether :func:`repro.policy.vector.policy_decisions` replays ``policy`` exactly.
+
+    The replay covers this module's four policies, a dynamic one only
+    while it is fresh.  The test lives here rather than beside the
+    replay so that a run answering from its caches can ask it without
+    loading the array code.
+    """
+    if isinstance(policy, DynamicPromotionPolicy):
+        return policy.is_fresh()
+    return isinstance(
+        policy,
+        (StaticSmallPolicy, StaticLargePolicy, ExplicitAssignmentPolicy),
+    )

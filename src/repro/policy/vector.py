@@ -36,7 +36,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import KERNEL_VECTOR, window_events
+from repro.perf.choice import KERNEL_VECTOR
+from repro.perf.kernels import window_events
 from repro.policy.promotion import (
     DynamicPromotionPolicy,
     ExplicitAssignmentPolicy,
@@ -288,12 +289,13 @@ def policy_decisions(
     """Vectorized decision stream for any supported policy.
 
     Raises :class:`ConfigurationError` for unsupported policies; use
-    :func:`supports_vector_decisions` to test first.
+    :func:`~repro.policy.promotion.supports_vector_decisions` to test
+    first.
     """
     blocks = np.ascontiguousarray(np.asarray(blocks), dtype=np.int64)
     count = blocks.size
     if isinstance(policy, DynamicPromotionPolicy):
-        if not _policy_is_fresh(policy):
+        if not policy.is_fresh():
             raise ConfigurationError(
                 "vector decisions need a fresh DynamicPromotionPolicy; "
                 "this one has already seen references"
@@ -317,26 +319,6 @@ def policy_decisions(
         )))
     raise ConfigurationError(
         f"no vector decision kernel for {type(policy).__name__}"
-    )
-
-
-def _policy_is_fresh(policy: DynamicPromotionPolicy) -> bool:
-    """True when the policy has no accumulated window or promotion state."""
-    return (
-        policy.promoted_chunk_count() == 0
-        and policy.promotions == 0
-        and policy.demotions == 0
-        and policy._window.references_seen() == 0
-    )
-
-
-def supports_vector_decisions(policy: PageSizeAssignmentPolicy) -> bool:
-    """Whether :func:`policy_decisions` can replay ``policy`` exactly."""
-    if isinstance(policy, DynamicPromotionPolicy):
-        return _policy_is_fresh(policy)
-    return isinstance(
-        policy,
-        (StaticSmallPolicy, StaticLargePolicy, ExplicitAssignmentPolicy),
     )
 
 

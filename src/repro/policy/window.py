@@ -11,14 +11,14 @@ calculator both consume.
 The window is a circular buffer of the last *T* block numbers plus a
 block -> count map; a block *enters* the window when its count rises from
 zero and *leaves* when it falls back to zero.  Chunk occupancy (distinct
-blocks present per chunk) is maintained alongside.
+blocks present per chunk) is maintained alongside.  The buffer is a list
+that grows to *T* slots as the first references arrive, so building a
+policy (as a cache lookup does, for its key) allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import PageSizePair
@@ -41,7 +41,7 @@ class SlidingBlockWindow:
             raise ConfigurationError(f"window must be positive, got {window}")
         self.pair = pair
         self.window = window
-        self._buffer = np.zeros(window, dtype=np.int64)
+        self._buffer: List[int] = []
         self._cursor = 0
         self._filled = False
         self._block_counts: Dict[int, int] = {}
@@ -59,7 +59,7 @@ class SlidingBlockWindow:
         """
         left: Optional[int] = None
         if self._filled:
-            oldest = int(self._buffer[self._cursor])
+            oldest = self._buffer[self._cursor]
             count = self._block_counts[oldest] - 1
             if count == 0:
                 del self._block_counts[oldest]
@@ -67,8 +67,9 @@ class SlidingBlockWindow:
                 left = oldest
             else:
                 self._block_counts[oldest] = count
-
-        self._buffer[self._cursor] = block
+            self._buffer[self._cursor] = block
+        else:
+            self._buffer.append(block)
         self._cursor += 1
         if self._cursor == self.window:
             self._cursor = 0

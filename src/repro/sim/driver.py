@@ -30,27 +30,22 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache, canonical_key
 from repro.mem.misshandler import (
     SINGLE_SIZE_PENALTY_CYCLES,
     TWO_SIZE_PENALTY_FACTOR,
 )
-from repro.perf.kernels import (
+from repro.perf.choice import (
     KERNEL_AUTO,
     KERNEL_SAMPLED,
     KERNEL_VECTOR,
     KernelChoice,
     choose_kernel,
-    stack_depths,
 )
-from repro.policy.promotion import PageSizeAssignmentPolicy
-from repro.policy.vector import (
-    PolicyDecisions,
+from repro.policy.promotion import (
+    PageSizeAssignmentPolicy,
     supports_vector_decisions,
-    trace_decisions,
 )
 from repro.sim.config import (
     SAMPLED_REPLACEMENTS,
@@ -65,6 +60,8 @@ from repro.trace.record import Trace
 from repro.types import log2_exact
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.tlb.base import TLB
 
 
@@ -137,7 +134,7 @@ def run_single_size(
     error bounds (``result.sampling``); ``exact=True`` walks every set
     and reproduces the scalar model bit-exactly.  Only PLRU remains on
     the scalar walk, and ``kernel="auto"`` announces that fallback with
-    a :class:`~repro.perf.kernels.KernelFallbackWarning` when the walk
+    a :class:`~repro.perf.choice.KernelFallbackWarning` when the walk
     runs (a cache hit replays the entry without one).
 
     The result is found by :func:`repro.trace.derived.answer` under its
@@ -198,6 +195,10 @@ def _run_single_size_uncached(
     choice: KernelChoice,
     exact: bool = False,
 ) -> RunResult:
+    import numpy as np
+
+    from repro.perf.kernels import stack_depths
+
     # ``choice`` arrives already resolved; the resolved identity is also
     # what the cache key records, so "auto" and an explicit request
     # share entries.
@@ -335,7 +336,7 @@ def _resolve_two_size_kernel(
     configuration — the epoch-segmented stack identity does not hold
     for history-dependent replacement.  ``"auto"`` falls back to the
     scalar oracle otherwise (announced with a
-    :class:`~repro.perf.kernels.KernelFallbackWarning`); an explicit
+    :class:`~repro.perf.choice.KernelFallbackWarning`); an explicit
     ``"vector"`` raises.
     """
     if not supports_vector_decisions(policy):
@@ -395,7 +396,10 @@ def _run_with_policy_uncached(
     penalty_factor: float,
     choice: KernelChoice,
 ) -> List[RunResult]:
+    import numpy as np
+
     from repro.perf.twosize import TwoSizeCounts, two_size_counts
+    from repro.policy.vector import trace_decisions
 
     pair = policy.pair
     block_array = trace.addresses >> np.uint32(pair.small_shift)
@@ -576,7 +580,10 @@ def _run_split_two_sizes_uncached(
     penalty_factor: float,
     choice: KernelChoice,
 ) -> SplitRunResult:
+    import numpy as np
+
     from repro.perf.twosize import SplitCounts, split_two_size_counts
+    from repro.policy.vector import trace_decisions
     from repro.tlb.split import SplitTLB
 
     pair = policy.pair
@@ -717,7 +724,7 @@ def sweep_two_level(
     The vector kernel requires LRU at both levels (and, under a
     two-size scheme, a replayable policy); ``kernel="auto"`` otherwise
     falls back loudly with a
-    :class:`~repro.perf.kernels.KernelFallbackWarning`.
+    :class:`~repro.perf.choice.KernelFallbackWarning`.
     """
     configs = list(configs)
     if not configs:
@@ -786,7 +793,10 @@ def _sweep_two_level_uncached(
     penalty: float,
     choice: KernelChoice,
 ) -> List[TwoLevelRunResult]:
+    import numpy as np
+
     from repro.perf.twolevel import TwoLevelCounts, two_level_counts
+    from repro.policy.vector import PolicyDecisions, trace_decisions
 
     two_size = scheme.two_page_sizes
     if two_size:

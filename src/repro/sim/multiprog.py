@@ -23,13 +23,11 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
 from repro.parallel.cache import SimulationCache
 from repro.parallel.pool import parallel_map
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
+from repro.perf.choice import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
 from repro.sim.config import TLBConfig, validate_multiprog_config
 from repro.sim.kinds import CachedResult
 from repro.tlb.context import ContextSwitchPolicy, MultiprogrammedTLB
@@ -39,6 +37,8 @@ from repro.trace.record import Trace
 from repro.types import log2_exact
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.perf.multiprog import MultiprogCounts
 
 #: Sweep result key: (policy value, quantum, config label).
@@ -161,6 +161,8 @@ def sweep_multiprogrammed(
         def simulate(
             policy: ContextSwitchPolicy, missing: List[TLBConfig]
         ) -> List[MultiprogramResult]:
+            import numpy as np
+
             nonlocal mix
             if mix is None:
                 mixed, contexts = interleave_with_contexts(traces, quantum=quantum)

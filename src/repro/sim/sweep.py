@@ -24,12 +24,10 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.mem.misshandler import SINGLE_SIZE_PENALTY_CYCLES
 from repro.parallel.cache import SimulationCache
-from repro.perf.kernels import KERNEL_AUTO, choose_kernel
+from repro.perf.choice import KERNEL_AUTO, choose_kernel
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import RunResult
 from repro.trace import derived
@@ -88,6 +86,8 @@ def _family_curve(
         index_shift = 0  # a single set ignores the index bits
 
     def measure() -> MissCurve:
+        import numpy as np
+
         from repro.stacksim.lru_stack import lru_miss_curve, per_set_miss_curve
 
         pages = trace.addresses >> np.uint32(log2_exact(page_size))

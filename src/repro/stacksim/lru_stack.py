@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.perf.kernels import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel, stack_depths
+from repro.perf.choice import KERNEL_AUTO, KERNEL_VECTOR, choose_kernel
+from repro.perf.kernels import stack_depths
 
 
 @dataclass(frozen=True)

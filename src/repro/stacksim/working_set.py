@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.mem.address import page_numbers_array
 from repro.parallel.cache import CachedValue, SimulationCache
-from repro.perf.kernels import previous_occurrences
 from repro.trace import derived
 from repro.trace.record import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ def forward_reference_gaps(pages: np.ndarray) -> np.ndarray:
     For the final reference to each page the gap runs to the end of the
     trace (``k - i``), matching the truncated-window membership count.
     """
+    import numpy as np
+
+    from repro.perf.kernels import previous_occurrences
+
     prev = previous_occurrences(pages)
     count = prev.size
     positions = np.arange(count, dtype=np.int64)
@@ -62,6 +66,8 @@ def average_working_set_pages(
     pages: np.ndarray, windows: Sequence[int]
 ) -> Dict[int, float]:
     """Return {T: average working-set size in pages} for each window T."""
+    import numpy as np
+
     for window in windows:
         if window <= 0:
             raise ConfigurationError(f"window must be positive, got {window}")
@@ -123,7 +129,7 @@ def naive_average_working_set_pages(pages: Sequence[int], window: int) -> float:
     """
     if window <= 0:
         raise ConfigurationError(f"window must be positive, got {window}")
-    if isinstance(pages, np.ndarray):
+    if hasattr(pages, "tolist"):
         pages = pages.tolist()
     counts: Dict[int, int] = {}
     total = 0.0

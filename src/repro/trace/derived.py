@@ -46,12 +46,24 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
-
-import numpy as np
+import sys
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.parallel.cache import SimulationCache, key
 from repro.trace.record import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 Item = TypeVar("Item")
@@ -79,6 +91,8 @@ def run() -> Iterator[None]:
 
 def digest(array: np.ndarray) -> str:
     """SHA-256 of an array's dtype, shape and bytes."""
+    import numpy as np
+
     array = np.ascontiguousarray(array)
     hasher = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode("ascii"))
     hasher.update(array.data)
@@ -89,10 +103,13 @@ def _encode(part: Any) -> Any:
     """``part`` in the plain JSON form both tiers hash."""
     if isinstance(part, Trace):
         return part.fingerprint
-    if isinstance(part, np.ndarray):
-        return digest(part)
-    if isinstance(part, np.integer):
-        return int(part)
+    # An array or NumPy integer part exists only once numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(part, np.ndarray):
+            return digest(part)
+        if isinstance(part, np.integer):
+            return int(part)
     if isinstance(part, (list, tuple)):
         return [_encode(each) for each in part]
     if hasattr(part, "cache_parts"):

@@ -9,68 +9,105 @@ virtual address space (as distinct address-space contexts would).
 
 Results from mixed traces are reported in the ablation benchmarks and are
 clearly labelled as beyond the paper's own evaluation.
+
+Both mixers follow one schedule, :func:`_round_robin_segments`, and
+build the mixed trace by joining byte slices of the inputs' columns
+(:meth:`~repro.trace.record.Trace.to_bytes`), so mixing traces read
+from disk imports no numpy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.trace.record import Trace
 from repro.types import VIRTUAL_ADDRESS_LIMIT, is_power_of_two
 
+if TYPE_CHECKING:
+    import numpy as np
 
-def _round_robin_order(
-    lengths: Sequence[int], quantum: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather order of a round-robin interleave, fully vectorized.
+#: One turn of the schedule: (trace index, first reference, stop).
+Segment = Tuple[int, int, int]
 
-    Position ``j`` of the mix takes reference ``gather[j]`` of the
-    concatenation of the traces in input order, and ``contexts[j]`` is
-    the index of the trace it came from.  The schedule is round-major,
-    trace-minor: each round grants every unexhausted trace up to
-    ``quantum`` references; exhausted traces (including empty ones) are
-    skipped, so shorter traces simply stop being scheduled.
 
-    Built as an arange/repeat construction: the (round, trace) segment
-    lengths fall out of one clipped broadcast, segment source offsets
-    are ``base + round * quantum``, and the gather array is a repeat of
-    per-segment starts plus a global arange minus each segment's output
-    start — no per-quantum Python loop.
+def _round_robin_segments(lengths: Sequence[int], quantum: int) -> List[Segment]:
+    """The round-robin schedule as segments, in the order they play.
+
+    Round-major, trace-minor: each round grants every unexhausted trace
+    up to ``quantum`` references; exhausted traces (including empty
+    ones) are skipped, so shorter traces simply stop being scheduled.
     """
-    lengths_arr = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths_arr.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-    rounds = int(-(-int(lengths_arr.max()) // quantum))
-    step = np.int64(quantum) * np.arange(rounds, dtype=np.int64)[:, None]
-    seg_len = np.clip(lengths_arr[None, :] - step, 0, quantum)
-    base = np.concatenate(([0], np.cumsum(lengths_arr)[:-1]))
-    seg_src = base[None, :] + step
-    seg_ctx = np.broadcast_to(
-        np.arange(lengths_arr.size, dtype=np.int32), seg_len.shape
+    longest = max(lengths, default=0)
+    return [
+        (index, start, min(start + quantum, length))
+        for start in range(0, longest, quantum)
+        for index, length in enumerate(lengths)
+        if start < length
+    ]
+
+
+def _join(columns: Sequence[bytes], segments: List[Segment], width: int) -> bytes:
+    """The segments' slices of ``columns`` (``width`` bytes an item), joined."""
+    views = [memoryview(column) for column in columns]
+    return b"".join(
+        views[index][start * width : stop * width] for index, start, stop in segments
     )
-    flat_len = seg_len.ravel()
-    keep = flat_len > 0
-    flat_len = flat_len[keep]
-    flat_src = seg_src.ravel()[keep]
-    out_start = np.cumsum(flat_len) - flat_len
-    gather = np.repeat(flat_src - out_start, flat_len) + np.arange(
-        total, dtype=np.int64
-    )
-    contexts = np.repeat(seg_ctx.ravel()[keep], flat_len)
-    return gather, contexts
+
+
+def _byte_columns(value: int) -> List[Tuple[int, int]]:
+    """``(column, byte)`` of each nonzero byte of little-endian uint32 ``value``."""
+    columns = [(column, (value >> (8 * column)) & 0xFF) for column in range(4)]
+    return [(column, bits) for column, bits in columns if bits]
+
+
+def _any_bit_of(addresses: bytes, mask: int) -> bool:
+    """Whether any little-endian uint32 in ``addresses`` has a bit of ``mask``."""
+    for column, bits in _byte_columns(mask):
+        clear = bytes(byte for byte in range(256) if not byte & bits)
+        if addresses[column::4].translate(None, clear):
+            return True
+    return False
+
+
+def _or_each(addresses: bytes, value: int) -> bytes:
+    """``addresses`` (little-endian uint32s) with ``value`` OR-ed into each."""
+    if not value:
+        return addresses
+    out = bytearray(addresses)
+    for column, bits in _byte_columns(value):
+        table = bytes(byte | bits for byte in range(256))
+        out[column::4] = out[column::4].translate(table)
+    return bytes(out)
 
 
 def _mix_name(traces: Sequence[Trace]) -> str:
     return "mix(" + ",".join(trace.name for trace in traces) + ")"
 
 
-def _mix_rpi(traces: Sequence[Trace], total_length: int) -> float:
-    total_instructions = sum(trace.instruction_count for trace in traces)
-    return total_length / total_instructions if total_instructions else 1.0
+def _check_mix(traces: Sequence[Trace], quantum: int) -> None:
+    if not traces:
+        raise TraceError("cannot mix zero traces")
+    if quantum <= 0:
+        raise TraceError("quantum must be positive")
+
+
+def _interleave(
+    traces: Sequence[Trace],
+    quantum: int,
+    columns: Sequence[Tuple[bytes, bytes]],
+) -> Tuple[Trace, List[Segment]]:
+    """Join ``columns`` (each trace's address and kind bytes) round-robin."""
+    segments = _round_robin_segments([len(trace) for trace in traces], quantum)
+    total = sum(stop - start for _, start, stop in segments)
+    instructions = sum(trace.instruction_count for trace in traces)
+    mixed = Trace.from_bytes(
+        _join([addresses for addresses, _ in columns], segments, 4),
+        _join([kinds for _, kinds in columns], segments, 1),
+        name=_mix_name(traces),
+        refs_per_instruction=total / instructions if instructions else 1.0,
+    )
+    return mixed, segments
 
 
 def round_robin_mix(
@@ -88,6 +125,11 @@ def round_robin_mix(
     exhausted; shorter traces simply stop being scheduled, and an input
     of entirely empty traces yields an empty mix.
 
+    Every address lies below the power-of-two stride and every offset is
+    a multiple of it, so ``address + offset == address | offset``: the
+    offset goes into each byte column of a trace with one
+    ``bytes.translate``.
+
     Args:
         traces: the uniprogrammed traces to interleave.
         quantum: scheduling quantum in references (paper-scale would be
@@ -95,10 +137,7 @@ def round_robin_mix(
         context_stride: address-space offset between programs; must be a
             power of two larger than any program's footprint.
     """
-    if not traces:
-        raise TraceError("cannot mix zero traces")
-    if quantum <= 0:
-        raise TraceError("quantum must be positive")
+    _check_mix(traces, quantum)
     if not is_power_of_two(context_stride):
         raise TraceError("context_stride must be a power of two")
     if len(traces) * context_stride > VIRTUAL_ADDRESS_LIMIT:
@@ -106,27 +145,20 @@ def round_robin_mix(
             f"{len(traces)} contexts of stride {context_stride:#x} do not "
             f"fit the 32-bit address space"
         )
-    for index, trace in enumerate(traces):
-        if trace.addresses.size and int(trace.addresses.max()) >= context_stride:
+    columns = [trace.to_bytes() for trace in traces]
+    above_stride = (VIRTUAL_ADDRESS_LIMIT - 1) & ~(context_stride - 1)
+    for index, (trace, (addresses, _)) in enumerate(zip(traces, columns)):
+        if _any_bit_of(addresses, above_stride):
             raise TraceError(
                 f"trace {trace.name!r} (index {index}) exceeds the "
                 f"context stride {context_stride:#x}"
             )
-
-    gather, contexts = _round_robin_order(
-        [len(trace) for trace in traces], quantum
-    )
-    # uint32 arithmetic is exact here: the stride/footprint validations
-    # above guarantee offset + address < 2**32.
-    offsets = contexts.astype(np.uint32) * np.uint32(context_stride)
-    addresses = np.concatenate([trace.addresses for trace in traces])
-    kinds = np.concatenate([trace.kinds for trace in traces])
-    return Trace(
-        addresses[gather] + offsets,
-        kinds[gather],
-        name=_mix_name(traces),
-        refs_per_instruction=_mix_rpi(traces, gather.size),
-    )
+    shifted = [
+        (_or_each(addresses, index * context_stride), kinds)
+        for index, (addresses, kinds) in enumerate(columns)
+    ]
+    mixed, _ = _interleave(traces, quantum, shifted)
+    return mixed
 
 
 def interleave_with_contexts(
@@ -145,23 +177,17 @@ def interleave_with_contexts(
 
     Returns:
         ``(mixed_trace, contexts)`` where ``contexts[i]`` is the address
-        space of reference ``i``.  An input of entirely empty traces
-        yields an empty mix and an empty context array.
+        space of reference ``i`` (int32).  An input of entirely empty
+        traces yields an empty mix and an empty context array.
     """
-    if not traces:
-        raise TraceError("cannot mix zero traces")
-    if quantum <= 0:
-        raise TraceError("quantum must be positive")
+    import numpy as np
 
-    gather, contexts = _round_robin_order(
-        [len(trace) for trace in traces], quantum
+    _check_mix(traces, quantum)
+    mixed, segments = _interleave(
+        traces, quantum, [trace.to_bytes() for trace in traces]
     )
-    addresses = np.concatenate([trace.addresses for trace in traces])
-    kinds = np.concatenate([trace.kinds for trace in traces])
-    mixed = Trace(
-        addresses[gather],
-        kinds[gather],
-        name=_mix_name(traces),
-        refs_per_instruction=_mix_rpi(traces, gather.size),
+    contexts = np.repeat(
+        np.array([index for index, _, _ in segments], dtype=np.int32),
+        [stop - start for _, start, stop in segments],
     )
     return mixed, contexts

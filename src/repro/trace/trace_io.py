@@ -25,6 +25,13 @@ Two formats are supported:
   through a temporary file and an atomic rename, so a crash mid-write
   never leaves a half-written trace under the final name.
 
+  :func:`read_trace` works on the file's bytes with :mod:`struct` and
+  :mod:`zlib` alone: it checks the CRC, every field's length, the kind
+  codes and that nothing trails the kinds, then hands the two payload
+  columns to :meth:`~repro.trace.record.Trace.from_bytes`.  The trace
+  keeps those bytes, so reading and fingerprinting a trace imports no
+  numpy; its arrays are views made when a pass first reads them.
+
 * A human-readable **text format** compatible in spirit with the classic
   ``dinero`` trace format (one ``<kind> <hex-address>`` pair per line),
   for interchange with other simulators and for eyeballing tiny traces.
@@ -32,16 +39,14 @@ Two formats are supported:
 
 from __future__ import annotations
 
-import io
 import os
+import struct
 import zlib
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.errors import TraceFormatError, TraceIntegrityError
-from repro.trace.record import KIND_STORE, Trace
+from repro.trace.record import KIND_CODES, Trace
 
 #: Current binary magic (checksummed format).
 MAGIC_RPT2 = b"RPT2"
@@ -56,19 +61,22 @@ _KIND_FROM_DINERO = {"0": 1, "1": 2, "2": 0}
 
 PathLike = Union[str, os.PathLike]
 
+#: The header fields around the name: its length, then RPI and count.
+_UINT32 = struct.Struct("<I")
+_RPI_COUNT = struct.Struct("<dQ")
+
 
 def _encode_body(trace: Trace) -> bytes:
     """Serialize everything after the (magic, crc) prefix."""
     name_bytes = trace.name.encode("utf-8")
-    parts = [
-        np.uint32(len(name_bytes)).tobytes(),
-        name_bytes,
-        np.float64(trace.refs_per_instruction).tobytes(),
-        np.uint64(len(trace)).tobytes(),
-        trace.addresses.tobytes(),
-        trace.kinds.tobytes(),
-    ]
-    return b"".join(parts)
+    return b"".join(
+        [
+            _UINT32.pack(len(name_bytes)),
+            name_bytes,
+            _RPI_COUNT.pack(trace.refs_per_instruction, len(trace)),
+            *trace.to_bytes(),
+        ]
+    )
 
 
 def write_trace(path: PathLike, trace: Trace) -> None:
@@ -85,7 +93,7 @@ def write_trace(path: PathLike, trace: Trace) -> None:
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(temporary, "wb") as stream:
         stream.write(MAGIC_RPT2)
-        stream.write(np.uint32(crc).tobytes())
+        stream.write(_UINT32.pack(crc))
         stream.write(body)
     os.replace(temporary, path)
 
@@ -107,52 +115,62 @@ def read_trace(path: PathLike) -> Trace:
     Accepts both the current ``RPT2`` format (CRC32-validated; a
     mismatch raises :class:`~repro.errors.TraceIntegrityError`) and
     legacy ``RPT1`` files, which carry no checksum and are parsed
-    structurally only.
+    structurally only.  Every other defect raises
+    :class:`~repro.errors.TraceFormatError`.
     """
     with open(path, "rb") as stream:
         magic = stream.read(4)
-        if magic == MAGIC_RPT2:
-            crc_raw = stream.read(4)
-            if len(crc_raw) != 4:
-                raise TraceFormatError(f"{path}: truncated header")
-            expected = int(np.frombuffer(crc_raw, dtype=np.uint32)[0])
-            body = stream.read()
-            actual = zlib.crc32(body) & 0xFFFFFFFF
-            if actual != expected:
-                raise TraceIntegrityError(
-                    f"{path}: payload checksum mismatch "
-                    f"(stored {expected:#010x}, computed {actual:#010x}); "
-                    f"the file is corrupt — regenerate or restore it"
-                )
-            return _parse_body(io.BytesIO(body), path)
-        if magic == MAGIC_RPT1:
-            return _parse_body(stream, path)
-    raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        if magic not in BINARY_MAGICS:
+            raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        body = memoryview(stream.read())
+    if magic == MAGIC_RPT2:
+        if len(body) < 4:
+            raise TraceFormatError(f"{path}: truncated header")
+        (expected,) = _UINT32.unpack_from(body)
+        body = body[4:]
+        actual = zlib.crc32(body) & 0xFFFFFFFF
+        if actual != expected:
+            raise TraceIntegrityError(
+                f"{path}: payload checksum mismatch "
+                f"(stored {expected:#010x}, computed {actual:#010x}); "
+                f"the file is corrupt — regenerate or restore it"
+            )
+    return _parse_body(body, path)
 
 
-def _parse_body(stream, path: PathLike) -> Trace:
+def _parse_body(body: memoryview, path: PathLike) -> Trace:
     """Parse the shared RPT1/RPT2 body (everything after magic/crc)."""
-    name_length = _read_scalar(stream, np.uint32, path)
-    name_bytes = stream.read(name_length)
-    if len(name_bytes) != name_length:
+    size = len(body)
+    if size < _UINT32.size:
+        raise TraceFormatError(f"{path}: truncated header")
+    (name_length,) = _UINT32.unpack_from(body)
+    offset = _UINT32.size + name_length
+    if offset > size:
         raise TraceFormatError(f"{path}: truncated workload name")
     try:
-        name = name_bytes.decode("utf-8")
+        name = str(body[_UINT32.size : offset], "utf-8")
     except UnicodeDecodeError:
         raise TraceFormatError(
             f"{path}: workload name is not valid UTF-8"
         ) from None
-    rpi = _read_scalar(stream, np.float64, path)
-    count = _read_scalar(stream, np.uint64, path)
-    addresses = _read_array(stream, np.uint32, count, path)
-    kinds = _read_array(stream, np.uint8, count, path)
-    if stream.read(1):
+    if offset + _RPI_COUNT.size > size:
+        raise TraceFormatError(f"{path}: truncated header")
+    rpi, count = _RPI_COUNT.unpack_from(body, offset)
+    addresses = offset + _RPI_COUNT.size
+    kinds = addresses + 4 * count
+    end = kinds + count
+    if end > size:
+        raise TraceFormatError(f"{path}: truncated reference data")
+    kind_bytes = bytes(body[kinds:end])
+    if kind_bytes.translate(None, KIND_CODES):
+        raise TraceFormatError(f"{path}: kind array contains invalid codes")
+    if end < size:
         raise TraceFormatError(f"{path}: trailing bytes after trace data")
-    return Trace(
-        addresses,
-        kinds,
+    return Trace.from_bytes(
+        body[addresses:kinds],
+        kind_bytes,
         name=name,
-        refs_per_instruction=float(rpi),
+        refs_per_instruction=rpi,
     )
 
 
@@ -174,6 +192,8 @@ def read_text_trace(
     Blank lines and lines starting with ``#`` are ignored so traces can be
     annotated.  ``name`` defaults to the file's stem.
     """
+    import numpy as np
+
     addresses = []
     kinds = []
     with open(path, "r", encoding="ascii") as stream:
@@ -205,27 +225,6 @@ def read_text_trace(
         name=name if name is not None else Path(path).stem,
         refs_per_instruction=refs_per_instruction,
     )
-
-
-def _read_scalar(stream, dtype, path: PathLike) -> int:
-    """Read one little-endian scalar of ``dtype`` or raise on truncation."""
-    size = np.dtype(dtype).itemsize
-    raw = stream.read(size)
-    if len(raw) != size:
-        raise TraceFormatError(f"{path}: truncated header")
-    return dtype(np.frombuffer(raw, dtype=dtype)[0]).item()
-
-
-def _read_array(stream, dtype, count: int, path: PathLike) -> np.ndarray:
-    """Read ``count`` elements of ``dtype`` or raise on truncation."""
-    size = int(count) * np.dtype(dtype).itemsize
-    raw = stream.read(size)
-    if len(raw) != size:
-        raise TraceFormatError(f"{path}: truncated reference data")
-    array = np.frombuffer(raw, dtype=dtype).copy()
-    if dtype is np.uint8 and array.size and array.max() > KIND_STORE:
-        raise TraceFormatError(f"{path}: kind array contains invalid codes")
-    return array
 
 
 __all__ = [

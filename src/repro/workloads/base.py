@@ -18,13 +18,15 @@ from __future__ import annotations
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import WorkloadError
 from repro.trace.record import KIND_IFETCH, KIND_LOAD, KIND_STORE, Trace
-from repro.workloads.patterns import Stream
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.workloads.patterns import Stream
 
 #: Working-set size classes used by the paper's result presentation
 #: (Section 5: "small" < 1MB, "large" > 1MB at 4KB pages).
@@ -83,6 +85,8 @@ class SyntheticWorkload(ABC):
 
     def generate(self, length: int, seed: int = 0) -> Trace:
         """Generate a ``length``-reference trace, deterministic in ``seed``."""
+        import numpy as np
+
         if length < 0:
             raise WorkloadError(f"trace length must be non-negative: {length}")
         rng = np.random.default_rng(self._seed_material(seed))

@@ -14,9 +14,7 @@ few-percent range.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.trace.record import KIND_IFETCH
 from repro.types import KB, MB
@@ -26,17 +24,10 @@ from repro.workloads.base import (
     StreamMix,
     SyntheticWorkload,
 )
-from repro.workloads.patterns import (
-    DenseZipf,
-    HotSpot,
-    LockstepSweep,
-    PhaseAlternator,
-    SequentialRuns,
-    SequentialSweep,
-    SparseHot,
-    StridedSweep,
-)
 from repro.workloads.regions import Region, staggered_base
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Matrix300(SyntheticWorkload):
@@ -58,6 +49,12 @@ class Matrix300(SyntheticWorkload):
     ROW_BYTES = 360 * 8
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            SequentialRuns,
+            SequentialSweep,
+            StridedSweep,
+        )
+
         matrix_bytes = 1040 * KB  # 360x360 doubles, rounded up
         code = Region(0x0001_0000, 16 * KB)
         # Staggered bases, as a real loader interleaving other segments
@@ -110,6 +107,8 @@ class Tomcatv(SyntheticWorkload):
     CONGRUENT_ARRAYS = 4
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import HotSpot, LockstepSweep, SequentialRuns
+
         code = Region(0x0001_0000, 32 * KB)
         arrays = []
         for index in range(self.ARRAY_COUNT):
@@ -152,6 +151,14 @@ class Nasa7(SyntheticWorkload):
     PHASE_REFERENCES = 12_000
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            HotSpot,
+            PhaseAlternator,
+            SequentialRuns,
+            SequentialSweep,
+            StridedSweep,
+        )
+
         code = Region(0x0001_0000, 24 * KB)
         solver_state = Region(staggered_base(14, 3), 32 * KB)
         kernels = [
@@ -200,6 +207,8 @@ class Fpppp(SyntheticWorkload):
     nominal_footprint = 450 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import DenseZipf, SequentialRuns, SequentialSweep
+
         code = Region(0x0001_0000, 192 * KB)
         data = Region(staggered_base(2, 1), 256 * KB)
         scratch = Region(staggered_base(3, 4), 64 * KB)
@@ -234,6 +243,8 @@ class Doduc(SyntheticWorkload):
     nominal_footprint = 550 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import DenseZipf, SequentialRuns, SparseHot
+
         code = Region(0x0001_0000, 128 * KB)
         tables = Region(staggered_base(2, 5), 128 * KB)
         records = Region(staggered_base(4, 2), 1600 * KB)

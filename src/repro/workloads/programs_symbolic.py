@@ -10,21 +10,15 @@ inflators at large page sizes).
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.trace.record import KIND_IFETCH
 from repro.types import KB, MB
 from repro.workloads.base import CATEGORY_SMALL, StreamMix, SyntheticWorkload
-from repro.workloads.patterns import (
-    DenseZipf,
-    HotSpot,
-    SequentialRuns,
-    SequentialSweep,
-    SparseHot,
-)
 from repro.workloads.regions import Region, staggered_base
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Lisp(SyntheticWorkload):
@@ -44,6 +38,13 @@ class Lisp(SyntheticWorkload):
     nominal_footprint = 300 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            DenseZipf,
+            HotSpot,
+            SequentialRuns,
+            SparseHot,
+        )
+
         code = Region(0x0001_0000, 64 * KB)
         nursery = Region(staggered_base(2, 1), 192 * KB)
         old_space = Region(staggered_base(4, 2), 1536 * KB)
@@ -89,6 +90,8 @@ class Espresso(SyntheticWorkload):
     nominal_footprint = 350 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import DenseZipf, SequentialRuns, SparseHot
+
         # Code and locals are three 4KB pages each — below the promote
         # threshold of four blocks — and phase-offset across TLB sets, so
         # the only TLB pressure is the scattered cube tables, which never
@@ -133,6 +136,13 @@ class Eqntott(SyntheticWorkload):
     nominal_footprint = 900 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            HotSpot,
+            SequentialRuns,
+            SequentialSweep,
+            SparseHot,
+        )
+
         code = Region(0x0001_0000, 32 * KB)
         vectors = Region(staggered_base(4, 1), 640 * KB)
         table = Region(staggered_base(2, 4), 24 * KB)

@@ -8,9 +8,7 @@ data and widely scattered session state.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.trace.record import KIND_IFETCH
 from repro.types import KB, MB
@@ -20,15 +18,10 @@ from repro.workloads.base import (
     StreamMix,
     SyntheticWorkload,
 )
-from repro.workloads.patterns import (
-    DenseZipf,
-    HotSpot,
-    SequentialRuns,
-    SequentialSweep,
-    SparseHot,
-    StridedSweep,
-)
 from repro.workloads.regions import Region, staggered_base
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class X11perf(SyntheticWorkload):
@@ -51,6 +44,13 @@ class X11perf(SyntheticWorkload):
     PITCH = 1280
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            HotSpot,
+            SequentialRuns,
+            SequentialSweep,
+            StridedSweep,
+        )
+
         code = Region(0x0001_0000, 96 * KB)
         pixmap = Region(staggered_base(8, 1), 512 * KB)
         requests = Region(staggered_base(2, 5), 16 * KB)
@@ -89,6 +89,14 @@ class Xnews(SyntheticWorkload):
     nominal_footprint = 1_800 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            DenseZipf,
+            HotSpot,
+            SequentialRuns,
+            SequentialSweep,
+            SparseHot,
+        )
+
         code = Region(0x0001_0000, 192 * KB)
         resources = Region(staggered_base(4, 1), 1024 * KB)
         glyphs = Region(staggered_base(6, 3), 384 * KB)
@@ -136,6 +144,13 @@ class Verilog(SyntheticWorkload):
     nominal_footprint = 3_500 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import (
+            DenseZipf,
+            SequentialRuns,
+            SequentialSweep,
+            SparseHot,
+        )
+
         code = Region(0x0001_0000, 224 * KB)
         netlist = Region(staggered_base(4, 1), 2048 * KB)
         gate_arrays = Region(staggered_base(20, 3), 640 * KB)
@@ -188,6 +203,8 @@ class Worm(SyntheticWorkload):
     nominal_footprint = 1_100 * KB
 
     def _build(self, rng: np.random.Generator) -> List[StreamMix]:
+        from repro.workloads.patterns import HotSpot, SequentialRuns, SparseHot
+
         # Like espresso: code and state stay below the promote threshold
         # (three blocks each), so no promotion ever pays the penalty back.
         code = Region(0x0001_0000, 12 * KB)

@@ -127,7 +127,6 @@ def cached_trace(
             os.path.join(os.path.expanduser("~"), ".cache", "repro-traces"),
         )
     directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{name}-v{GENERATOR_VERSION}-{length}-{seed}.rpt"
     if path.exists():
         try:
@@ -139,5 +138,6 @@ def cached_trace(
                 stacklevel=2,
             )
     trace = generate_trace(name, length, seed)
+    directory.mkdir(parents=True, exist_ok=True)
     write_trace(path, trace)
     return trace

@@ -233,7 +233,7 @@ PINNED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::repro.perf.kernels.KernelFallbackWarning")
+@pytest.mark.filterwarnings("ignore::repro.perf.choice.KernelFallbackWarning")
 @pytest.mark.parametrize("kind", list(CASES))
 def test_second_run_replays_every_entry(kind, tmp_path):
     cache = SimulationCache.open(tmp_path)

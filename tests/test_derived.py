@@ -20,7 +20,7 @@ from repro.experiments import smoke_scale
 from repro.experiments.runner import EXPERIMENTS
 from repro.mem.pageout import fault_rate_curve, two_size_fault_rate_curve
 from repro.parallel.cache import SimulationCache
-from repro.perf import twosize
+from repro.perf import kernels, twosize
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
@@ -105,7 +105,7 @@ def test_each_pass_runs_once_per_input_inside_a_run(monkeypatch):
     # The driver fetches (trace, token)'s stream just before counting.
     streams = _record(
         monkeypatch,
-        driver,
+        vector,
         "trace_decisions",
         lambda trace, policy: (trace.fingerprint, _token(policy)),
     )
@@ -192,7 +192,7 @@ def test_a_run_reads_each_trace_once(monkeypatch, tmp_path):
 
 
 def test_a_run_simulates_each_single_size_result_once(monkeypatch):
-    passes = _record(monkeypatch, driver, "stack_depths", lambda *args, **kw: None)
+    passes = _record(monkeypatch, kernels, "stack_depths", lambda *args, **kw: None)
     trace = _trace(11)
     with derived.run():
         results = [

@@ -6,7 +6,7 @@ The contract this suite enforces, config-space cell by cell:
   walk — every supported configuration resolves to an array kernel
   (``vector`` or ``sampled``), and the one remaining scalar island
   (PLRU replacement) announces itself with a
-  :class:`~repro.perf.kernels.KernelFallbackWarning`.
+  :class:`~repro.perf.choice.KernelFallbackWarning`.
 * The vector kernels (single-size, two-size, two-level and
   multiprogrammed) stay bit-exact against their scalar oracles.
 * The sampled-set kernel is bit-exact at ``exact=True`` and, when
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import SimulationCache
-from repro.perf.kernels import (
+from repro.perf.choice import (
     KERNEL_SAMPLED,
     KERNEL_SCALAR,
     KERNEL_VECTOR,

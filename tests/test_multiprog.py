@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, TraceError
 from repro.parallel.cache import SimulationCache
-from repro.perf.kernels import KernelFallbackWarning
+from repro.perf.choice import KernelFallbackWarning
 from repro.perf.multiprog import count_switches, multiprog_counts
 from repro.sim import TLBConfig, run_multiprogrammed, sweep_multiprogrammed
 from repro.tlb import ContextSwitchPolicy, FullyAssociativeTLB, MultiprogrammedTLB

@@ -15,6 +15,8 @@ from repro.mem import (
 )
 from repro.mem import pageout
 from repro.mem.pageout import _paging_curve, _simulate_weighted_lru
+from repro.perf import kernels
+from repro.policy import vector
 from repro.policy.promotion import DynamicPromotionPolicy
 from repro.stacksim import lru_miss_curve
 from repro.trace import Trace
@@ -270,8 +272,8 @@ class TestCurveEdges:
         def no_work(*args, **kwargs):
             raise AssertionError("paging work began before validation")
 
-        monkeypatch.setattr(pageout, "previous_occurrences", no_work)
-        monkeypatch.setattr(pageout, "trace_decisions", no_work)
+        monkeypatch.setattr(kernels, "previous_occurrences", no_work)
+        monkeypatch.setattr(vector, "trace_decisions", no_work)
         with pytest.raises(ConfigurationError):
             curve_fn(page_trace([1, 2, 3]), [MB, smallest - PAGE_4KB // 2])
 

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.perf.choice import KERNEL_SCALAR, KERNEL_VECTOR, choose_kernel
 from repro.perf.kernels import (
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
     _count_greater_preceding,
-    choose_kernel,
     group_order,
     previous_occurrences,
     stack_depths,
@@ -27,12 +25,9 @@ from repro.policy.promotion import (
     ExplicitAssignmentPolicy,
     StaticLargePolicy,
     StaticSmallPolicy,
-)
-from repro.policy.vector import (
-    PolicyDecisions,
-    policy_decisions,
     supports_vector_decisions,
 )
+from repro.policy.vector import PolicyDecisions, policy_decisions
 from repro.policy.window import SlidingBlockWindow
 from repro.perf import twosize
 from repro.perf.twosize import _event_plan, _SetFamilyAnalysis

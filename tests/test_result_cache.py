@@ -450,7 +450,7 @@ class TestWarmPaperRun:
             (working_set, "average_working_set_pages"),
             (vector, "dynamic_working_set_events"),
             (vector, "policy_decisions"),
-            (pageout, "trace_decisions"),
+            (vector, "trace_decisions"),
             (pageout, "_paging_curve"),
         ):
             monkeypatch.setattr(module, name, no_pass)
