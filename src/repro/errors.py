@@ -42,8 +42,8 @@ class TraceIntegrityError(TraceError):
     """A trace file's payload checksum does not match its contents.
 
     Raised when an ``RPT2`` file parses structurally but its stored CRC32
-    disagrees with the bytes actually read — bit rot, torn writes, or
-    deliberate corruption (see :mod:`repro.robustness.faultinject`).
+    disagrees with the bytes actually read: bit rot, a torn write or
+    deliberate corruption.
     """
 
 
@@ -66,16 +66,6 @@ class StudyError(ExperimentError):
     kind, a factor naming no parameter, an unconsumed fixed parameter),
     for unreadable study declaration files, and — in strict runs — when
     any compiled unit fails.
-    """
-
-
-class BenchmarkError(ReproError):
-    """A benchmark run or baseline comparison could not proceed.
-
-    Raised by ``repro-bench`` when a baseline file is missing, corrupt,
-    or from an incompatible suite — conditions distinct from a measured
-    regression, which is reported through the comparison result (and a
-    different exit code) rather than an exception.
     """
 
 

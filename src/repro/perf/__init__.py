@@ -1,4 +1,4 @@
-"""Performance subsystem: vectorized simulation kernels and benchmarking.
+"""Performance subsystem: the vectorized simulation kernels.
 
 The paper's experiments are trace-driven passes whose cost is dominated
 by per-reference inner loops.  This package supplies:
@@ -17,15 +17,11 @@ by per-reference inner loops.  This package supplies:
   switches as universal epoch boundaries (FLUSH) or a context-prefix
   key fold (ASID), driving ``run_multiprogrammed`` and
   ``sweep_multiprogrammed``, exact against the scalar
-  ``MultiprogrammedTLB`` oracle;
-* :mod:`repro.perf.bench` — the ``repro-bench`` console entry point,
-  which times a pinned suite and writes machine-readable
-  ``BENCH_<rev>.json`` reports;
-* :mod:`repro.perf.baseline` — the baseline comparator behind
-  ``repro-bench --check``, the piece CI's ``bench-smoke`` job gates on.
+  ``MultiprogrammedTLB`` oracle.
 
-See ``docs/performance.md`` for the kernel-switch contract, the report
-schema and the CI regression gate.
+See ``docs/performance.md`` for the kernel-switch contract and the
+speed floors (``benchmarks/test_speed_floors.py``) that keep each
+kernel ahead of its scalar walk.
 """
 
 from repro._lazy import lazy_exports

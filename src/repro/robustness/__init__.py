@@ -5,13 +5,8 @@ precious (Hill–Smith all-associativity simulation: 84 configurations per
 pass).  The result cache keeps every finished answer, so an interrupted
 run resumes by running the same command again; this package keeps one
 failing unit from taking the rest of a suite down with it:
-
-* :mod:`repro.robustness.executor` — failure-isolated suite execution,
-  serial or on forked workers, producing a structured
-  :class:`SuiteReport`;
-* :mod:`repro.robustness.faultinject` — deterministic byte corruption
-  of trace files and cache entries, used to *prove* that every corrupt
-  input fails loudly and locally.
+:mod:`repro.robustness.executor` runs a suite's units, serially or on
+forked workers, and returns a structured :class:`SuiteReport`.
 """
 
 from repro._lazy import lazy_exports

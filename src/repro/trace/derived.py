@@ -14,7 +14,7 @@ the same way:
    into both tiers.
 
 Outside a run and without a cache every call computes directly and
-encodes nothing, so library callers, the tests and ``repro-bench``'s
+encodes nothing, so library callers, the tests and the speed floors'
 timed repeats see no memo at all.  This module is the only one that
 reads or writes the result cache.
 

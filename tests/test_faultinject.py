@@ -10,11 +10,13 @@ These run in the tier-1 suite and also as the dedicated CI smoke job
 ``pytest -q -m faultinject``.
 """
 
+import os
+import random
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TraceError
-from repro.robustness import faultinject
+from repro.errors import TraceError
 from repro.trace.record import Trace
 from repro.trace.trace_io import read_trace, write_trace
 from repro.workloads.registry import cached_trace
@@ -39,10 +41,10 @@ def trace_file(tmp_path):
 
 
 class TestByteFlips:
-    def test_every_flipped_byte_raises_a_trace_error(self, trace_file):
+    def test_every_flipped_byte_raises_a_trace_error(self, trace_file, flip_byte):
         pristine = trace_file.read_bytes()
         for offset in range(len(pristine)):
-            faultinject.flip_byte(trace_file, offset)
+            flip_byte(trace_file, offset)
             try:
                 with pytest.raises(TraceError):
                     read_trace(trace_file)
@@ -53,12 +55,12 @@ class TestByteFlips:
             finally:
                 trace_file.write_bytes(pristine)
 
-    def test_flip_never_leaks_low_level_errors(self, trace_file):
+    def test_flip_never_leaks_low_level_errors(self, trace_file, flip_byte):
         # struct.error / numpy ValueError escaping would mean a caller
         # cannot distinguish corruption from a programming bug.
         pristine = trace_file.read_bytes()
         for offset in range(len(pristine)):
-            faultinject.flip_byte(trace_file, offset)
+            flip_byte(trace_file, offset)
             try:
                 read_trace(trace_file)
             except TraceError:
@@ -66,9 +68,9 @@ class TestByteFlips:
             finally:
                 trace_file.write_bytes(pristine)
 
-    def test_flip_restores_when_flipped_back(self, trace_file):
-        faultinject.flip_byte(trace_file, 10, mask=0x40)
-        faultinject.flip_byte(trace_file, 10, mask=0x40)
+    def test_flip_restores_when_flipped_back(self, trace_file, flip_byte):
+        flip_byte(trace_file, 10, mask=0x40)
+        flip_byte(trace_file, 10, mask=0x40)
         assert read_trace(trace_file) == tiny_trace()
 
 
@@ -76,7 +78,7 @@ class TestTruncation:
     def test_every_truncation_length_raises_a_trace_error(self, trace_file):
         pristine = trace_file.read_bytes()
         for length in range(len(pristine)):
-            faultinject.truncate_file(trace_file, length)
+            os.truncate(trace_file, length)
             with pytest.raises(TraceError):
                 read_trace(trace_file)
             trace_file.write_bytes(pristine)
@@ -94,39 +96,14 @@ class TestTruncation:
                 read_trace(path)
 
 
-class TestCorruptionHelpers:
-    def test_corrupt_trace_is_deterministic(self, tmp_path):
-        first = tmp_path / "a.rpt"
-        second = tmp_path / "b.rpt"
-        write_trace(first, tiny_trace())
-        write_trace(second, tiny_trace())
-        offset_a = faultinject.corrupt_trace(first, seed=7)
-        offset_b = faultinject.corrupt_trace(second, seed=7)
-        assert offset_a == offset_b
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_corrupt_trace_truncate_mode(self, trace_file):
-        size = trace_file.stat().st_size
-        kept = faultinject.corrupt_trace(trace_file, mode="truncate", seed=3)
-        assert trace_file.stat().st_size == kept < size
-
-    def test_bad_arguments_rejected(self, trace_file):
-        with pytest.raises(ConfigurationError):
-            faultinject.flip_byte(trace_file, 10 ** 9)
-        with pytest.raises(ConfigurationError):
-            faultinject.flip_byte(trace_file, 0, mask=0)
-        with pytest.raises(ConfigurationError):
-            faultinject.truncate_file(trace_file, 10 ** 9)
-        with pytest.raises(ConfigurationError):
-            faultinject.corrupt_trace(trace_file, mode="melt")
-
-
 class TestCacheSelfHeal:
-    def test_corrupt_cached_trace_regenerates(self, tmp_path):
+    def test_corrupt_cached_trace_regenerates(self, tmp_path, flip_byte):
         cache = tmp_path / "cache"
         original = cached_trace("li", 3_000, cache_dir=cache)
         (cached_path,) = cache.glob("*.rpt")
-        faultinject.corrupt_trace(cached_path, seed=1)
+        rng = random.Random(1)  # a seeded byte, flipped by a seeded mask
+        offset = rng.randrange(cached_path.stat().st_size)
+        flip_byte(cached_path, offset, mask=rng.randrange(1, 256))
         with pytest.warns(RuntimeWarning, match="corrupt cached trace"):
             healed = cached_trace("li", 3_000, cache_dir=cache)
         assert healed == original

@@ -13,7 +13,6 @@ from repro.mem import (
     two_size_fault_rate_curve,
     two_size_paging,
 )
-from repro.mem import pageout
 from repro.mem.pageout import _paging_curve, _simulate_weighted_lru
 from repro.perf import kernels
 from repro.policy import vector

@@ -8,6 +8,7 @@ raised in a worker stops the run as it would serially.
 """
 
 import os
+import random
 import time
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from repro.parallel.pool import (
     parallel_map,
     resolve_jobs,
 )
-from repro.robustness import faultinject
 from repro.robustness.executor import UnitSpec, run_units
 from repro.sim.config import SingleSizeScheme, TLBConfig
 from repro.sim.driver import run_single_size
@@ -225,7 +225,7 @@ class TestCacheCorruption:
             for index, config in enumerate(self.CONFIGS)
         ]
 
-    def test_corrupt_entry_counted_and_healed_in_parallel(self, tmp_path):
+    def test_corrupt_entry_counted_and_healed_in_parallel(self, tmp_path, flip_byte):
         from repro.parallel.cache import SimulationCache, records
 
         cache = SimulationCache.open(tmp_path / "cache")
@@ -235,7 +235,12 @@ class TestCacheCorruption:
         assert first.ok and first.cache_corrupt_discarded == 0
         assert len(records(cache.root)) == len(self.CONFIGS)
 
-        faultinject.corrupt_cache_entry(cache.root, seed=0)
+        # Flip a seeded byte in the document of one key's latest record.
+        latest = list({record.key: record for record in records(cache.root)}.values())
+        rng = random.Random(0)
+        record = latest[rng.randrange(len(latest))]
+        offset = record.offset + rng.randrange(len(record.document))
+        flip_byte(record.path, offset, mask=0x40)
         second = run_units(self._units(trace, cache), jobs=2)
         assert second.ok
         # The worker's discard count travels back with the unit's

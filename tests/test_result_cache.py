@@ -35,7 +35,6 @@ from repro.parallel.pool import fork_available
 from repro.policy import vector
 from repro.policy.dynamic_ws import dynamic_average_working_set
 from repro.policy.promotion import DynamicPromotionPolicy
-from repro.robustness import faultinject
 from repro.sim.config import PAIR_4KB_32KB, SingleSizeScheme, TLBConfig
 from repro.sim.config import TwoSizeScheme
 from repro.sim.driver import run_single_size, run_two_sizes, run_with_policy
@@ -111,13 +110,13 @@ class TestSingleSize:
         assert cache.stats.hits == baseline  # three misses, zero hits
         assert cache.stats.stores == 4
 
-    def test_corrupt_entry_discarded_and_recomputed(self, trace, cache):
+    def test_corrupt_entry_discarded_and_recomputed(self, trace, cache, flip_byte):
         first = run_single_size(trace, SCHEME, CONFIG, cache=cache)
         # The instance that wrote the record has indexed it, and must
         # still see the damage: a hit reads the bytes on disk.
         (record,) = records(cache.root)
         middle = record.offset + len(record.document) // 2
-        faultinject.flip_byte(record.path, middle, mask=0x40)
+        flip_byte(record.path, middle, mask=0x40)
 
         # The discard is never silent: a warning names the entry, and
         # the per-process counter feeds the sweep summary.
@@ -258,7 +257,7 @@ class TestSegments:
         expected = self._sweep(trace, SimulationCache.open(root))
         *kept, torn = records(root)
         # A writer killed mid-record leaves a line without its newline.
-        faultinject.truncate_file(torn.path, torn.offset + len(torn.document) // 2)
+        os.truncate(torn.path, torn.offset + len(torn.document) // 2)
 
         rerun = SimulationCache(root)
         assert self._sweep(trace, rerun) == expected
@@ -283,7 +282,9 @@ class TestSegments:
         assert reader.get(second) == self.PAYLOAD
         assert (reader.stats.hits, reader.stats.misses) == (2, 1)
 
-    def test_recomputed_record_supersedes_a_corrupt_later_segment(self, tmp_path):
+    def test_recomputed_record_supersedes_a_corrupt_later_segment(
+        self, tmp_path, flip_byte
+    ):
         root = tmp_path / "cache"
         older, newer = SimulationCache.open(root), SimulationCache(root)
         name = key("test", n=1)
@@ -291,7 +292,7 @@ class TestSegments:
         newer.put(name, self.PAYLOAD)  # in a segment named after older's
         (record,) = [record for record in records(root) if record.key == name]
         middle = record.offset + len(record.document) // 2
-        faultinject.flip_byte(record.path, middle, mask=0x40)
+        flip_byte(record.path, middle, mask=0x40)
 
         with pytest.warns(CacheIntegrityWarning):
             assert older.get(name) is None
